@@ -19,7 +19,8 @@ from .formulas import (AlphaBound, ClosedFormEstimate, alpha_kt,
                        ordered_pair_sum_printed, pair_polymer_sum,
                        singleton_sum)
 from .hypergraph import (Hypergraph, LinkGraph, Vertex, find_loose_cycle,
-                         girth_at_most, is_loose_cycle)
+                         find_loose_cycle_through, girth_at_most,
+                         is_loose_cycle)
 from .lab import (PropertyReport, check_common_neighbor, check_def,
                   check_exp1, check_exp2, check_girth, check_linear,
                   check_reg, gen_linear_regular, loose_cycle_gadget)

@@ -135,7 +135,7 @@ def _cmd_xi(args):
     cap = _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
     value = polymers.partition_function(G, args.cls, args.b, max_polymers=cap)
     return (G, {"class": args.cls, "b": args.b},
-            {"xi": value, "log_xi": math.log(float(value))}, [])
+            {"xi": value, "log_xi": LogValue.of(value).log}, [])
 
 
 def _cmd_kp_check(args):
@@ -325,8 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "sets in partite uniform hypergraphs.")
     parser.add_argument("--json", action="store_true",
                         help="structured JSON output")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker budget; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, needs_input=True):

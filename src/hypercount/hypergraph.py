@@ -8,9 +8,10 @@ operations are pure functions over it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, InputError
 
@@ -233,13 +234,23 @@ class Hypergraph:
         return self.linearity_witness() is None
 
     def linearity_witness(self) -> Optional[tuple]:
-        """A pair of edges sharing >= 2 vertices, or None if the graph is linear."""
-        sets = [frozenset(e) for e in self.edges]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                if len(sets[i] & sets[j]) >= 2:
-                    return (self.edges[i], self.edges[j])
-        return None
+        """The edge pair (e_i, e_j), i < j, sharing >= 2 vertices that comes
+        first in lexicographic (i, j) order, or None if the graph is linear.
+
+        Two edges share >= 2 vertices iff they share a vertex pair, so one
+        pass over the k(k-1)/2 pairs of each edge, indexed by the first edge
+        holding each pair, finds for every e_j the least such e_i.
+        """
+        first = {}
+        best = None
+        for j, e in enumerate(self.edges):
+            for pair in itertools.combinations(e, 2):
+                i = first.setdefault(pair, j)
+                if i != j and (best is None or i < best[0]):
+                    best = (i, j)
+        if best is None:
+            return None
+        return (self.edges[best[0]], self.edges[best[1]])
 
     def regular_degree(self) -> Optional[int]:
         """The common vertex degree r, or None if degrees differ."""
@@ -250,6 +261,20 @@ class Hypergraph:
 
 
 # ----- loose cycles and girth -----------------------------------------------
+
+
+def _node_ticker(node_cap: Optional[int]):
+    """Counter for DFS nodes: each call counts one, and the call after
+    node_cap of them raises BudgetExceeded (None means no cap)."""
+    budget = [node_cap if node_cap is not None else -1]
+
+    def tick():
+        if budget[0] == 0:
+            raise BudgetExceeded(
+                f"loose-cycle search exceeded node cap {node_cap}")
+        budget[0] -= 1
+
+    return tick
 
 
 def find_loose_cycle(G: Hypergraph, max_length: int,
@@ -271,13 +296,7 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
         raise InputError("loose cycles have length at least 3")
     edge_sets = [frozenset(e) for e in G.edges]
     m = len(edge_sets)
-    budget = [node_cap if node_cap is not None else -1]
-
-    def tick():
-        if budget[0] == 0:
-            raise BudgetExceeded(
-                f"loose-cycle search exceeded node cap {node_cap}")
-        budget[0] -= 1
+    tick = _node_ticker(node_cap)
 
     def close(path, joints, used, first):
         # final edge must meet exactly the current tail joint and one fresh
@@ -336,6 +355,70 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
         if res is not None:
             path, joints, closing = res
             return witness(path, joints, closing)
+    return None
+
+
+def find_loose_cycle_through(edge_sets: Sequence[frozenset],
+                             incidence: Mapping[Vertex, Sequence[int]],
+                             cand: frozenset, max_length: int,
+                             node_cap: Optional[int] = 2_000_000
+                             ) -> Optional[list]:
+    """Search for a loose cycle of length between 3 and max_length that uses
+    the edge `cand`, in the hypergraph with edges `edge_sets` plus `cand`.
+
+    `incidence` maps each vertex to the indices of the edges in `edge_sets`
+    containing it (a missing vertex is isolated); `cand` is not among them.
+    Such a cycle is `cand` plus a loose path of at most max_length - 1
+    edges from a vertex u of `cand` to another vertex v of `cand` that meets
+    `cand` nowhere else.  When `edge_sets` alone has no loose cycle of
+    length <= max_length, every such cycle in the enlarged hypergraph
+    passes through `cand`, so the answer is girth_at_most's on it, while
+    the work depends on the paths around `cand`, not on the edge count.
+
+    The DFS grows the path from u and takes each cycle in the orientation
+    with u < v.  Returns the witness in find_loose_cycle's format, `cand`
+    first, or None.  Raises BudgetExceeded when node_cap DFS nodes are
+    visited.
+    """
+    if max_length < 3:
+        raise InputError("loose cycles have length at least 3")
+    tick = _node_ticker(node_cap)
+
+    def extend(path, joints, used):
+        # every edge of the path meets `used` only at the joint it entered
+        # by, so a vertex of the tail other than that joint is fresh
+        tail = path[-1]
+        for x in sorted(edge_sets[tail] - {joints[-1]}):
+            for f in incidence.get(x, ()):
+                if f == tail:
+                    continue
+                tick()
+                meet = edge_sets[f] & used
+                if len(meet) == 1:
+                    if len(path) + 3 <= max_length:
+                        res = extend(path + [f], joints + [x],
+                                     used | edge_sets[f])
+                        if res is not None:
+                            return res
+                elif len(meet) == 2:
+                    (v,) = meet - {x}
+                    if v in cand and v > joints[0]:
+                        return path + [f], joints + [x], v
+        return None
+
+    for u in sorted(cand)[:-1]:
+        for e in incidence.get(u, ()):
+            tick()
+            if edge_sets[e] & cand != {u}:
+                continue
+            res = extend([e], [u], cand | edge_sets[e])
+            if res is not None:
+                path, joints, v = res
+                blocks = [cand] + [edge_sets[i] for i in path]
+                seq = []
+                for block, j_in, j_out in zip(blocks, [v] + joints, joints + [v]):
+                    seq.extend([j_in] + sorted(block - {j_in, j_out}))
+                return seq
     return None
 
 

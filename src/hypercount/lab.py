@@ -2,7 +2,9 @@
 
 The generator assembles edges one at a time from per-class degree budgets,
 rejecting edges that break linearity or (when requested) create a short
-loose cycle, with bounded restarts.  It either returns a conforming
+loose cycle, with bounded restarts.  Both checks are incremental: a set of
+covered vertex pairs decides linearity, and the girth check searches only
+for cycles through the candidate edge.  It either returns a conforming
 instance or fails loudly; it never hands back a non-conforming graph.
 
 Property checks measure, they never assume: a verdict is `holds` only when
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import BudgetExceeded, GenerationError, InputError
 from .exact import DEFECT_VERTEX_CAP, _as_masks, _class_mask, _independent_masks
 from .formulas import gamma_k
-from .hypergraph import Hypergraph, Vertex, find_loose_cycle, girth_at_most
+from .hypergraph import (Hypergraph, Vertex, find_loose_cycle,
+                         find_loose_cycle_through, girth_at_most)
 
 
 @dataclass(frozen=True)
@@ -59,34 +62,45 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
             f"partners per class to stay linear")
     rng = random.Random(seed)
     total_edges = n * r
+    girth_bounded = min_girth is not None and min_girth > 3
     stuck_at = 0
     for restart in range(max_restarts):
         capacity = [[r] * n for _ in range(k)]
-        edges = []
+        # ascending indices with capacity left, so rng.choice draws exactly
+        # as it would from a fresh scan of `capacity`
+        avail = [list(range(n)) for _ in range(k)]
+        covered = set()  # vertex pairs inside an accepted edge
         edge_sets = []
+        incidence = {}
         ok = True
         for j in range(total_edges):
             placed = False
             for _ in range(max_edge_tries):
                 try:
-                    pick = [rng.choice([i for i in range(n) if capacity[c][i] > 0])
-                            for c in range(k)]
+                    pick = [rng.choice(avail[c]) for c in range(k)]
                 except IndexError:
                     break
-                cand = frozenset(Vertex(c, i) for c, i in enumerate(pick))
-                if cand in edge_sets:
+                cand = tuple(Vertex(c, i) for c, i in enumerate(pick))
+                pairs = list(itertools.combinations(cand, 2))
+                # sharing a pair with an accepted edge breaks linearity; this
+                # also rejects a duplicate edge
+                if any(p in covered for p in pairs):
                     continue
-                if any(len(cand & e) >= 2 for e in edge_sets):
+                cand_set = frozenset(cand)
+                # accepted prefixes have no short loose cycle, so a new one
+                # must pass through the candidate
+                if girth_bounded and find_loose_cycle_through(
+                        edge_sets, incidence, cand_set,
+                        min_girth - 1) is not None:
                     continue
-                if min_girth is not None and min_girth > 3:
-                    trial = Hypergraph.build(
-                        k, [n] * k, [sorted(e) for e in edge_sets + [cand]])
-                    if girth_at_most(trial, min_girth - 1):
-                        continue
-                edges.append(tuple(sorted(cand)))
-                edge_sets.append(cand)
+                covered.update(pairs)
+                for v in cand:
+                    incidence.setdefault(v, []).append(len(edge_sets))
+                edge_sets.append(cand_set)
                 for c, i in enumerate(pick):
                     capacity[c][i] -= 1
+                    if capacity[c][i] == 0:
+                        avail[c].remove(i)
                 placed = True
                 break
             if not placed:
@@ -94,10 +108,10 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
                 ok = False
                 break
         if ok:
-            G = Hypergraph(k, tuple([n] * k), tuple(edges))
+            G = Hypergraph(k, tuple([n] * k), tuple(edge_sets))
             assert G.regular_degree() == r
             assert G.is_linear()
-            if min_girth is not None and min_girth > 3:
+            if girth_bounded:
                 assert not girth_at_most(G, min_girth - 1)
             return G
     raise GenerationError(

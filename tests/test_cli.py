@@ -1,13 +1,14 @@
 """CLI surface: every subcommand, exit codes, determinism of exact fields."""
 
 import json
+import math
 
 import pytest
 
 from hypercount import loads, serialize_text
 from hypercount.cli import main
 
-from conftest import single_edge
+from conftest import matching, single_edge
 
 
 SINGLE = serialize_text(single_edge(3))
@@ -65,6 +66,16 @@ class TestCommands:
                                "--class", "0", "--b", "1")
         assert code == 0
         assert kv(out)["xi"] == "7/4"
+
+    def test_xi_beyond_float_range(self, capsys, tmp_path):
+        # a 1300-edge perfect matching has Xi = (7/4)^1300, far above the
+        # largest double
+        path = tmp_path / "matching.hg"
+        path.write_text(serialize_text(matching(3, 1300)))
+        code, out, _ = run_cli(capsys, "xi", "-i", str(path),
+                               "--class", "0", "--b", "1")
+        assert code == 0
+        assert kv(out)["log_xi"] == format(1300 * math.log(7 / 4), ".12g")
 
     def test_kp_check(self, capsys, single_path):
         code, out, _ = run_cli(capsys, "kp-check", "-i", single_path,

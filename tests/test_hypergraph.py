@@ -1,10 +1,13 @@
 """Structural primitives: neighbourhoods, link graphs, shared-neighbour
 adjacency, 2-linked pieces, linearity, regularity, loose-cycle girth."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from hypercount import (Hypergraph, InputError, Vertex, find_loose_cycle,
+from hypercount import (Hypergraph, InputError, Vertex, check_linear,
+                        find_loose_cycle, find_loose_cycle_through,
                         gen_linear_regular, girth_at_most, is_loose_cycle,
                         loose_cycle_gadget)
 from hypercount.errors import BudgetExceeded
@@ -200,6 +203,101 @@ class TestGirth:
     def test_bad_limit(self, edge3):
         with pytest.raises(InputError):
             girth_at_most(edge3, 2)
+
+
+def _through_search(G, cand, max_length, node_cap=2_000_000):
+    return find_loose_cycle_through([frozenset(e) for e in G.edges],
+                                    G.incidence, frozenset(cand), max_length,
+                                    node_cap)
+
+
+class TestGirthThroughEdge:
+    def test_gadget_closing_edge(self):
+        for k in (3, 4):
+            G = loose_cycle_gadget(k, seed=k)
+            for drop in range(G.num_edges):
+                rest = Hypergraph(k, G.sizes,
+                                  G.edges[:drop] + G.edges[drop + 1:])
+                cand = G.edges[drop]
+                assert _through_search(rest, cand, 3) is None
+                w = _through_search(rest, cand, 4)
+                assert is_loose_cycle(G, w) and len(w) == 4 * (k - 1)
+                assert frozenset(w[:k]) == frozenset(cand)
+
+    def test_budget_refusal(self):
+        G = loose_cycle_gadget(3)
+        rest = Hypergraph(3, G.sizes, G.edges[1:])
+        with pytest.raises(BudgetExceeded):
+            _through_search(rest, G.edges[0], 4, node_cap=1)
+
+    def test_bad_limit(self, edge3):
+        with pytest.raises(InputError):
+            _through_search(edge3, edge3.edges[0], 2)
+
+
+def _short_girth_free(k, n, g, rng):
+    """Random linear k-partite instance with classes of size n, up to 2n
+    edges and no loose cycle shorter than g, grown edge by edge and checked
+    by the global search."""
+    edges = []
+    target = rng.randint(2, 2 * n)
+    for _ in range(6 * n):
+        if len(edges) == target:
+            break
+        e = tuple(V(c, rng.randrange(n)) for c in range(k))
+        if any(len(set(e) & set(f)) >= 2 for f in edges):
+            continue
+        if not girth_at_most(Hypergraph.build(k, [n] * k, edges + [e]), g - 1):
+            edges.append(e)
+    return Hypergraph.build(k, [n] * k, edges)
+
+
+def test_through_edge_search_matches_global_search():
+    # on a prefix without loose cycles shorter than g, a linearity-keeping
+    # candidate creates one iff the search through it finds one
+    rng = random.Random(20241217)
+    outcomes = {}
+    for g in (4, 5, 6):
+        for k in (3, 4):
+            for _ in range(12):
+                n = rng.randint(4, 7)
+                G = _short_girth_free(k, n, g, rng)
+                for _ in range(15):
+                    cand = tuple(V(c, rng.randrange(n)) for c in range(k))
+                    if any(len(set(cand) & set(e)) >= 2 for e in G.edges):
+                        continue
+                    trial = Hypergraph(k, G.sizes, G.edges + (cand,))
+                    expect = girth_at_most(trial, g - 1)
+                    w = _through_search(G, cand, g - 1)
+                    assert (w is not None) == expect
+                    outcomes[g, expect] = outcomes.get((g, expect), 0) + 1
+                    if w is not None:
+                        assert is_loose_cycle(trial, w)
+                        assert len(w) <= (k - 1) * (g - 1)
+                        assert frozenset(w[:k]) == frozenset(cand)
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 30
+
+
+def _brute_linearity_witness(G):
+    sets = [frozenset(e) for e in G.edges]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if len(sets[i] & sets[j]) >= 2:
+                return (G.edges[i], G.edges[j])
+    return None
+
+
+@given(partite_hypergraphs())
+@settings(max_examples=150, deadline=None)
+def test_linearity_witness_matches_pairwise_scan(G):
+    expect = _brute_linearity_witness(G)
+    assert G.linearity_witness() == expect
+    report = check_linear(G)
+    if expect is None:
+        assert report.holds and report.witness is None
+    else:
+        assert report.verdict == "violated"
+        assert report.witness == [[str(v) for v in e] for e in expect]
 
 
 def _brute_has_loose_cycle(G, max_length):
