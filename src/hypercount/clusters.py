@@ -1,26 +1,33 @@
-"""Cluster expansion machinery: Ursell functions, cluster enumeration up to
-a size budget, exact cluster weights, truncated log-partition sums, and the
-log-domain count estimator.
+"""Cluster expansion of log Xi: the truncated log-partition sum, the
+log-domain count estimator, and the cluster listing with Ursell functions.
 
-Clusters are stored as canonical multisets of polymers together with the
-number of orderings they represent, so sums over ordered polymer vectors
-are computed without factorial blowup.  All sums are exact rationals; floats
-appear only at the log-domain boundary of the estimator.
+Each polymer S carries the weight w(S) z^|S|, and the size-t truncation is
+[z^1..z^t] log Xi(z) at z = 1.  `truncated_log_xi` computes it one polymer C
+at a time from the log series of the small polynomial Xi_C(z), the
+partition function of the subsets of C, with no clusters and no Ursell
+functions.  Every polymer is incompatible with itself, so compatible
+families are sets of polymers, as in `polymers.partition_function`.
+
+The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`) and
+the model-level enumeration stay as oracles for the truncation and for the
+`clusters` command.  Clusters are canonical multisets of polymers together
+with the number of orderings they represent, so sums over ordered polymer
+vectors are computed without factorial blowup.  All sums are exact
+rationals; floats appear only at the log-domain boundary of the estimator.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph
 from .logdomain import LogValue, log_sum_exp
-from .polymers import Polymer, polymer_weight
+from .polymers import Polymer, compatible, enumerate_polymers, polymer_weight
 
 URSELL_VERTEX_CAP = 9
 
@@ -44,68 +51,12 @@ def _graph_components(n: int, edges) -> int:
     return len({find(i) for i in range(n)})
 
 
-def _canonical_graph_key(n: int, edges):
-    """Isomorphism-invariant key for small graphs: colour refinement, then
-    the minimum edge list over label permutations consistent with the
-    refined colours.  Falls back to a label-sensitive key (marked
-    distinctly) when the consistent permutation count is too large."""
-    adj = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    colors = [len(adj[v]) for v in range(n)]
-    for _ in range(n):
-        sig = [(colors[v], tuple(sorted(colors[u] for u in adj[v])))
-               for v in range(n)]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-    groups = {}
-    for v in range(n):
-        groups.setdefault(colors[v], []).append(v)
-    cells = [groups[c] for c in sorted(groups)]
-    total = 1
-    for cell in cells:
-        total *= math.factorial(len(cell))
-        if total > 50_000:
-            return ("labelled", n, tuple(sorted(map(tuple, map(sorted, edges)))))
-    best = None
-    for perms in _cell_permutations(cells):
-        relabel = {}
-        pos = 0
-        for cell_perm in perms:
-            for v in cell_perm:
-                relabel[v] = pos
-                pos += 1
-        key = tuple(sorted(tuple(sorted((relabel[a], relabel[b])))
-                           for a, b in edges))
-        if best is None or key < best:
-            best = key
-    return ("canonical", n, best)
-
-
-def _cell_permutations(cells):
-    if not cells:
-        yield []
-        return
-    for head in permutations(cells[0]):
-        for tail in _cell_permutations(cells[1:]):
-            yield [list(head)] + tail
-
-
-_ursell_cache = {}
-_ursell_lock = threading.Lock()
-
-
 def ursell(n: int, edges: Iterable, cap: int = URSELL_VERTEX_CAP) -> Fraction:
     """Ursell function of a connected graph on vertices 0..n-1.
 
     Defined as 1/n! times the signed count, by parity of edge count, of
     spanning connected subgraphs.  Computed exactly by a subset convolution
-    over vertex sets (the component of the lowest vertex splits off), and
-    memoized by canonical graph form.
+    over vertex sets (the component of the lowest vertex splits off).
     """
     edges = sorted({tuple(sorted((int(a), int(b)))) for a, b in edges})
     if n < 1:
@@ -117,11 +68,6 @@ def ursell(n: int, edges: Iterable, cap: int = URSELL_VERTEX_CAP) -> Fraction:
         raise BudgetExceeded(f"Ursell cap is {cap} vertices, got {n}")
     if _graph_components(n, edges) != 1:
         raise InputError("Ursell function is defined for connected graphs")
-    key = _canonical_graph_key(n, edges)
-    with _ursell_lock:
-        hit = _ursell_cache.get(key)
-    if hit is not None:
-        return hit
 
     edge_bits = [(1 << a) | (1 << b) for a, b in edges]
     full = (1 << n) - 1
@@ -143,12 +89,7 @@ def ursell(n: int, edges: Iterable, cap: int = URSELL_VERTEX_CAP) -> Fraction:
                 val -= f[sub]
             sub = (sub - 1) & mask
         f[mask] = val
-    result = Fraction(f[full], math.factorial(n))
-    with _ursell_lock:
-        if len(_ursell_cache) > 100_000:
-            _ursell_cache.clear()
-        _ursell_cache[key] = result
-    return result
+    return Fraction(f[full], math.factorial(n))
 
 
 def ursell_by_subgraphs(n: int, edges: Iterable) -> Fraction:
@@ -213,13 +154,13 @@ class Cluster:
 
 def incompatibility_graph(entries_expanded: Sequence[Polymer]):
     """Graph on the cluster's entries with edges between incompatible ones;
-    copies of a polymer are incompatible whenever its neighbourhood is
-    non-empty."""
+    copies of a polymer are always joined, since every polymer is
+    incompatible with itself."""
     n = len(entries_expanded)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            if entries_expanded[i].neighborhood & entries_expanded[j].neighborhood:
+            if not compatible(entries_expanded[i], entries_expanded[j]):
                 edges.append((i, j))
     return n, edges
 
@@ -241,49 +182,25 @@ def cluster_weight(cluster: Cluster, weight_of: Callable) -> Fraction:
     return phi * prod
 
 
-def _connected_sets_in(adj, max_size):
-    """All connected subsets (any size up to max_size) of the graph given by
-    `adj`, each exactly once."""
-    verts = sorted(adj)
-    out = []
-    for start in verts:
-
-        def grow(sub, ext, closed):
-            out.append(frozenset(sub))
-            if len(sub) == max_size:
-                return
-            pool = list(ext)
-            while pool:
-                w = pool.pop(0)
-                fresh = sorted(u for u in adj[w] if u > start and u not in closed)
-                grow(sub + [w], pool + fresh, closed | set(fresh) | {w})
-
-        first = sorted(u for u in adj[start] if u > start)
-        grow([start], first, set(first) | {start})
-    return out
-
-
 def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
     """Every cluster of total size at most t over the class's polymer model
     with polymer orders capped at t, as canonical multisets, each once.
 
     The union of a cluster's polymers is 2-linked (connected entries over a
     connected incompatibility graph), so enumeration runs per candidate
-    support: a 2-linked set of order <= t, covered exactly by the chosen
-    polymers.
+    support: a polymer of order <= t, covered exactly by the chosen
+    polymers, which are its 2-linked subsets.
     """
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    adj_full = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
-    supports = sorted(_connected_sets_in(adj_full, t), key=lambda s: sorted(s))
+    by_vertices = {p.vertices: p for p in enumerate_polymers(G, cls, t)}
     clusters = []
-    for support in supports:
-        sup = sorted(support)
-        adj = {v: adj_full[v] & support for v in sup}
-        parts = sorted(_connected_sets_in(adj, t), key=sorted)
-        polymers = [Polymer(tuple(sorted(s)), G.neighborhood(s)) for s in parts]
-        polymers.sort()
+    for sup in by_vertices:
+        support = frozenset(sup)
+        polymers = sorted(by_vertices[sub] for size in range(1, len(sup) + 1)
+                          for sub in combinations(sup, size)
+                          if sub in by_vertices)
         suffix_cover = [frozenset()] * (len(polymers) + 1)
         for i in range(len(polymers) - 1, -1, -1):
             suffix_cover[i] = suffix_cover[i + 1] | frozenset(polymers[i].vertices)
@@ -312,19 +229,71 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
     return clusters
 
 
+# ----- the truncated log partition sum -----------------------------------------
+
+
+def _log_series(coeffs: Sequence[Fraction], t: int) -> list:
+    """[z^0..z^t] of log p(z) for p(z) = sum of coeffs[s] z^s with
+    coeffs[0] = 1 and len(coeffs) = t + 1, by the Newton recurrence
+    p L' = p', i.e. s l_s = s a_s - sum over 0 < i < s of i l_i a_(s-i)."""
+    logs = [Fraction(0)] * (t + 1)
+    for s in range(1, t + 1):
+        acc = s * coeffs[s]
+        for i in range(1, s):
+            acc -= i * logs[i] * coeffs[s - i]
+        logs[s] = acc / s
+    return logs
+
+
 def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
-    """Exact sum of ordered-cluster weights over all clusters of size <= t:
-    the degree-t truncation of the log partition function of the class."""
-    weights = {}
+    """Exact [z^1..z^t] of log Xi(z) for the class, at z = 1: the sum of
+    ordered-cluster weights over all clusters of size <= t.
 
-    def weight_of(p: Polymer) -> Fraction:
-        if p not in weights:
-            weights[p] = polymer_weight(G, p)
-        return weights[p]
+    Moebius inversion over supports, with the terms collected per component,
+    writes it as a sum over polymers C of order <= t of
 
+        sum_{s=|C|..t} [z^s] log Xi_C(z) * sum_{j=0..s-|C|} (-1)^j binom(d_C, j)
+
+    where Xi_C(z) sums w(T) z^|T| over the subsets T of C (w(T) is the
+    product of the weights of T's 2-linked components, so the subsets are
+    exactly C's compatible polymer families) and d_C counts the same-class
+    vertices outside C that share a neighbour with C.  The Moebius term of a
+    support U holds [z^s] only for s >= |U|; within it, [z^s] log Xi_C
+    enters through every W in U that has C as a 2-linked component, and
+    those cancel unless U - C lies in the d_C shared-neighbour vertices,
+    leaving the sign (-1)^|U - C|.
+    """
+    G._check_class(cls)
+    if t < 1:
+        raise InputError("cluster size budget t must be at least 1")
+    polymers = enumerate_polymers(G, cls, t)
+    weights = {p.vertices: polymer_weight(G, p) for p in polymers}
+    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
     total = Fraction(0)
-    for cluster in enumerate_clusters(G, cls, t):
-        total += cluster.ordering_count * cluster_weight(cluster, weight_of)
+    for p in polymers:
+        C = p.vertices
+        c = len(C)
+        near = [sum(1 << j for j, u in enumerate(C) if u in adj[v]) for v in C]
+        # subset_weight[T] = weight of the subset T (a bitmask over C): the
+        # 2-linked component of T's lowest vertex times the rest of T
+        subset_weight = [Fraction(1)] * (1 << c)
+        coeffs = [Fraction(1)] + [Fraction(0)] * t
+        for mask in range(1, 1 << c):
+            comp = frontier = mask & -mask
+            while frontier:
+                i = frontier.bit_length() - 1
+                frontier &= ~(1 << i)
+                grow = near[i] & mask & ~comp
+                comp |= grow
+                frontier |= grow
+            piece = tuple(C[i] for i in range(c) if comp >> i & 1)
+            subset_weight[mask] = weights[piece] * subset_weight[mask ^ comp]
+            coeffs[mask.bit_count()] += subset_weight[mask]
+        logs = _log_series(coeffs, t)
+        d = len(frozenset().union(*(adj[v] for v in C)).difference(C))
+        for s in range(c, t + 1):
+            total += logs[s] * sum((-1) ** j * math.comb(d, j)
+                                   for j in range(s - c + 1))
     return total
 
 

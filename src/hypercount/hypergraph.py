@@ -300,10 +300,14 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
 
     def close(path, joints, used, first):
         # final edge must meet exactly the current tail joint and one fresh
-        # vertex of the first edge
+        # vertex of the first edge; it holds a vertex of the tail other than
+        # the tail joint, so the candidates are the edges incident to those,
+        # tried in ascending index order
         tail = path[-1]
         tail_joint = joints[-1]
-        for f in range(first + 1, m):
+        candidates = {f for x in edge_sets[tail] - {tail_joint}
+                      for f in G.incidence[x] if f > first}
+        for f in sorted(candidates):
             if f in path:
                 continue
             tick()

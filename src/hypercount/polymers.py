@@ -60,11 +60,12 @@ def make_polymer(G: Hypergraph, vertices: Iterable) -> Polymer:
 
 
 def compatible(S: Polymer, T: Polymer) -> bool:
-    """Polymers are compatible iff their neighbourhoods are disjoint.
+    """Distinct polymers are compatible iff their neighbourhoods are disjoint.
 
-    In particular S is incompatible with itself whenever N(S) is non-empty.
+    Every polymer is incompatible with itself, even when N(S) is empty (an
+    isolated vertex), so compatible families are sets of polymers.
     """
-    return not (S.neighborhood & T.neighborhood)
+    return S != T and not (S.neighborhood & T.neighborhood)
 
 
 # ----- enumeration of connected sets in the distance-two structure ------------

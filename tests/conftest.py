@@ -1,12 +1,14 @@
 """Shared instance builders and hypothesis strategies."""
 
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import strategies as st
 
-from hypercount import Hypergraph
+from hypercount import Hypergraph, gen_linear_regular
+from hypercount.errors import GenerationError
 
 
 def single_edge(k: int = 3) -> Hypergraph:
@@ -45,6 +47,35 @@ def random_partite(k, sizes, density, seed) -> Hypergraph:
     edges = [[(c, i) for c, i in enumerate(combo)]
              for combo in space if rng.random() < density]
     return Hypergraph.build(k, sizes, edges)
+
+
+@functools.cache
+def girth5_instances() -> tuple:
+    """Generated linear girth>=5 regular instances over k in {3,4}, n <= 6,
+    r <= 2, as (k, n, r, G) tuples; infeasible combinations simply do not
+    generate.  (For r = 2 the edge-intersection graph is cubic for k=3 and
+    4-regular for k=4, so girth 5 forces n >= 6 resp. n >= 10; the sweep
+    discovers this by rejection.)  A few larger k=3 instances are added
+    beyond the required range to exercise the pair formulas more broadly.
+    Built once per test run: the rejections take seconds."""
+    out = []
+    for k in (3, 4):
+        for n in range(1, 7):
+            for r in (1, 2):
+                if r > n:
+                    continue
+                for seed in (0, 1):
+                    try:
+                        G = gen_linear_regular(k, n, r, seed=seed,
+                                               min_girth=5, max_restarts=80)
+                    except GenerationError:
+                        continue
+                    out.append((k, n, r, G))
+    for n in (7, 8):
+        for seed in (0, 1):
+            out.append((3, n, 2, gen_linear_regular(3, n, 2, seed=seed,
+                                                    min_girth=5)))
+    return tuple(out)
 
 
 def random_uniform_system(num_vertices, uniformity, num_edges, seed):

@@ -25,8 +25,8 @@ from hypercount import (check_common_neighbor,
                         truncated_log_xi, ursell, ursell_by_subgraphs)
 from hypercount.errors import GenerationError
 
-from conftest import (matching, random_partite, random_uniform_system,
-                      single_edge, two_shared)
+from conftest import (girth5_instances, matching, random_partite,
+                      random_uniform_system, single_edge, two_shared)
 
 
 @contextmanager
@@ -61,33 +61,6 @@ def _sweep_instances():
         density = rng.choice([0.2, 0.35, 0.5, 0.7])
         generated.append(random_partite(3, sizes, density, rng.randrange(10 ** 9)))
     return handcrafted + generated
-
-
-def _girth5_instances():
-    """Generated linear girth>=5 regular instances over k in {3,4}, n <= 6,
-    r <= 2; infeasible combinations simply do not generate.  (For r = 2 the
-    edge-intersection graph is cubic for k=3 and 4-regular for k=4, so girth
-    5 forces n >= 6 resp. n >= 10; the sweep discovers this by rejection.)
-    A few larger k=3 instances are added beyond the required range to
-    exercise the pair formulas more broadly."""
-    out = []
-    for k in (3, 4):
-        for n in range(1, 7):
-            for r in (1, 2):
-                if r > n:
-                    continue
-                for seed in (0, 1):
-                    try:
-                        G = gen_linear_regular(k, n, r, seed=seed,
-                                               min_girth=5, max_restarts=80)
-                    except GenerationError:
-                        continue
-                    out.append((k, n, r, G))
-    for n in (7, 8):
-        for seed in (0, 1):
-            out.append((3, n, 2, gen_linear_regular(3, n, 2, seed=seed,
-                                                    min_girth=5)))
-    return out
 
 
 def test_criterion_1_defect_class_identity():
@@ -132,7 +105,7 @@ def test_criterion_2_size1_truncation_closed_form():
 
 def test_criterion_3_size2_truncation_closed_form():
     with criterion(3, "size-2 truncation equals corrected pair formula"):
-        cases = _girth5_instances()
+        cases = girth5_instances()
         nontrivial = 0
         for k, n, r, G in cases:
             est = closed_form_t2(k, n, r)
@@ -147,7 +120,7 @@ def test_criterion_3_size2_truncation_closed_form():
 def test_criterion_4_pair_cluster_counts():
     with criterion(4, "pair-cluster counts match local structure"):
         checked = 0
-        for k, n, r, G in _girth5_instances():
+        for k, n, r, G in girth5_instances():
             if r < 2:
                 continue
             for cls in range(k):
@@ -223,7 +196,7 @@ def test_criterion_7_counter_vs_filter():
 def _criterion_8_polymers():
     for G in _sweep_instances()[:60]:
         yield G
-    for k, n, r, G in _girth5_instances():
+    for k, n, r, G in girth5_instances():
         yield G
     for k, n, r in [(3, 4, 2), (3, 6, 2), (4, 5, 2)]:
         yield gen_linear_regular(k, n, r, seed=17)
@@ -260,7 +233,7 @@ def test_criterion_9_common_neighbor_and_gadgets():
     with criterion(9, "shared-neighbour uniqueness on girth-5 instances, "
                       "violation on loose-4-cycle gadgets"):
         held = 0
-        for k, n, r, G in _girth5_instances():
+        for k, n, r, G in girth5_instances():
             assert check_common_neighbor(G).holds
             held += 1
         extra = 0

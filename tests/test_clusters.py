@@ -6,16 +6,48 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
-                        cluster_weight, enumerate_clusters,
-                        estimate_count, gamma_k,
+                        cluster_weight, compatible, enumerate_clusters,
+                        enumerate_polymers, estimate_count, gamma_k,
                         gen_linear_regular, partition_function,
                         polymer_weight, singleton_sum, truncated_log_generic,
                         truncated_log_xi, ursell, ursell_by_subgraphs)
 
-from conftest import random_partite
+from conftest import girth5_instances, partite_hypergraphs, random_partite
 
 V = Vertex
+
+
+def _cluster_sum(G, cls, t):
+    """The size-t truncation as the sum of ordered-cluster weights."""
+    w = {p: polymer_weight(G, p) for p in enumerate_polymers(G, cls, t)}
+    return sum((c.ordering_count * cluster_weight(c, w.__getitem__)
+                for c in enumerate_clusters(G, cls, t)), Fraction(0))
+
+
+def _log_xi_prefix(G, cls, t):
+    """[z^1..z^t] of log Xi(z) at z = 1.  Xi(z) is summed by brute force over
+    compatible polymer families, each polymer S weighted w(S) z^|S|, and
+    log(1 + u) is expanded as its Mercator series."""
+    polys = enumerate_polymers(G, cls, G.sizes[cls])
+    w = {p: polymer_weight(G, p) for p in polys}
+    xi = [Fraction(0)] * (t + 1)
+    for size in range(len(polys) + 1):
+        for fam in itertools.combinations(polys, size):
+            order = sum(p.order for p in fam)
+            if order <= t and all(compatible(a, b) for a, b
+                                  in itertools.combinations(fam, 2)):
+                xi[order] += math.prod((w[p] for p in fam), start=Fraction(1))
+    assert xi[0] == 1
+    u = [Fraction(0)] + xi[1:]
+    power = [Fraction(1)] + [Fraction(0)] * t
+    log = Fraction(0)
+    for m in range(1, t + 1):
+        power = [sum(power[i] * u[s - i] for i in range(s + 1))
+                 for s in range(t + 1)]
+        log += Fraction((-1) ** (m + 1), m) * sum(power)
+    return log
 
 
 def _connected_graphs(n):
@@ -109,7 +141,7 @@ class TestUrsell:
         with pytest.raises(BudgetExceeded):
             ursell(12, [(i, i + 1) for i in range(11)])
 
-    def test_isomorphic_graphs_share_cache_key(self):
+    def test_isomorphic_graphs_agree(self):
         a = ursell(4, [(0, 1), (1, 2), (2, 3)])
         b = ursell(4, [(3, 2), (2, 0), (0, 1)])  # relabelled path
         assert a == b == Fraction(-1, 24)
@@ -120,7 +152,6 @@ class TestUrsell:
             cycle = [(i, (i + 1) % m) for i in range(m)]
             assert ursell(m, cycle) == Fraction((-1) ** (m - 1) * (m - 1),
                                                 math.factorial(m))
-        # the 9-vertex complete graph exercises the labelled-key fallback
         k9 = list(itertools.combinations(range(9), 2))
         assert ursell(9, k9) == Fraction(1, 9)
 
@@ -152,7 +183,6 @@ class TestClusterEnumeration:
     def test_ordered_tuple_oracle(self):
         # brute-force ordered vectors of polymers with connected
         # incompatibility graph must aggregate to the canonical multisets
-        from hypercount import enumerate_polymers
         from hypercount.clusters import _connected_multiset
         for seed, t in ((0, 3), (2, 3), (0, 4)):
             G = random_partite(3, (2, 2, 2), 0.5, seed)
@@ -241,7 +271,6 @@ class TestTruncatedSums:
                 assert truncated_log_xi(G, cls, 1) == singleton_sum(k, n, r)
 
     def test_matches_generic_enumerator(self):
-        from hypercount import enumerate_polymers
         for seed in (1, 3):
             G = random_partite(3, (2, 2, 2), 0.6, seed)
             for t in (1, 2, 3):
@@ -249,14 +278,14 @@ class TestTruncatedSums:
                 w = {p: polymer_weight(G, p) for p in polys}
                 generic = truncated_log_generic(
                     polys, lambda p: p.order, lambda p: w[p],
-                    lambda a, b: bool(a.neighborhood & b.neighborhood), t)
+                    lambda a, b: a == b or bool(a.neighborhood & b.neighborhood),
+                    t)
                 assert generic == truncated_log_xi(G, 0, t)
 
     def test_matches_generic_on_three_vertex_supports(self):
         # classes of size 2 never produce supports of order 3; use a real
         # girth-5 instance so the locality-based enumeration is checked
         # against the model-level one on larger connected supports too
-        from hypercount import enumerate_polymers
         G = gen_linear_regular(3, 6, 2, seed=4, min_girth=5)
         t = 3
         polys = enumerate_polymers(G, 0, t)
@@ -264,8 +293,40 @@ class TestTruncatedSums:
         w = {p: polymer_weight(G, p) for p in polys}
         generic = truncated_log_generic(
             polys, lambda p: p.order, lambda p: w[p],
-            lambda a, b: bool(a.neighborhood & b.neighborhood), t)
+            lambda a, b: a == b or bool(a.neighborhood & b.neighborhood),
+            t)
         assert generic == truncated_log_xi(G, 0, t)
+
+    def test_isolated_vertex_taylor_prefix(self):
+        # class 0 holds an isolated vertex, a self-incompatible polymer of
+        # weight 1: Xi(z) = (1+z)(1+3z/4)
+        G = Hypergraph.build(3, [2, 1, 1], [[(0, 0), (1, 0), (2, 0)]])
+        isolated = enumerate_polymers(G, 0, 1)[1]
+        assert isolated.vertices == (V(0, 1),)
+        assert not compatible(isolated, isolated)
+        clusters = {c.entries for c in enumerate_clusters(G, 0, 2)}
+        assert ((isolated, 2),) in clusters
+        assert truncated_log_xi(G, 0, 1) == Fraction(7, 4)
+        assert truncated_log_xi(G, 0, 2) == Fraction(31, 32)
+        assert _cluster_sum(G, 0, 2) == Fraction(31, 32)
+
+    @given(partite_hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_taylor_prefix_of_log_xi(self, G):
+        for cls in range(G.k):
+            for t in range(1, 5):
+                assert truncated_log_xi(G, cls, t) == _log_xi_prefix(G, cls, t)
+
+    def test_matches_cluster_sum_on_girth5_corpus(self):
+        for k, n, r, G in girth5_instances():
+            for cls in range(k):
+                for t in (2, 3):
+                    assert truncated_log_xi(G, cls, t) == _cluster_sum(G, cls, t)
+
+    def test_matches_cluster_sum_at_depth(self):
+        for (k, n, r, seed), t in (((3, 10, 2, 0), 5), ((4, 6, 2, 1), 4)):
+            G = gen_linear_regular(k, n, r, seed=seed)
+            assert truncated_log_xi(G, 0, t) == _cluster_sum(G, 0, t)
 
     def test_convergence_trend_on_tiny_instance(self, edge3, capsys):
         # reported, not asserted: the truncation error against the exact

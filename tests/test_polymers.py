@@ -115,6 +115,11 @@ class TestCompatibility:
     def test_self_incompatible(self, edge3):
         p = make_polymer(edge3, [V(0, 0)])
         assert not compatible(p, p)
+        # an isolated vertex has N(S) empty and is still self-incompatible
+        G = Hypergraph.build(3, [2, 1, 1], [[(0, 0), (1, 0), (2, 0)]])
+        q = make_polymer(G, [V(0, 1)])
+        assert not q.neighborhood and not compatible(q, q)
+        assert compatible(q, make_polymer(G, [V(0, 0)]))
 
     def test_shared_neighbor_incompatible(self):
         G = Hypergraph.build(3, [2, 1, 2],
