@@ -8,9 +8,10 @@ from .clusters import (Cluster, CountEstimate, cluster_weight,
                        truncated_log_xi, ursell, ursell_by_subgraphs)
 from .errors import (BudgetExceeded, GenerationError, HypercountError,
                      InputError)
-from .exact import (DefectClassCount, count_by_filter, count_completions,
-                    count_independent_sets, count_subsets_avoiding,
-                    count_with_defect_class, defect_profile)
+from .exact import (DefectClassCount, class_mask, count_by_filter,
+                    count_completions, count_independent_sets,
+                    count_subsets_avoiding, count_with_defect_class,
+                    defect_profile, edge_masks, independent_masks)
 from .formats import (digest, load, loads, parse_json, parse_text,
                       serialize_json, serialize_text)
 from .formulas import (AlphaBound, ClosedFormEstimate, alpha_kt,

@@ -21,7 +21,7 @@ from typing import Optional
 from . import clusters as cl
 from . import exact, formats, formulas, lab, polymers
 from .errors import BudgetExceeded, GenerationError, InputError
-from .hypergraph import Hypergraph, Vertex, girth_at_most
+from .hypergraph import GIRTH_NODE_CAP, Hypergraph, Vertex, girth_at_most
 from .logdomain import LogValue
 
 
@@ -105,7 +105,7 @@ def _cmd_exact_count(args):
 
 def _cmd_defect_count(args):
     G = _load(args)
-    budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.DEFECT_VERTEX_CAP)
+    budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.FILTER_VERTEX_CAP)
     res = exact.count_with_defect_class(G, args.cls, args.b, budget=budget)
     return (G, {"class": args.cls, "b": args.b},
             {"count": res.count}, [])
@@ -116,8 +116,7 @@ def _cmd_polymers(args):
     cap = _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
     root = _vertex(args.root) if args.root else None
     polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root)
-    if len(polys) > cap:
-        raise BudgetExceeded(f"{len(polys)} polymers exceed the cap {cap}")
+    polymers.check_polymer_cap(polys, cap)
     rows = [("polymer", {
         "vertices": [str(v) for v in p.vertices],
         "order": p.order,
@@ -162,13 +161,7 @@ def _cmd_kp_check(args):
 def _cmd_clusters(args):
     G = _load(args)
     found = cl.enumerate_clusters(G, args.cls, args.t)
-    weights = {}
-
-    def weight_of(p):
-        if p not in weights:
-            weights[p] = polymers.polymer_weight(G, p)
-        return weights[p]
-
+    weights = polymers.weight_map(G, {p for c in found for p, _ in c.entries})
     rows = []
     for c in found:
         rows.append(("cluster", {
@@ -176,7 +169,7 @@ def _cmd_clusters(args):
             "length": c.length,
             "size": c.size,
             "orderings": c.ordering_count,
-            "weight": cl.cluster_weight(c, weight_of),
+            "weight": cl.cluster_weight(c, weights.__getitem__),
         }))
     return (G, {"class": args.cls, "t": args.t},
             {"count": len(found)}, rows)
@@ -252,12 +245,12 @@ def _cmd_check(args):
         rep = lab.check_exp2(G, Fraction(args.beta), size_cap=args.size_cap,
                              samples=args.samples, seed=args.seed)
     elif kind == "def":
-        budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.DEFECT_VERTEX_CAP)
+        budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.FILTER_VERTEX_CAP)
         rep = lab.check_def(G, args.b, budget=budget, seed=args.seed)
     elif kind == "linear":
         rep = lab.check_linear(G)
     elif kind == "girth":
-        cap = _env_int("HYPERCOUNT_GIRTH_NODE_CAP", 2_000_000)
+        cap = _env_int("HYPERCOUNT_GIRTH_NODE_CAP", GIRTH_NODE_CAP)
         rep = lab.check_girth(G, args.min_girth, node_cap=cap)
     elif kind == "common-neighbor":
         rep = lab.check_common_neighbor(G)

@@ -3,24 +3,29 @@
 This module is the ground-truth oracle the rest of the package is judged
 against, so everything here is exact integer arithmetic.  The main counter
 is a backtracking search over bitmask set systems with connected-component
-factorization; a vectorized 2^|V| filter is retained as an independent
-cross-check for small vertex counts.
+factorization.  A vectorized 2^|V| filter is retained as an independent
+cross-check for small vertex counts; it is the one place that enumerates
+vertex subsets.  Callers reach it through a small public seam:
+`independent_masks(G)` lists the independent sets of G as bitmasks,
+`edge_masks(G)` gives the edges in the same bit order (bit i is
+`list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
+one class.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import BudgetExceeded, InputError
-from .hypergraph import Hypergraph, LinkGraph, Vertex
+from .hypergraph import Hypergraph, LinkGraph
 
 _MEMO_LIMIT = 1 << 20  # entries per top-level call before the cache is dropped
 
-FILTER_VERTEX_CAP = 24
-DEFECT_VERTEX_CAP = 24
+FILTER_VERTEX_CAP = 24  # vertex cap of the 2^|V| filter
 
 
 @dataclass(frozen=True)
@@ -132,108 +137,90 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     return _count(full, dedup, {})
 
 
-def _vertex_bits(vertices):
-    order = sorted(set(vertices))
-    return order, {v: i for i, v in enumerate(order)}
+def edge_masks(G: Hypergraph) -> list:
+    """The edges of G as bitmasks over its vertices: bit i stands for
+    list(G.vertices())[i].  That order is class-major, so each class is a
+    contiguous range of bits (see class_mask)."""
+    offsets = list(itertools.accumulate(G.sizes, initial=0))
+    return [sum(1 << (offsets[v.cls] + v.idx) for v in e) for e in G.edges]
 
 
-def _as_masks(vertices, edges):
-    order, pos = _vertex_bits(vertices)
-    masks = []
-    for e in edges:
-        m = 0
-        for v in e:
-            if v not in pos:
-                raise InputError(f"edge vertex {v} outside vertex set")
-            m |= 1 << pos[v]
-        masks.append(m)
-    return len(order), masks, pos
+def class_mask(G: Hypergraph, cls: int) -> int:
+    """The bits of the given class in edge_masks' vertex order."""
+    G._check_class(cls)
+    return ((1 << G.sizes[cls]) - 1) << sum(G.sizes[:cls])
 
 
 def count_independent_sets(H: Union[Hypergraph, LinkGraph]) -> int:
     """Exact number of vertex subsets of H containing no edge as a subset."""
     if isinstance(H, Hypergraph):
-        n, masks, _ = _as_masks(H.vertices(), H.edges)
-    elif isinstance(H, LinkGraph):
-        n, masks, _ = _as_masks(H.vertices, H.edges)
-    else:
-        raise InputError(f"cannot count structures of type {type(H).__name__}")
-    return count_subsets_avoiding(n, masks)
+        return count_subsets_avoiding(H.num_vertices, edge_masks(H))
+    if isinstance(H, LinkGraph):
+        pos = {v: i for i, v in enumerate(sorted(H.vertices))}
+        masks = []
+        for e in H.edges:
+            m = 0
+            for v in e:
+                m |= 1 << pos[v]
+            masks.append(m)
+        return count_subsets_avoiding(len(pos), masks)
+    raise InputError(f"cannot count structures of type {type(H).__name__}")
 
 
 # ----- independent 2^V filter oracle ------------------------------------------
 
 
 _HARD_MASK_CAP = 30  # uint64 mask arrays; beyond this the memory cost is silly
+_FILTER_CHUNK = 1 << 20
 
 
-def count_by_filter(num_vertices: int, edge_masks: Sequence[int],
-                    chunk: int = 1 << 20,
-                    cap: int = FILTER_VERTEX_CAP) -> int:
-    """Count by testing every subset mask; independent of the backtracking
-    path, usable for cross-checks up to the cap."""
+def _filter_chunks(num_vertices: int, edge_masks: Sequence[int], cap: int):
+    """Yield, one chunk of 2^20 candidates at a time, the subsets of
+    {0..num_vertices-1} (as uint64 masks, ascending) that contain no edge
+    mask.  Refuses when num_vertices exceeds min(cap, 30)."""
     cap = min(cap, _HARD_MASK_CAP)
     if num_vertices > cap:
         raise BudgetExceeded(
-            f"filter oracle limited to {cap} vertices, got {num_vertices}")
+            f"2^|V| filter limited to {cap} vertices, got {num_vertices}; "
+            f"refusing rather than estimating")
     dedup = np.array(sorted(set(int(e) for e in edge_masks)), dtype=np.uint64)
-    total = 0
     top = 1 << num_vertices
-    for lo in range(0, top, chunk):
-        arr = np.arange(lo, min(lo + chunk, top), dtype=np.uint64)
+    for lo in range(0, top, _FILTER_CHUNK):
+        arr = np.arange(lo, min(lo + _FILTER_CHUNK, top), dtype=np.uint64)
         keep = np.ones(arr.shape, dtype=bool)
         for e in dedup:
             keep &= (arr & e) != e
-        total += int(keep.sum())
-    return total
+        yield arr[keep]
 
 
-def _independent_masks(G: Hypergraph, cap: int = DEFECT_VERTEX_CAP):
-    """All independent sets of G as bitmasks (class-major vertex order)."""
-    n, masks, pos = _as_masks(G.vertices(), G.edges)
-    if n > min(cap, _HARD_MASK_CAP):
-        raise BudgetExceeded(
-            f"exhaustive enumeration limited to {min(cap, _HARD_MASK_CAP)} "
-            f"vertices, got {n}; refusing rather than estimating")
-    edge_arr = np.array(sorted(set(masks)), dtype=np.uint64)
-    out = []
-    top = 1 << n
-    chunk = 1 << 20
-    for lo in range(0, top, chunk):
-        arr = np.arange(lo, min(lo + chunk, top), dtype=np.uint64)
-        keep = np.ones(arr.shape, dtype=bool)
-        for e in edge_arr:
-            keep &= (arr & e) != e
-        out.append(arr[keep])
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.uint64), pos
+def count_by_filter(num_vertices: int, edge_masks: Sequence[int]) -> int:
+    """Count by testing every subset mask; independent of the backtracking
+    path, usable for cross-checks up to FILTER_VERTEX_CAP vertices."""
+    return sum(int(kept.size) for kept in
+               _filter_chunks(num_vertices, edge_masks, FILTER_VERTEX_CAP))
 
 
-def _class_mask(G: Hypergraph, cls: int, pos) -> int:
-    m = 0
-    for i in range(G.sizes[cls]):
-        m |= 1 << pos[Vertex(cls, i)]
-    return m
-
-
-def _mask_vertices(mask: int, order):
-    return [order[i] for i in range(len(order)) if mask >> i & 1]
+def independent_masks(G: Hypergraph, cap: int = FILTER_VERTEX_CAP):
+    """All independent sets of G as an ascending uint64 array of masks in
+    edge_masks' vertex order; refuses beyond `cap` vertices (at most 30)."""
+    chunks = _filter_chunks(G.num_vertices, edge_masks(G), cap)
+    return np.concatenate(list(chunks))
 
 
 def defect_profile(G: Hypergraph, cls: int,
-                   budget: int = DEFECT_VERTEX_CAP) -> list:
+                   budget: int = FILTER_VERTEX_CAP) -> list:
     """profile[b] = number of independent sets I such that every 2-linked
     piece of I restricted to the class has order at most b, for b in
     0..|class|.  Computed by direct enumeration of independent sets."""
-    G._check_class(cls)
-    ind, pos = _independent_masks(G, budget)
-    order = sorted(pos, key=pos.get)
-    zmask = _class_mask(G, cls, pos)
-    traces = np.bitwise_and(ind, np.uint64(zmask))
+    zmask = class_mask(G, cls)
+    traces = np.bitwise_and(independent_masks(G, budget), np.uint64(zmask))
     values, counts = np.unique(traces, return_counts=True)
+    order = list(G.vertices())
     size = G.sizes[cls]
     profile = [0] * (size + 1)
     for t, c in zip(values.tolist(), counts.tolist()):
-        pieces = G.two_linked_components(_mask_vertices(t, order))
+        trace = [v for i, v in enumerate(order) if t >> i & 1]
+        pieces = G.two_linked_components(trace)
         worst = max((len(p) for p in pieces), default=0)
         profile[worst] += int(c)
     out = []
@@ -245,7 +232,8 @@ def defect_profile(G: Hypergraph, cls: int,
 
 
 def count_with_defect_class(G: Hypergraph, cls: int, b: int,
-                            budget: int = DEFECT_VERTEX_CAP) -> DefectClassCount:
+                            budget: int = FILTER_VERTEX_CAP
+                            ) -> DefectClassCount:
     """Exact number of independent sets I for which every 2-linked piece of
     the trace of I on the given class has order at most b.
 
@@ -260,13 +248,11 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int,
     return DefectClassCount(cls=cls, bound=b, count=profile[bound])
 
 
-def count_completions(G: Hypergraph, cls: int, T: Iterable,
-                      verify: bool = False) -> int:
+def count_completions(G: Hypergraph, cls: int, T: Iterable) -> int:
     """Number of independent sets I with trace exactly T on the given class.
 
     Uses the closed formula: completions of T are independent sets of the
     link graph of T on N(T), times free choices outside the class and N(T).
-    With verify=True the value is cross-checked by direct enumeration.
     """
     G._check_class(cls)
     T = frozenset(G._check_vertex(v) for v in T)
@@ -275,16 +261,6 @@ def count_completions(G: Hypergraph, cls: int, T: Iterable,
             raise InputError(f"defect vertex {v} not in class {cls}")
     outside = G.num_vertices - G.sizes[cls]
     if not T:
-        count = 1 << outside
-    else:
-        L = G.link_graph(T)
-        count = count_independent_sets(L) << (outside - len(L.vertices))
-    if verify:
-        ind, pos = _independent_masks(G)
-        zmask = _class_mask(G, cls, pos)
-        tmask = 0
-        for v in T:
-            tmask |= 1 << pos[v]
-        direct = int((np.bitwise_and(ind, np.uint64(zmask)) == tmask).sum())
-        assert direct == count, (direct, count)
-    return count
+        return 1 << outside
+    L = G.link_graph(T)
+    return count_independent_sets(L) << (outside - len(L.vertices))

@@ -263,6 +263,9 @@ class Hypergraph:
 # ----- loose cycles and girth -----------------------------------------------
 
 
+GIRTH_NODE_CAP = 2_000_000  # default DFS node budget of loose-cycle searches
+
+
 def _node_ticker(node_cap: Optional[int]):
     """Counter for DFS nodes: each call counts one, and the call after
     node_cap of them raises BudgetExceeded (None means no cap)."""
@@ -278,7 +281,8 @@ def _node_ticker(node_cap: Optional[int]):
 
 
 def find_loose_cycle(G: Hypergraph, max_length: int,
-                     node_cap: Optional[int] = 2_000_000) -> Optional[list]:
+                     node_cap: Optional[int] = GIRTH_NODE_CAP
+                     ) -> Optional[list]:
     """Search for a loose cycle of length between 3 and max_length.
 
     A loose l-cycle is a cyclic sequence of l distinct edges in which
@@ -365,7 +369,7 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
 def find_loose_cycle_through(edge_sets: Sequence[frozenset],
                              incidence: Mapping[Vertex, Sequence[int]],
                              cand: frozenset, max_length: int,
-                             node_cap: Optional[int] = 2_000_000
+                             node_cap: Optional[int] = GIRTH_NODE_CAP
                              ) -> Optional[list]:
     """Search for a loose cycle of length between 3 and max_length that uses
     the edge `cand`, in the hypergraph with edges `edge_sets` plus `cand`.
@@ -427,7 +431,7 @@ def find_loose_cycle_through(edge_sets: Sequence[frozenset],
 
 
 def girth_at_most(G: Hypergraph, limit: int,
-                  node_cap: Optional[int] = 2_000_000) -> bool:
+                  node_cap: Optional[int] = GIRTH_NODE_CAP) -> bool:
     """True iff G contains a loose cycle of length between 3 and limit."""
     return find_loose_cycle(G, limit, node_cap) is not None
 

@@ -24,10 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, GenerationError, InputError
-from .exact import DEFECT_VERTEX_CAP, _as_masks, _class_mask, _independent_masks
+from .exact import FILTER_VERTEX_CAP, class_mask, edge_masks, independent_masks
 from .formulas import gamma_k
-from .hypergraph import (Hypergraph, Vertex, find_loose_cycle,
-                         find_loose_cycle_through, girth_at_most)
+from .hypergraph import (GIRTH_NODE_CAP, Hypergraph, Vertex,
+                         find_loose_cycle, find_loose_cycle_through,
+                         girth_at_most)
 
 
 @dataclass(frozen=True)
@@ -231,11 +232,7 @@ def check_exp2(G: Hypergraph, beta, size_cap: int = 3,
                             G.k - 2 + beta, max_size, size_cap, samples, seed)
 
 
-def _popcounts(arr, mask):
-    return np.bitwise_count(np.bitwise_and(arr, np.uint64(mask)))
-
-
-def check_def(G: Hypergraph, b: int, budget: int = DEFECT_VERTEX_CAP,
+def check_def(G: Hypergraph, b: int, budget: int = FILTER_VERTEX_CAP,
               search_rounds: int = 2_000, seed: int = 0) -> PropertyReport:
     """Every independent set must trace at most b vertices into some class.
 
@@ -249,34 +246,31 @@ def check_def(G: Hypergraph, b: int, budget: int = DEFECT_VERTEX_CAP,
     if min(G.sizes) <= b:
         return PropertyReport(name=f"Def({b})", verdict="holds",
                               params=params | {"vacuous": True})
+    order = list(G.vertices())
+    class_masks = [class_mask(G, cls) for cls in range(G.k)]
     if G.num_vertices <= budget:
-        ind, pos = _independent_masks(G, budget)
+        ind = independent_masks(G, budget)
         good = np.zeros(ind.shape, dtype=bool)
-        for cls in range(G.k):
-            good |= _popcounts(ind, _class_mask(G, cls, pos)) <= b
+        for cmask in class_masks:
+            good |= np.bitwise_count(ind & np.uint64(cmask)) <= b
         if bool(good.all()):
             return PropertyReport(name=f"Def({b})", verdict="holds",
                                   params=params)
         bad = int(ind[~good][0])
-        order = sorted(pos, key=pos.get)
-        witness = [str(order[i]) for i in range(len(order)) if bad >> i & 1]
+        witness = [str(v) for i, v in enumerate(order) if bad >> i & 1]
         return PropertyReport(name=f"Def({b})", verdict="violated",
                               params=params, witness=witness)
     # best-effort local search beyond the exhaustive budget
     rng = random.Random(seed)
-    n_all, masks, pos = _as_masks(G.vertices(), G.edges)
-    order = sorted(pos, key=pos.get)
+    masks = edge_masks(G)
     for _ in range(search_rounds):
         chosen = 0
-        for v in rng.sample(order, len(order)):
-            trial = chosen | (1 << pos[v])
+        for i in rng.sample(range(len(order)), len(order)):
+            trial = chosen | (1 << i)
             if all((trial & m) != m for m in masks):
                 chosen = trial
-        per_class = [sum(1 for i in range(n_all)
-                         if chosen >> i & 1 and order[i].cls == cls)
-                     for cls in range(G.k)]
-        if min(per_class) > b:
-            witness = [str(order[i]) for i in range(n_all) if chosen >> i & 1]
+        if min((chosen & cmask).bit_count() for cmask in class_masks) > b:
+            witness = [str(v) for i, v in enumerate(order) if chosen >> i & 1]
             return PropertyReport(name=f"Def({b})", verdict="violated",
                                   params=params, witness=witness)
     return PropertyReport(name=f"Def({b})", verdict="unknown", params=params)
@@ -312,7 +306,7 @@ def check_linear(G: Hypergraph) -> PropertyReport:
 
 
 def check_girth(G: Hypergraph, min_girth: int,
-                node_cap: Optional[int] = 2_000_000) -> PropertyReport:
+                node_cap: Optional[int] = GIRTH_NODE_CAP) -> PropertyReport:
     """Holds iff G has no loose cycle shorter than min_girth."""
     if min_girth < 4:
         raise InputError("min_girth below 4 is vacuous")

@@ -61,13 +61,6 @@ class LogValue:
     def log10(self) -> float:
         return self.log / math.log(10)
 
-    def to_float(self) -> float:
-        """Plain float value; inf when out of double range."""
-        try:
-            return math.exp(self.log)
-        except OverflowError:
-            return float("inf")
-
     def __str__(self) -> str:
         if self.log == float("-inf"):
             return "0"

@@ -125,6 +125,14 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
     return polymers
 
 
+def check_polymer_cap(polymers: Sequence[Polymer], cap: int) -> None:
+    """Refuse with BudgetExceeded when more than `cap` polymers were found."""
+    if len(polymers) > cap:
+        raise BudgetExceeded(
+            f"{len(polymers)} polymers exceed the cap of {cap}; "
+            f"refusing rather than truncating")
+
+
 def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
     """Exact weight: independent sets of the link graph over 2^|N(S)|."""
     if not S.neighborhood:
@@ -133,7 +141,7 @@ def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
     return Fraction(count_independent_sets(link), 1 << len(S.neighborhood))
 
 
-def weight_map(G: Hypergraph, polymers: Sequence[Polymer]) -> dict:
+def weight_map(G: Hypergraph, polymers: Iterable[Polymer]) -> dict:
     return {p: polymer_weight(G, p) for p in polymers}
 
 
@@ -192,10 +200,7 @@ def partition_function(G: Hypergraph, cls: int, b: int,
                        max_polymers: int = DEFAULT_MAX_POLYMERS) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class."""
     polymers = enumerate_polymers(G, cls, b)
-    if len(polymers) > max_polymers:
-        raise BudgetExceeded(
-            f"{len(polymers)} polymers exceed the cap of {max_polymers}; "
-            f"refusing rather than truncating")
+    check_polymer_cap(polymers, max_polymers)
     weights = [polymer_weight(G, p) for p in polymers]
     return compatibility_sum(weights, [p.neighborhood for p in polymers])
 
@@ -242,9 +247,7 @@ def kp_terms(G: Hypergraph, cls: int, root: Vertex, b: int,
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
     polymers = enumerate_polymers(G, cls, b, root=root)
-    if len(polymers) > max_polymers:
-        raise BudgetExceeded(
-            f"{len(polymers)} polymers exceed the cap of {max_polymers}")
+    check_polymer_cap(polymers, max_polymers)
     k = G.k
     log_gamma = iv.log(iv.mpf(2) ** (k - 1)) - iv.log(iv.mpf(2) ** (k - 1) - 1)
     lhs = iv.mpf(0)

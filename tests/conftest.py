@@ -54,15 +54,23 @@ def girth5_instances() -> tuple:
     """Generated linear girth>=5 regular instances over k in {3,4}, n <= 6,
     r <= 2, as (k, n, r, G) tuples; infeasible combinations simply do not
     generate.  (For r = 2 the edge-intersection graph is cubic for k=3 and
-    4-regular for k=4, so girth 5 forces n >= 6 resp. n >= 10; the sweep
-    discovers this by rejection.)  A few larger k=3 instances are added
-    beyond the required range to exercise the pair formulas more broadly.
-    Built once per test run: the rejections take seconds."""
+    4-regular for k=4, so girth 5 forces n >= 6 resp. n >= 10; shapes below
+    the Moore bound are skipped, the rest are left to the generator's
+    rejection.)  A few larger k=3 instances are added beyond the required
+    range to exercise the pair formulas more broadly.  Built once per test
+    run."""
     out = []
     for k in (3, 4):
         for n in range(1, 7):
             for r in (1, 2):
                 if r > n:
+                    continue
+                # for r = 2 each edge of a linear instance meets exactly k
+                # others, so a loose 3- or 4-cycle is a 3- or 4-cycle of the
+                # k-regular edge-intersection graph on 2n vertices; girth 5
+                # needs 2n >= 1 + k^2 (Moore bound), so smaller shapes
+                # cannot be built
+                if r == 2 and 2 * n < 1 + k * k:
                     continue
                 for seed in (0, 1):
                     try:

@@ -208,6 +208,17 @@ class TestExitCodes:
                                "--class", "0", "--b", "1")
         assert code == 3 and "error=budget" in err
 
+    @pytest.mark.parametrize("command", ["polymers", "xi", "kp-check"])
+    def test_polymer_cap_refusal(self, capsys, tmp_path, monkeypatch,
+                                 command):
+        from hypercount import gen_linear_regular
+        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", "1")
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=1)))
+        code, _, err = run_cli(capsys, command, "-i", str(path),
+                               "--class", "0", "--b", "2")
+        assert code == 3 and "polymers exceed the cap of 1" in err
+
     def test_generation_failure(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--k", "4", "--n", "2",
                                "--r", "2", "--seed", "0")

@@ -3,14 +3,16 @@ completion formula, and defect-restricted counts."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercount import (BudgetExceeded, Hypergraph, Vertex, count_by_filter,
-                        count_completions, count_independent_sets,
-                        count_subsets_avoiding, count_with_defect_class,
-                        defect_profile)
+from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
+                        count_by_filter, count_completions,
+                        count_independent_sets, count_subsets_avoiding,
+                        count_with_defect_class, defect_profile, edge_masks,
+                        independent_masks)
 
 from conftest import (matching, partite_hypergraphs, random_partite,
                       random_uniform_system, two_shared)
@@ -89,19 +91,52 @@ def test_count_at_least_class_free(G):
     assert count >= 2 ** (G.num_vertices - max(G.sizes))
 
 
+@given(partite_hypergraphs())
+@settings(max_examples=60, deadline=None)
+def test_independent_masks_seam(G):
+    # the filter's masks are exactly the independent sets, in the bit order
+    # that edge_masks and class_mask describe
+    order = list(G.vertices())
+
+    def decode(mask):
+        return {v for i, v in enumerate(order) if mask >> i & 1}
+
+    assert [decode(m) for m in edge_masks(G)] == [set(e) for e in G.edges]
+    ind = independent_masks(G)
+    assert ind.size == count_independent_sets(G)
+    assert len(set(ind.tolist())) == ind.size
+    for m in ind.tolist():
+        members = decode(m)
+        assert not any(set(e) <= members for e in G.edges)
+        for cls in range(G.k):
+            assert decode(m & class_mask(G, cls)) == {
+                v for v in members if v.cls == cls}
+
+
+def direct_completions(G, cls, T):
+    """Independent sets of G whose trace on the class is exactly T, counted
+    by the 2^|V| filter rather than the completion formula."""
+    order = list(G.vertices())
+    tmask = sum(1 << order.index(v) for v in T)
+    traces = independent_masks(G) & np.uint64(class_mask(G, cls))
+    return int((traces == tmask).sum())
+
+
 class TestCompletions:
     def test_empty_defect_set(self, edge3):
         assert count_completions(edge3, 0, []) == 2 ** 2
 
     def test_single_edge_vertex(self, edge3):
-        assert count_completions(edge3, 0, [V(0, 0)], verify=True) == 3
+        assert count_completions(edge3, 0, [V(0, 0)]) == 3
+        assert direct_completions(edge3, 0, [V(0, 0)]) == 3
 
     def test_linear_regular_formula(self):
         from hypercount import gen_linear_regular
         k, n, r = 3, 4, 2
         G = gen_linear_regular(k, n, r, seed=7)
         expected = (2 ** (k - 1) - 1) ** r * 2 ** ((k - 1) * (n - r))
-        assert count_completions(G, 0, [V(0, 0)], verify=True) == expected
+        assert count_completions(G, 0, [V(0, 0)]) == expected
+        assert direct_completions(G, 0, [V(0, 0)]) == expected
 
     @given(partite_hypergraphs(max_k=3, max_size=3))
     @settings(max_examples=40, deadline=None)
@@ -110,7 +145,8 @@ class TestCompletions:
             verts = G.class_vertices(cls)
             for size in range(min(2, len(verts)) + 1):
                 for T in itertools.combinations(verts, size):
-                    count_completions(G, cls, T, verify=True)
+                    assert (count_completions(G, cls, T)
+                            == direct_completions(G, cls, T))
 
     def test_rejects_wrong_class(self, edge3):
         from hypercount import InputError
