@@ -291,78 +291,25 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
     (k-1)*l, consecutive k-blocks with one-vertex overlap are edges), or
     None if no such cycle of length <= max_length exists.
 
-    The search is an exhaustive DFS over edge sequences, canonicalized by
-    least edge index first and a fixed orientation.  Raises BudgetExceeded
-    when node_cap DFS nodes are visited, so an indeterminate outcome is
-    never reported as absence.
+    The edges are added one at a time in G's canonical order, and before
+    each is added find_loose_cycle_through's search looks for a short cycle
+    through it.  The least prefix holding a short cycle closes one at its
+    last edge, so a cycle is found iff one exists; the witness is the cycle
+    through the first edge that closes one, starting with that edge.
+    Raises BudgetExceeded when node_cap DFS nodes are visited over the whole
+    replay, so an indeterminate outcome is never reported as absence.
     """
     if max_length < 3:
         raise InputError("loose cycles have length at least 3")
     edge_sets = [frozenset(e) for e in G.edges]
-    m = len(edge_sets)
+    incidence = {}
     tick = _node_ticker(node_cap)
-
-    def close(path, joints, used, first):
-        # final edge must meet exactly the current tail joint and one fresh
-        # vertex of the first edge; it holds a vertex of the tail other than
-        # the tail joint, so the candidates are the edges incident to those,
-        # tried in ascending index order
-        tail = path[-1]
-        tail_joint = joints[-1]
-        candidates = {f for x in edge_sets[tail] - {tail_joint}
-                      for f in G.incidence[x] if f > first}
-        for f in sorted(candidates):
-            if f in path:
-                continue
-            tick()
-            inter = edge_sets[f] & used
-            if len(inter) != 2:
-                continue
-            a = (inter & edge_sets[tail]) - {tail_joint, joints[0]}
-            b = (inter & edge_sets[first]) - {joints[0], tail_joint}
-            if len(a) == 1 and len(b) == 1 and a != b and path[1] < f:
-                yield f, next(iter(a)), next(iter(b))
-
-    def witness(path, joints, closing_joint):
-        # sequence blocks: [joint into e_i] + interior(e_i); joint into the
-        # first edge is the closing one
-        seq = []
-        cycle_joints = [closing_joint] + joints
-        for pos, ei in enumerate(path):
-            j_in = cycle_joints[pos]
-            j_out = cycle_joints[(pos + 1) % len(path)]
-            interior = sorted(edge_sets[ei] - {j_in, j_out})
-            seq.extend([j_in] + interior)
-        return seq
-
-    def extend(path, joints, used, first):
-        if len(path) >= 2:
-            for f, x, y in close(path, joints, used, first):
-                return path + [f], joints + [x], y
-        if len(path) >= max_length - 1:
-            return None
-        tail = path[-1]
-        last_joint = joints[-1] if joints else None
-        for x in sorted(edge_sets[tail]):
-            if x == last_joint:
-                continue
-            for f in G.incidence[x]:
-                if f <= first or f in path:
-                    continue
-                tick()
-                if edge_sets[f] & used != {x}:
-                    continue
-                res = extend(path + [f], joints + [x],
-                             used | edge_sets[f], first)
-                if res is not None:
-                    return res
-        return None
-
-    for first in range(m):
-        res = extend([first], [], frozenset(edge_sets[first]), first)
-        if res is not None:
-            path, joints, closing = res
-            return witness(path, joints, closing)
+    for i, cand in enumerate(edge_sets):
+        cycle = _cycle_through(edge_sets, incidence, cand, max_length, tick)
+        if cycle is not None:
+            return cycle
+        for v in cand:
+            incidence.setdefault(v, []).append(i)
     return None
 
 
@@ -372,61 +319,72 @@ def find_loose_cycle_through(edge_sets: Sequence[frozenset],
                              node_cap: Optional[int] = GIRTH_NODE_CAP
                              ) -> Optional[list]:
     """Search for a loose cycle of length between 3 and max_length that uses
-    the edge `cand`, in the hypergraph with edges `edge_sets` plus `cand`.
+    the edge `cand`, in the hypergraph of the edges `incidence` names plus
+    `cand`.
 
-    `incidence` maps each vertex to the indices of the edges in `edge_sets`
-    containing it (a missing vertex is isolated); `cand` is not among them.
-    Such a cycle is `cand` plus a loose path of at most max_length - 1
-    edges from a vertex u of `cand` to another vertex v of `cand` that meets
-    `cand` nowhere else.  When `edge_sets` alone has no loose cycle of
-    length <= max_length, every such cycle in the enlarged hypergraph
-    passes through `cand`, so the answer is girth_at_most's on it, while
-    the work depends on the paths around `cand`, not on the edge count.
+    `incidence` maps each vertex to the indices into `edge_sets` of the
+    edges containing it (a missing vertex is isolated); edges it does not
+    name take no part, and `cand` must not be among them.  Such a cycle is
+    `cand` plus a loose path of at most max_length - 1 edges from a vertex u
+    of `cand` to another vertex v of `cand` that meets `cand` nowhere else.
+    When the named edges alone have no loose cycle of length <= max_length,
+    every such cycle in the enlarged hypergraph passes through `cand`, so
+    the answer is girth_at_most's on it, while the work depends on the paths
+    around `cand`, not on the edge count.
 
-    The DFS grows the path from u and takes each cycle in the orientation
-    with u < v.  Returns the witness in find_loose_cycle's format, `cand`
-    first, or None.  Raises BudgetExceeded when node_cap DFS nodes are
-    visited.
+    The DFS grows the path from u on an explicit stack, so its depth is not
+    bounded by the interpreter's recursion limit, and takes each cycle in
+    the orientation with u < v.  Returns the witness in find_loose_cycle's
+    format, `cand` first, or None.  Raises BudgetExceeded when node_cap DFS
+    nodes are visited.
     """
     if max_length < 3:
         raise InputError("loose cycles have length at least 3")
-    tick = _node_ticker(node_cap)
+    return _cycle_through(edge_sets, incidence, cand, max_length,
+                          _node_ticker(node_cap))
 
-    def extend(path, joints, used):
+
+def _cycle_through(edge_sets, incidence, cand, max_length, tick):
+    """find_loose_cycle_through's search, counting DFS nodes on `tick`."""
+
+    def steps(tail, joint):
         # every edge of the path meets `used` only at the joint it entered
         # by, so a vertex of the tail other than that joint is fresh
-        tail = path[-1]
-        for x in sorted(edge_sets[tail] - {joints[-1]}):
+        for x in sorted(edge_sets[tail] - {joint}):
             for f in incidence.get(x, ()):
-                if f == tail:
-                    continue
-                tick()
-                meet = edge_sets[f] & used
-                if len(meet) == 1:
-                    if len(path) + 3 <= max_length:
-                        res = extend(path + [f], joints + [x],
-                                     used | edge_sets[f])
-                        if res is not None:
-                            return res
-                elif len(meet) == 2:
-                    (v,) = meet - {x}
-                    if v in cand and v > joints[0]:
-                        return path + [f], joints + [x], v
-        return None
+                if f != tail:
+                    yield x, f
 
     for u in sorted(cand)[:-1]:
         for e in incidence.get(u, ()):
             tick()
             if edge_sets[e] & cand != {u}:
                 continue
-            res = extend([e], [u], cand | edge_sets[e])
-            if res is not None:
-                path, joints, v = res
-                blocks = [cand] + [edge_sets[i] for i in path]
-                seq = []
-                for block, j_in, j_out in zip(blocks, [v] + joints, joints + [v]):
-                    seq.extend([j_in] + sorted(block - {j_in, j_out}))
-                return seq
+            used = set(cand | edge_sets[e])
+            stack = [(e, u, steps(e, u))]  # (path edge, joint into it, steps)
+            while stack:
+                for x, f in stack[-1][2]:
+                    tick()
+                    meet = edge_sets[f] & used
+                    if len(meet) == 1:
+                        if len(stack) + 3 <= max_length:
+                            used |= edge_sets[f]
+                            stack.append((f, x, steps(f, x)))
+                            break
+                    elif len(meet) == 2:
+                        (v,) = meet - {x}
+                        if v in cand and v > u:
+                            path = [g for g, _, _ in stack] + [f]
+                            joints = [j for _, j, _ in stack] + [x]
+                            seq = []
+                            for block, j_in, j_out in zip(
+                                    [cand] + [edge_sets[g] for g in path],
+                                    [v] + joints, joints + [v]):
+                                seq.extend([j_in] + sorted(block - {j_in, j_out}))
+                            return seq
+                else:  # no step left from the tail: backtrack
+                    g, j, _ = stack.pop()
+                    used -= edge_sets[g] - {j}
     return None
 
 

@@ -128,6 +128,21 @@ class TestCommands:
                                "-i", str(path))
         assert code == 0 and kv(out)["verdict"] == "violated"
 
+    def test_check_girth_on_a_long_loose_cycle(self, capsys, tmp_path):
+        # a loose 1200-cycle: the search path is deeper than the default
+        # recursion limit
+        from hypercount import Hypergraph
+        n = 1200
+        joint = lambda i: (i % n % 2, i % n // 2)
+        G = Hypergraph.build(3, [n // 2, n // 2, n],
+                             [[joint(i), joint(i + 1), (2, i)]
+                              for i in range(n)])
+        path = tmp_path / "cycle.hg"
+        path.write_text(serialize_text(G))
+        code, out, _ = run_cli(capsys, "check", "girth", "-i", str(path),
+                               "--min-girth", "1300")
+        assert code == 0 and kv(out)["verdict"] == "violated"
+
     def test_generate_roundtrip(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "--k", "3", "--n", "4",
                                "--r", "2", "--seed", "9")

@@ -6,10 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from hypercount import (Hypergraph, InputError, Vertex, check_linear,
-                        find_loose_cycle, find_loose_cycle_through,
-                        gen_linear_regular, girth_at_most, is_loose_cycle,
-                        loose_cycle_gadget)
+from hypercount import (Hypergraph, InputError, Vertex, check_girth,
+                        check_linear, find_loose_cycle,
+                        find_loose_cycle_through, gen_linear_regular,
+                        girth_at_most, is_loose_cycle, loose_cycle_gadget)
 from hypercount.errors import BudgetExceeded
 
 from conftest import matching, partite_hypergraphs, two_shared
@@ -204,6 +204,37 @@ class TestGirth:
         with pytest.raises(InputError):
             girth_at_most(edge3, 2)
 
+    def test_budget_spans_the_whole_replay(self):
+        # every through-edge search of the replay fits in `cap` nodes on its
+        # own, but their sum does not, so the budget must bound the check
+        G = gen_linear_regular(3, 6, 2, seed=5, min_girth=5)
+        sets = [frozenset(e) for e in G.edges]
+        incidence = {}
+        counts = []
+        for i, cand in enumerate(sets):
+            counts.append(_least_node_cap(lambda cap: find_loose_cycle_through(
+                sets, incidence, cand, 4, node_cap=cap)))
+            for v in cand:
+                incidence.setdefault(v, []).append(i)
+        cap, total = max(counts), sum(counts)
+        assert cap < total
+        with pytest.raises(BudgetExceeded):
+            find_loose_cycle(G, 4, node_cap=cap)
+        assert check_girth(G, 5, node_cap=cap).verdict == "unknown"
+        assert _least_node_cap(lambda c: find_loose_cycle(G, 4, c)) == total
+        assert check_girth(G, 5, node_cap=total).holds
+
+
+def _least_node_cap(search):
+    """The fewest DFS nodes with which `search(node_cap)` completes."""
+    cap = 0
+    while True:
+        try:
+            search(cap)
+            return cap
+        except BudgetExceeded:
+            cap += 1
+
 
 def _through_search(G, cand, max_length, node_cap=2_000_000):
     return find_loose_cycle_through([frozenset(e) for e in G.edges],
@@ -338,7 +369,11 @@ def _brute_has_loose_cycle(G, max_length):
 @settings(max_examples=120, deadline=None)
 def test_loose_cycle_search_matches_oracle(G):
     for limit in (3, 4, 5):
-        assert girth_at_most(G, limit) == _brute_has_loose_cycle(G, limit)
+        w = find_loose_cycle(G, limit)
+        assert (w is not None) == _brute_has_loose_cycle(G, limit)
+        if w is not None:
+            assert is_loose_cycle(G, w)
+            assert len(w) <= (G.k - 1) * limit
 
 
 def test_loose_cycle_oracle_on_known_instances():
