@@ -3,9 +3,8 @@ k-uniform hypergraphs via polymer models and truncated cluster expansion,
 with exact brute-force oracles for every computable identity."""
 
 from .clusters import (Cluster, CountEstimate, cluster_weight,
-                       enumerate_clusters, enumerate_clusters_generic,
-                       estimate_count, truncated_log_generic,
-                       truncated_log_xi, ursell, ursell_by_subgraphs)
+                       enumerate_clusters, estimate_count, truncated_log_xi,
+                       ursell)
 from .errors import (BudgetExceeded, GenerationError, HypercountError,
                      InputError)
 from .exact import (DefectClassCount, class_mask, count_by_filter,

@@ -115,8 +115,8 @@ def _cmd_polymers(args):
     G = _load(args)
     cap = _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
     root = _vertex(args.root) if args.root else None
-    polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root)
-    polymers.check_polymer_cap(polys, cap)
+    polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root,
+                                        max_polymers=cap)
     rows = [("polymer", {
         "vertices": [str(v) for v in p.vertices],
         "order": p.order,

@@ -6,14 +6,16 @@ Each polymer S carries the weight w(S) z^|S|, and the size-t truncation is
 at a time from the log series of the small polynomial Xi_C(z), the
 partition function of the subsets of C, with no clusters and no Ursell
 functions.  Every polymer is incompatible with itself, so compatible
-families are sets of polymers, as in `polymers.partition_function`.
+families are sets of polymers, as in `polymers.partition_function`.  Every
+weight is an integer over a power of two, so the series run on integers
+over 2^|N(C)| and lcm(1..t), and one Fraction is built per call.
 
-The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`) and
-the model-level enumeration stay as oracles for the truncation and for the
-`clusters` command.  Clusters are canonical multisets of polymers together
-with the number of orderings they represent, so sums over ordered polymer
-vectors are computed without factorial blowup.  All sums are exact
-rationals; floats appear only at the log-domain boundary of the estimator.
+The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`)
+serves the `clusters` command and tests the truncation.  Clusters are
+canonical multisets of polymers together with the number of orderings they
+represent, so sums over ordered polymer vectors are computed without
+factorial blowup.  Cluster weights are exact rationals; floats appear only
+at the log-domain boundary of the estimator.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph
 from .logdomain import LogValue, log_sum_exp
-from .polymers import Polymer, compatible, enumerate_polymers, polymer_weight
+from .polymers import (Polymer, compatible, dyadic, enumerate_polymers,
+                       polymer_weight)
 
 URSELL_VERTEX_CAP = 9
 
@@ -90,21 +93,6 @@ def ursell(n: int, edges: Iterable, cap: int = URSELL_VERTEX_CAP) -> Fraction:
             sub = (sub - 1) & mask
         f[mask] = val
     return Fraction(f[full], math.factorial(n))
-
-
-def ursell_by_subgraphs(n: int, edges: Iterable) -> Fraction:
-    """Literal spanning-connected-subgraph enumeration over all 2^|E| edge
-    subsets.  Exponential in the edge count; kept as an independent oracle."""
-    edges = sorted({tuple(sorted((int(a), int(b)))) for a, b in edges})
-    if _graph_components(n, edges) != 1:
-        raise InputError("Ursell function is defined for connected graphs")
-    total = 0
-    m = len(edges)
-    for pick in range(1 << m):
-        chosen = [edges[i] for i in range(m) if pick >> i & 1]
-        if _graph_components(n, chosen) == 1:
-            total += -1 if pick.bit_count() % 2 else 1
-    return Fraction(total, math.factorial(n))
 
 
 # ----- clusters -----------------------------------------------------------------
@@ -232,19 +220,6 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
 # ----- the truncated log partition sum -----------------------------------------
 
 
-def _log_series(coeffs: Sequence[Fraction], t: int) -> list:
-    """[z^0..z^t] of log p(z) for p(z) = sum of coeffs[s] z^s with
-    coeffs[0] = 1 and len(coeffs) = t + 1, by the Newton recurrence
-    p L' = p', i.e. s l_s = s a_s - sum over 0 < i < s of i l_i a_(s-i)."""
-    logs = [Fraction(0)] * (t + 1)
-    for s in range(1, t + 1):
-        acc = s * coeffs[s]
-        for i in range(1, s):
-            acc -= i * logs[i] * coeffs[s - i]
-        logs[s] = acc / s
-    return logs
-
-
 def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     """Exact [z^1..z^t] of log Xi(z) for the class, at z = 1: the sum of
     ordered-cluster weights over all clusters of size <= t.
@@ -267,17 +242,23 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
     polymers = enumerate_polymers(G, cls, t)
-    weights = {p.vertices: polymer_weight(G, p) for p in polymers}
+    weights = {p.vertices: dyadic(polymer_weight(G, p)) for p in polymers}
     adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
-    total = Fraction(0)
+    lcm = math.lcm(*range(1, t + 1))
+    totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)
     for p in polymers:
         C = p.vertices
         c = len(C)
+        D = len(p.neighborhood)
         near = [sum(1 << j for j, u in enumerate(C) if u in adj[v]) for v in C]
-        # subset_weight[T] = weight of the subset T (a bitmask over C): the
-        # 2-linked component of T's lowest vertex times the rest of T
-        subset_weight = [Fraction(1)] * (1 << c)
-        coeffs = [Fraction(1)] + [Fraction(0)] * t
+        # the subset T (a bitmask over C) weighs num[T] / 2^exp[T]: the
+        # 2-linked component of T's lowest vertex times the rest of T.  A
+        # piece P's exponent is at most |N(P)|, and the pieces of T have
+        # disjoint neighbourhoods within N(C), so exp[T] <= D and
+        # A[s] = 2^D [z^s] Xi_C is an integer.
+        num = [1] * (1 << c)
+        exp = [0] * (1 << c)
+        A = [1 << D] + [0] * t
         for mask in range(1, 1 << c):
             comp = frontier = mask & -mask
             while frontier:
@@ -286,73 +267,30 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
                 grow = near[i] & mask & ~comp
                 comp |= grow
                 frontier |= grow
-            piece = tuple(C[i] for i in range(c) if comp >> i & 1)
-            subset_weight[mask] = weights[piece] * subset_weight[mask ^ comp]
-            coeffs[mask.bit_count()] += subset_weight[mask]
-        logs = _log_series(coeffs, t)
+            m, e = weights[tuple(C[i] for i in range(c) if comp >> i & 1)]
+            num[mask] = m * num[mask ^ comp]
+            exp[mask] = e + exp[mask ^ comp]
+            A[mask.bit_count()] += num[mask] << (D - exp[mask])
+        # Newton recurrence p L' = p' for the log series l_s of Xi_C, on
+        # M[s] = s l_s 2^(D s):
+        #   M[s] = s A[s] 2^(D(s-1)) - sum over 0 < i < s of
+        #          M[i] A[s-i] 2^(D(s-i-1))
+        M = [0] * (t + 1)
+        for s in range(1, t + 1):
+            acc = s * A[s] << D * (s - 1)
+            for i in range(1, s):
+                acc -= M[i] * A[s - i] << D * (s - i - 1)
+            M[s] = acc
         d = len(frozenset().union(*(adj[v] for v in C)).difference(C))
+        # l_s = M[s] / (s 2^(D s)) = M[s] (lcm / s) 2^(D (t-s)) / (lcm 2^(D t))
+        term = 0
         for s in range(c, t + 1):
-            total += logs[s] * sum((-1) ** j * math.comb(d, j)
-                                   for j in range(s - c + 1))
-    return total
-
-
-# ----- generic (model-level) enumeration, for synthetic models and oracles ------
-
-
-def enumerate_clusters_generic(items: Sequence, order_of: Callable,
-                               incompatible: Callable, t: int) -> list:
-    """Cluster multisets over an abstract polymer model, given as a list of
-    items, their orders, and an incompatibility predicate (which must also
-    answer incompatible(x, x)).  Suitable for small models only."""
-    if t < 1:
-        raise InputError("cluster size budget t must be at least 1")
-    items = list(items)
-    clusters = []
-
-    def connected(expanded):
-        n = len(expanded)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if incompatible(expanded[i], expanded[j])]
-        return _graph_components(n, edges) == 1
-
-    def assign(i, budget, chosen):
-        if i == len(items):
-            if chosen:
-                expanded = []
-                for idx, m in chosen:
-                    expanded.extend([items[idx]] * m)
-                if connected(expanded):
-                    clusters.append(tuple(chosen))
-            return
-        assign(i + 1, budget, chosen)
-        o = order_of(items[i])
-        for m in range(1, budget // o + 1):
-            assign(i + 1, budget - m * o, chosen + [(i, m)])
-
-    assign(0, t, [])
-    return clusters
-
-
-def truncated_log_generic(items: Sequence, order_of: Callable,
-                          weight_of: Callable, incompatible: Callable,
-                          t: int) -> Fraction:
-    """Truncated log partition sum for an abstract polymer model."""
-    total = Fraction(0)
-    for chosen in enumerate_clusters_generic(items, order_of, incompatible, t):
-        length = sum(m for _, m in chosen)
-        orderings = math.factorial(length)
-        prod = Fraction(1)
-        expanded = []
-        for idx, m in chosen:
-            orderings //= math.factorial(m)
-            prod *= Fraction(weight_of(items[idx])) ** m
-            expanded.extend([items[idx]] * m)
-        n = len(expanded)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if incompatible(expanded[i], expanded[j])]
-        total += orderings * ursell(n, edges) * prod
-    return total
+            sign_sum = sum((-1) ** j * math.comb(d, j) for j in range(s - c + 1))
+            term += (M[s] * (lcm // s) << D * (t - s)) * sign_sum
+        totals[D] = totals.get(D, 0) + term
+    top = max(totals, default=0)
+    return Fraction(sum(v << (top - D) * t for D, v in totals.items()),
+                    lcm << top * t)
 
 
 # ----- the estimator -------------------------------------------------------------

@@ -295,19 +295,37 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
     each is added find_loose_cycle_through's search looks for a short cycle
     through it.  The least prefix holding a short cycle closes one at its
     last edge, so a cycle is found iff one exists; the witness is the cycle
-    through the first edge that closes one, starting with that edge.
-    Raises BudgetExceeded when node_cap DFS nodes are visited over the whole
-    replay, so an indeterminate outcome is never reported as absence.
+    through the first edge that closes one, starting with that edge.  A
+    cycle through an edge needs a path in the prefix between two of its
+    vertices, so a union-find over the prefix skips the search for every
+    edge whose vertices lie in distinct components: on a loose path none is
+    searched.  Raises BudgetExceeded when node_cap DFS nodes are visited over
+    the whole replay, so an indeterminate outcome is never reported as
+    absence.
     """
     if max_length < 3:
         raise InputError("loose cycles have length at least 3")
     edge_sets = [frozenset(e) for e in G.edges]
     incidence = {}
+    parent = {}  # union-find forest over the vertices of the prefix
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     tick = _node_ticker(node_cap)
     for i, cand in enumerate(edge_sets):
-        cycle = _cycle_through(edge_sets, incidence, cand, max_length, tick)
-        if cycle is not None:
-            return cycle
+        roots = {find(v) for v in cand}
+        if len(roots) < len(cand):
+            cycle = _cycle_through(edge_sets, incidence, cand, max_length, tick)
+            if cycle is not None:
+                return cycle
+        joined = roots.pop()
+        for r in roots:
+            parent[r] = joined
         for v in cand:
             incidence.setdefault(v, []).append(i)
     return None

@@ -2,12 +2,15 @@
 compatibility relation, exact partition functions, and the per-root
 convergence-condition sums.
 
-All weights are exact rationals |IS(link graph)| / 2^|N(S)|, so every
-identity tested downstream holds bit-for-bit.
+Every weight |IS(link graph)| / 2^|N(S)| is an integer over a power of two,
+so the exact sums run on Python integers scaled by powers of two and build
+one Fraction per result; every identity tested downstream holds
+bit-for-bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,37 +103,36 @@ def _connected_sets(adj, start, max_size, smallest_start: bool):
 
 
 def enumerate_polymers(G: Hypergraph, cls: int, b: int,
-                       root: Optional[Vertex] = None) -> list:
+                       root: Optional[Vertex] = None,
+                       max_polymers: Optional[int] = None) -> list:
     """All 2-linked S within the class with 1 <= |S| <= b (and root in S when
     given), each exactly once, sorted lexicographically.  b = 0 denotes the
-    empty model."""
+    empty model.  With max_polymers set, generation stops at max_polymers + 1
+    sets and refuses with BudgetExceeded rather than truncating."""
     G._check_class(cls)
     if b < 0:
         raise InputError("polymer order bound b must be non-negative")
     if b == 0:
         return []
     adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
-    out = []
     if root is not None:
         root = G._check_vertex(root)
         if root.cls != cls:
             raise InputError(f"root {root} not in class {cls}")
         sets = _connected_sets(adj, root, b, smallest_start=False)
-        out.extend(sets)
     else:
-        for v in G.class_vertices(cls):
-            out.extend(_connected_sets(adj, v, b, smallest_start=True))
-    polymers = [Polymer(tuple(sorted(s)), G.neighborhood(s)) for s in out]
+        sets = itertools.chain.from_iterable(
+            _connected_sets(adj, v, b, smallest_start=True)
+            for v in G.class_vertices(cls))
+    if max_polymers is not None:
+        sets = list(itertools.islice(sets, max_polymers + 1))
+        if len(sets) > max_polymers:
+            raise BudgetExceeded(
+                f"at least {len(sets)} polymers exceed the cap of "
+                f"{max_polymers}; refusing rather than truncating")
+    polymers = [Polymer(tuple(sorted(s)), G.neighborhood(s)) for s in sets]
     polymers.sort()
     return polymers
-
-
-def check_polymer_cap(polymers: Sequence[Polymer], cap: int) -> None:
-    """Refuse with BudgetExceeded when more than `cap` polymers were found."""
-    if len(polymers) > cap:
-        raise BudgetExceeded(
-            f"{len(polymers)} polymers exceed the cap of {cap}; "
-            f"refusing rather than truncating")
 
 
 def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
@@ -145,14 +147,30 @@ def weight_map(G: Hypergraph, polymers: Iterable[Polymer]) -> dict:
     return {p: polymer_weight(G, p) for p in polymers}
 
 
+def dyadic(w: Fraction) -> tuple:
+    """(m, e) with w = m / 2^e, for a weight whose denominator is a power
+    of two, as every polymer weight's is."""
+    e = w.denominator.bit_length() - 1
+    if w.denominator != 1 << e:
+        raise InputError(f"weight {w} is not an integer over a power of two")
+    return w.numerator, e
+
+
 # ----- exact partition function ------------------------------------------------
 
 
 def compatibility_sum(weights: Sequence[Fraction],
                       neighborhoods: Sequence[frozenset]) -> Fraction:
     """Sum over all families of pairwise-compatible indices of the product
-    of their weights (empty family contributes 1)."""
+    of their weights (empty family contributes 1).
+
+    Each weight is an integer m_i over 2^e_i.  The sum over the indices of
+    a mask is kept as an integer over 2^E(mask), E(mask) the sum of e_i
+    over the mask, so a product over components needs no rescaling and one
+    Fraction is built at the end.
+    """
     n = len(weights)
+    nums, exps = zip(*map(dyadic, weights)) if n else ((), ())
     incompat = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
@@ -178,29 +196,40 @@ def compatibility_sum(weights: Sequence[Fraction],
             rest &= ~comp
         return comps
 
+    def exponent(mask):
+        e = 0
+        while mask:
+            low = mask & -mask
+            e += exps[low.bit_length() - 1]
+            mask ^= low
+        return e
+
     def total(mask):
+        # the sum over the families within mask, times 2^E(mask)
         if mask == 0:
-            return Fraction(1)
+            return 1
         hit = memo.get(mask)
         if hit is not None:
             return hit
-        result = Fraction(1)
+        result = 1
         for comp in components(mask):
             i = comp.bit_length() - 1  # branch on the highest index
-            skip = total(comp & ~(1 << i))
-            take = weights[i] * total(comp & ~(1 << i) & ~incompat[i])
+            rest = comp & ~(1 << i)
+            skip = total(rest) << exps[i]
+            take = (nums[i] * total(rest & ~incompat[i])
+                    << exponent(rest & incompat[i]))
             result *= skip + take
         memo[mask] = result
         return result
 
-    return total((1 << n) - 1)
+    full = (1 << n) - 1
+    return Fraction(total(full), 1 << exponent(full))
 
 
 def partition_function(G: Hypergraph, cls: int, b: int,
                        max_polymers: int = DEFAULT_MAX_POLYMERS) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class."""
-    polymers = enumerate_polymers(G, cls, b)
-    check_polymer_cap(polymers, max_polymers)
+    polymers = enumerate_polymers(G, cls, b, max_polymers=max_polymers)
     weights = [polymer_weight(G, p) for p in polymers]
     return compatibility_sum(weights, [p.neighborhood for p in polymers])
 
@@ -237,29 +266,35 @@ def kp_terms(G: Hypergraph, cls: int, root: Vertex, b: int,
              max_polymers: int = DEFAULT_MAX_POLYMERS) -> KpTerms:
     """Evaluate the summability inequality at one root vertex.
 
-    f(S) = (k-1)|S|/r and g(S) = log(gamma_k) * r * log(2|S|); weights are
-    exact and the exponential is evaluated in interval arithmetic rounded
-    outward, so `holds` is conservative.
+    f(S) = (k-1)|S|/r and g(S) = log(gamma_k) * r * log(2|S|) depend on |S|
+    only, so the exact weights are summed per order s (as integers over a
+    power of two) and each order takes one interval product
+    W_s * exp(f_s + g_s), rounded outward, so `holds` is conservative.
     """
     r = G.regular_degree()
     if r is None:
         raise InputError("summability sums require a regular hypergraph")
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
-    polymers = enumerate_polymers(G, cls, b, root=root)
-    check_polymer_cap(polymers, max_polymers)
+    polymers = enumerate_polymers(G, cls, b, root=root,
+                                  max_polymers=max_polymers)
     k = G.k
     log_gamma = iv.log(iv.mpf(2) ** (k - 1)) - iv.log(iv.mpf(2) ** (k - 1) - 1)
+    weights = [polymer_weight(G, p) for p in polymers]
+    by_order = {}
+    for p, w in zip(polymers, weights):
+        by_order.setdefault(p.order, []).append(dyadic(w))
     lhs = iv.mpf(0)
-    terms = []
-    for p in polymers:
-        w = polymer_weight(G, p)
-        s = p.order
+    fg = {}  # order s -> (f_s, g_s)
+    for s, pairs in sorted(by_order.items()):
+        # num / 2^e is the exact sum W_s of the order-s weights
+        e = max(d for _, d in pairs)
+        num = sum(m << (e - d) for m, d in pairs)
         f = Fraction(k - 1, r) * s
         g = log_gamma * r * iv.log(iv.mpf(2 * s))
-        term = _iv_fraction(w) * iv.exp(_iv_fraction(f) + g)
-        lhs += term
-        terms.append((p, w, float(f), float(g.mid)))
+        lhs += iv.mpf(num) / iv.mpf(1 << e) * iv.exp(_iv_fraction(f) + g)
+        fg[s] = (float(f), float(g.mid))
+    terms = [(p, w) + fg[p.order] for p, w in zip(polymers, weights)]
     rhs = Fraction(1, r ** 3)
     rhs_iv = _iv_fraction(rhs)
     holds = bool(lhs.b <= rhs_iv.a)

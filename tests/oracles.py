@@ -1,0 +1,195 @@
+"""Brute-force and reference oracles used only by the tests.
+
+Each one computes a quantity of the library a second, independent way:
+literal enumerations (Ursell functions over edge subsets, clusters of an
+abstract polymer model) and the term-by-term `Fraction` forms of the
+integer engines (`compatibility_sum`, `truncated_log_xi`).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
+
+from hypercount import Hypergraph, enumerate_polymers, polymer_weight, ursell
+
+
+def graph_components(n: int, edges) -> int:
+    """Number of connected components of a graph on vertices 0..n-1."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return len({find(i) for i in range(n)})
+
+
+# ----- Ursell functions and abstract polymer models ---------------------------
+
+
+def ursell_by_subgraphs(n: int, edges: Iterable) -> Fraction:
+    """Literal spanning-connected-subgraph enumeration over all 2^|E| edge
+    subsets of a connected graph.  Exponential in the edge count."""
+    edges = sorted({tuple(sorted((int(a), int(b)))) for a, b in edges})
+    assert graph_components(n, edges) == 1, "graph must be connected"
+    total = 0
+    m = len(edges)
+    for pick in range(1 << m):
+        chosen = [edges[i] for i in range(m) if pick >> i & 1]
+        if graph_components(n, chosen) == 1:
+            total += -1 if pick.bit_count() % 2 else 1
+    return Fraction(total, math.factorial(n))
+
+
+def enumerate_clusters_generic(items: Sequence, order_of: Callable,
+                               incompatible: Callable, t: int) -> list:
+    """Cluster multisets, as ((item index, multiplicity), ...) tuples, over an
+    abstract polymer model given as a list of items, their orders, and an
+    incompatibility predicate (which must also answer incompatible(x, x))."""
+    items = list(items)
+    clusters = []
+
+    def connected(expanded):
+        n = len(expanded)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if incompatible(expanded[i], expanded[j])]
+        return graph_components(n, edges) == 1
+
+    def assign(i, budget, chosen):
+        if i == len(items):
+            if chosen:
+                expanded = []
+                for idx, m in chosen:
+                    expanded.extend([items[idx]] * m)
+                if connected(expanded):
+                    clusters.append(tuple(chosen))
+            return
+        assign(i + 1, budget, chosen)
+        o = order_of(items[i])
+        for m in range(1, budget // o + 1):
+            assign(i + 1, budget - m * o, chosen + [(i, m)])
+
+    assign(0, t, [])
+    return clusters
+
+
+def truncated_log_generic(items: Sequence, order_of: Callable,
+                          weight_of: Callable, incompatible: Callable,
+                          t: int) -> Fraction:
+    """Truncated log partition sum of an abstract polymer model: ordered
+    cluster weights summed over the clusters of size at most t."""
+    total = Fraction(0)
+    for chosen in enumerate_clusters_generic(items, order_of, incompatible, t):
+        length = sum(m for _, m in chosen)
+        orderings = math.factorial(length)
+        prod = Fraction(1)
+        expanded = []
+        for idx, m in chosen:
+            orderings //= math.factorial(m)
+            prod *= Fraction(weight_of(items[idx])) ** m
+            expanded.extend([items[idx]] * m)
+        n = len(expanded)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if incompatible(expanded[i], expanded[j])]
+        total += orderings * ursell(n, edges) * prod
+    return total
+
+
+# ----- Fraction forms of the integer engines ----------------------------------
+
+
+def compatibility_sum_fraction(weights: Sequence[Fraction],
+                               neighborhoods: Sequence[frozenset]) -> Fraction:
+    """`polymers.compatibility_sum` with one Fraction operation per term:
+    branch on the highest index of each component of the incompatibility
+    graph, memoised by mask."""
+    n = len(weights)
+    incompat = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if neighborhoods[i] & neighborhoods[j]:
+                incompat[i] |= 1 << j
+                incompat[j] |= 1 << i
+    memo = {}
+
+    def components(mask):
+        comps = []
+        rest = mask
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                i = frontier.bit_length() - 1
+                frontier &= ~(1 << i)
+                grow = incompat[i] & rest & ~comp
+                comp |= grow
+                frontier |= grow
+            comps.append(comp)
+            rest &= ~comp
+        return comps
+
+    def total(mask):
+        if mask == 0:
+            return Fraction(1)
+        if mask not in memo:
+            result = Fraction(1)
+            for comp in components(mask):
+                i = comp.bit_length() - 1
+                skip = total(comp & ~(1 << i))
+                take = weights[i] * total(comp & ~(1 << i) & ~incompat[i])
+                result *= skip + take
+            memo[mask] = result
+        return memo[mask]
+
+    return total((1 << n) - 1)
+
+
+def log_series_fraction(coeffs: Sequence[Fraction], t: int) -> list:
+    """[z^0..z^t] of log p(z) for p(z) = sum of coeffs[s] z^s with
+    coeffs[0] = 1, by the Newton recurrence
+    s l_s = s a_s - sum over 0 < i < s of i l_i a_(s-i)."""
+    logs = [Fraction(0)] * (t + 1)
+    for s in range(1, t + 1):
+        acc = s * coeffs[s]
+        for i in range(1, s):
+            acc -= i * logs[i] * coeffs[s - i]
+        logs[s] = acc / s
+    return logs
+
+
+def truncated_log_xi_fraction(G: Hypergraph, cls: int, t: int) -> Fraction:
+    """`clusters.truncated_log_xi` with Fraction coefficients: per polymer C
+    of order <= t, the log series of Xi_C(z) times the alternating binomial
+    sums in d_C."""
+    polymers = enumerate_polymers(G, cls, t)
+    weights = {p.vertices: polymer_weight(G, p) for p in polymers}
+    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    total = Fraction(0)
+    for p in polymers:
+        C = p.vertices
+        c = len(C)
+        near = [sum(1 << j for j, u in enumerate(C) if u in adj[v]) for v in C]
+        subset_weight = [Fraction(1)] * (1 << c)
+        coeffs = [Fraction(1)] + [Fraction(0)] * t
+        for mask in range(1, 1 << c):
+            comp = frontier = mask & -mask
+            while frontier:
+                i = frontier.bit_length() - 1
+                frontier &= ~(1 << i)
+                grow = near[i] & mask & ~comp
+                comp |= grow
+                frontier |= grow
+            piece = tuple(C[i] for i in range(c) if comp >> i & 1)
+            subset_weight[mask] = weights[piece] * subset_weight[mask ^ comp]
+            coeffs[mask.bit_count()] += subset_weight[mask]
+        logs = log_series_fraction(coeffs, t)
+        d = len(frozenset().union(*(adj[v] for v in C)).difference(C))
+        for s in range(c, t + 1):
+            total += logs[s] * sum((-1) ** j * math.comb(d, j)
+                                   for j in range(s - c + 1))
+    return total

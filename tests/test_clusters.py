@@ -11,10 +11,12 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         cluster_weight, compatible, enumerate_clusters,
                         enumerate_polymers, estimate_count, gamma_k,
                         gen_linear_regular, partition_function,
-                        polymer_weight, singleton_sum, truncated_log_generic,
-                        truncated_log_xi, ursell, ursell_by_subgraphs)
+                        polymer_weight, singleton_sum, truncated_log_xi,
+                        ursell)
 
 from conftest import girth5_instances, partite_hypergraphs, random_partite
+from oracles import (truncated_log_generic, truncated_log_xi_fraction,
+                     ursell_by_subgraphs)
 
 V = Vertex
 
@@ -322,6 +324,18 @@ class TestTruncatedSums:
             for cls in range(k):
                 for t in (2, 3):
                     assert truncated_log_xi(G, cls, t) == _cluster_sum(G, cls, t)
+
+    def test_matches_fraction_form_on_girth5_corpus(self):
+        for k, n, r, G in girth5_instances():
+            for cls in range(k):
+                for t in (2, 3, 4):
+                    assert truncated_log_xi(G, cls, t) == \
+                        truncated_log_xi_fraction(G, cls, t)
+
+    def test_matches_fraction_form_at_depth(self):
+        G = gen_linear_regular(3, 10, 2, seed=0)
+        for cls in range(3):
+            assert truncated_log_xi(G, cls, 5) == truncated_log_xi_fraction(G, cls, 5)
 
     def test_matches_cluster_sum_at_depth(self):
         for (k, n, r, seed), t in (((3, 10, 2, 0), 5), ((4, 6, 2, 1), 4)):

@@ -196,28 +196,39 @@ class TestGirth:
             assert is_loose_cycle(G, w) and len(w) == 4 * (k - 1)
 
     def test_budget_refusal(self):
+        # the replay finds this instance's first cycle after 3 DFS nodes
         G = gen_linear_regular(3, 8, 2, seed=2)
         with pytest.raises(BudgetExceeded):
-            find_loose_cycle(G, 8, node_cap=3)
+            find_loose_cycle(G, 8, node_cap=2)
+        assert is_loose_cycle(G, find_loose_cycle(G, 8, node_cap=3))
 
     def test_bad_limit(self, edge3):
         with pytest.raises(InputError):
             girth_at_most(edge3, 2)
 
     def test_budget_spans_the_whole_replay(self):
-        # every through-edge search of the replay fits in `cap` nodes on its
-        # own, but their sum does not, so the budget must bound the check
+        # the replay searches through every edge two of whose vertices the
+        # edges before it already connect; each of those searches fits in
+        # `cap` nodes on its own, but their sum does not, so the budget must
+        # bound the check
         G = gen_linear_regular(3, 6, 2, seed=5, min_girth=5)
         sets = [frozenset(e) for e in G.edges]
         incidence = {}
+        label = {}  # vertex -> a label shared by its prefix component
         counts = []
         for i, cand in enumerate(sets):
-            counts.append(_least_node_cap(lambda cap: find_loose_cycle_through(
-                sets, incidence, cand, 4, node_cap=cap)))
+            labels = {label.get(v, v) for v in cand}
+            if len(labels) < len(cand):
+                counts.append(_least_node_cap(
+                    lambda cap: find_loose_cycle_through(
+                        sets, incidence, cand, 4, node_cap=cap)))
+            for x in list(label) + list(cand):
+                if label.get(x, x) in labels:
+                    label[x] = min(labels)
             for v in cand:
                 incidence.setdefault(v, []).append(i)
         cap, total = max(counts), sum(counts)
-        assert cap < total
+        assert len(counts) < len(sets) and cap < total
         with pytest.raises(BudgetExceeded):
             find_loose_cycle(G, 4, node_cap=cap)
         assert check_girth(G, 5, node_cap=cap).verdict == "unknown"

@@ -6,16 +6,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
-                        compatible, count_by_filter, enumerate_polymers,
-                        gamma_k, gen_linear_regular, kp_terms, make_polymer,
-                        max_matching_size, partition_function,
-                        polymer_count_bound_holds, polymer_weight)
+                        compatibility_sum, compatible, count_by_filter,
+                        enumerate_polymers, gamma_k, gen_linear_regular,
+                        kp_terms, make_polymer, max_matching_size,
+                        partition_function, polymer_count_bound_holds,
+                        polymer_weight)
 
-from conftest import (matching, partite_hypergraphs, random_partite,
-                      two_shared)
+from conftest import (girth5_instances, matching, partite_hypergraphs,
+                      random_partite, two_shared)
+from oracles import compatibility_sum_fraction
 
 V = Vertex
 
@@ -172,6 +175,50 @@ class TestPartitionFunction:
         with pytest.raises(BudgetExceeded):
             partition_function(G, 0, 4, max_polymers=2)
 
+    def test_enumeration_stops_at_the_cap(self):
+        G = gen_linear_regular(3, 12, 3, seed=0)
+        found = len(enumerate_polymers(G, 0, 3))
+        assert enumerate_polymers(G, 0, 3, max_polymers=found) == \
+            enumerate_polymers(G, 0, 3)
+        with pytest.raises(BudgetExceeded,
+                           match=f"at least {found} polymers exceed the cap of "
+                                 f"{found - 1}"):
+            enumerate_polymers(G, 0, 3, max_polymers=found - 1)
+        with pytest.raises(BudgetExceeded, match="at least 4 polymers"):
+            enumerate_polymers(G, 0, 3, max_polymers=3)
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6),
+                              st.frozensets(st.integers(0, 5), max_size=3)),
+                    max_size=9))
+    @settings(max_examples=150, deadline=None)
+    def test_compatibility_sum_matches_brute_force(self, items):
+        # weights m / 2^e with mixed exponents; distinct indices are
+        # compatible iff their sets are disjoint
+        weights = [Fraction(m, 1 << e) for m, e, _ in items]
+        sets = [nb for _, _, nb in items]
+        total = Fraction(0)
+        for size in range(len(items) + 1):
+            for fam in itertools.combinations(range(len(items)), size):
+                if all(not sets[a] & sets[c]
+                       for a, c in itertools.combinations(fam, 2)):
+                    prod = Fraction(1)
+                    for i in fam:
+                        prod *= weights[i]
+                    total += prod
+        assert compatibility_sum(weights, sets) == total
+
+    def test_compatibility_sum_matches_fraction_form(self):
+        for k, n, r, G in girth5_instances():
+            for cls in range(k):
+                polys = enumerate_polymers(G, cls, 3)
+                w = [polymer_weight(G, p) for p in polys]
+                nb = [p.neighborhood for p in polys]
+                assert compatibility_sum(w, nb) == compatibility_sum_fraction(w, nb)
+
+    def test_compatibility_sum_needs_dyadic_weights(self):
+        with pytest.raises(InputError):
+            compatibility_sum([Fraction(1, 3)], [frozenset()])
+
 
 class TestKpTerms:
     def test_single_edge_values(self, edge3):
@@ -206,6 +253,27 @@ class TestKpTerms:
                    - iv.log(iv.mpf(gamma.denominator))) * r * iv.log(iv.mpf(2 * s)))
             recomputed += term
         assert recomputed.a <= res.lhs_upper and res.lhs_lower <= recomputed.b
+
+    def test_per_order_interval_contains_term_by_term_sum(self):
+        # one interval product per order encloses the interval sum taken
+        # polymer by polymer
+        for seed, b in ((5, 2), (5, 3), (0, 3)):
+            G = gen_linear_regular(3, 4 + seed, 2, seed=seed)
+            root = V(0, 0)
+            res = kp_terms(G, 0, root, b)
+            log_gamma = iv.log(iv.mpf(4)) - iv.log(iv.mpf(3))  # log gamma_3
+            term_by_term = iv.mpf(0)
+            for p in enumerate_polymers(G, 0, b, root=root):
+                w = polymer_weight(G, p)
+                s = p.order
+                term_by_term += (iv.mpf(w.numerator) / iv.mpf(w.denominator)
+                                 * iv.exp(iv.mpf(2 * s) / 2 + log_gamma * 2
+                                          * iv.log(iv.mpf(2 * s))))
+            assert res.lhs_lower <= term_by_term.a
+            assert term_by_term.b <= res.lhs_upper
+            assert [(p, w) for p, w, _, _ in res.terms] == [
+                (p, polymer_weight(G, p))
+                for p in enumerate_polymers(G, 0, b, root=root)]
 
     def test_requires_regular(self):
         with pytest.raises(InputError):
