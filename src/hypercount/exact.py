@@ -2,10 +2,12 @@
 
 This module is the ground-truth oracle the rest of the package is judged
 against, so everything here is exact integer arithmetic.  The main counter
-is a backtracking search over bitmask set systems with connected-component
-factorization.  A vectorized 2^|V| filter is retained as an independent
-cross-check for small vertex counts; it is the one place that enumerates
-vertex subsets.  Callers reach it through a small public seam:
+is one memoised backtracking search over bitmask set systems: it factors
+the edges into connected components and branches each component on its
+lowest vertex.  A search that recurses deeper than the interpreter allows
+refuses with BudgetExceeded.  A vectorized 2^|V| filter is retained as an
+independent cross-check for small vertex counts; it is the one place that
+enumerates vertex subsets.  Callers reach it through a small public seam:
 `independent_masks(G)` lists the independent sets of G as bitmasks,
 `edge_masks(G)` gives the edges in the same bit order (bit i is
 `list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
@@ -15,6 +17,7 @@ one class.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -41,100 +44,80 @@ class DefectClassCount:
 # ----- bitmask core -----------------------------------------------------------
 
 
-def _normalize(vmask: int, edges):
-    """Drop satisfied constraints: empty edge means contradiction (returns
-    None); singleton edges force their vertex out and discard every edge
-    through it."""
-    edge_set = set(edges)
-    while True:
-        if 0 in edge_set:
-            return None
-        forced = 0
-        for e in edge_set:
-            if e.bit_count() == 1:
-                forced |= e
-        if not forced:
-            break
-        vmask &= ~forced
-        edge_set = {e for e in edge_set if not e & forced}
-    return vmask, edge_set
-
-
-def _split_components(edges):
-    """Group edge masks into connected components (edges sharing vertices)."""
-    comps = []
-    rest = list(edges)
+def _count(vmask: int, edges, memo) -> int:
+    """Subsets of vmask containing no edge, for distinct edge masks of two
+    or more vertices within vmask.  Each connected component of two or more
+    edges branches on its lowest vertex: excluding it drops its edges,
+    including it shrinks them, and an edge shrunk to one vertex excludes
+    that vertex at once, together with the edges through it."""
+    covered = 0
+    for e in edges:
+        covered |= e
+    result = 1 << (vmask & ~covered).bit_count()
+    rest = edges
     while rest:
-        mask = rest.pop()
-        group = [mask]
-        changed = True
-        while changed:
-            changed = False
+        cmask = rest[0]
+        comp = [cmask]
+        rest = rest[1:]
+        grew = True
+        while grew:
+            grew = False
             keep = []
             for e in rest:
-                if e & mask:
-                    group.append(e)
-                    mask |= e
-                    changed = True
+                if e & cmask:
+                    comp.append(e)
+                    cmask |= e
+                    grew = True
                 else:
                     keep.append(e)
             rest = keep
-        comps.append((mask, tuple(sorted(group))))
-    return comps
-
-
-def _count(vmask: int, edges, memo) -> int:
-    norm = _normalize(vmask, edges)
-    if norm is None:
-        return 0
-    vmask, edge_set = norm
-    covered = 0
-    for e in edge_set:
-        covered |= e
-    free = (vmask & ~covered).bit_count()
-    result = 1 << free
-    for cmask, cedges in _split_components(edge_set):
-        result *= _count_component(cmask, cedges, memo)
+        if len(comp) == 1:
+            result *= (1 << cmask.bit_count()) - 1
+            continue
+        key = tuple(sorted(comp))
+        val = memo.get(key)
+        if val is None:
+            low = cmask & -cmask
+            forced = 0
+            for e in comp:
+                if e & low and (e ^ low).bit_count() == 1:
+                    forced |= e ^ low
+            included = {e & ~low for e in comp if not e & forced}
+            val = (_count(cmask ^ low, [e for e in comp if not e & low], memo)
+                   + _count(cmask ^ low ^ forced, list(included), memo))
+            if len(memo) > _MEMO_LIMIT:
+                memo.clear()
+            memo[key] = val
+        result *= val
     return result
 
 
-def _count_component(vmask: int, edges, memo) -> int:
-    if len(edges) == 1:
-        return (1 << edges[0].bit_count()) - 1
-    key = (vmask, edges)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    # branch on the vertex covering the most edges
-    counts = {}
-    for e in edges:
-        m = e
-        while m:
-            low = m & -m
-            counts[low] = counts.get(low, 0) + 1
-            m ^= low
-    bit = max(counts, key=lambda b: (counts[b], -b))
-    without = tuple(e for e in edges if not e & bit)
-    excluded = _count(vmask & ~bit, without, memo)
-    reduced = tuple((e & ~bit) if e & bit else e for e in edges)
-    included = _count(vmask & ~bit, reduced, memo)
-    val = excluded + included
-    if len(memo) > _MEMO_LIMIT:
-        memo.clear()
-    memo[key] = val
-    return val
-
-
 def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
-    """Number of subsets of {0..num_vertices-1} containing no edge mask."""
+    """Number of subsets of {0..num_vertices-1} containing no edge mask.
+
+    Refuses with BudgetExceeded when the search recurses deeper than the
+    interpreter allows."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
-    dedup = tuple(sorted(set(int(e) for e in edge_masks)))
+    dedup = set(int(e) for e in edge_masks)
     full = (1 << num_vertices) - 1
     for e in dedup:
         if e & ~full:
             raise InputError("edge mask uses vertices outside the ground set")
-    return _count(full, dedup, {})
+    if 0 in dedup:
+        return 0
+    forced = 0
+    for e in dedup:
+        if e.bit_count() == 1:
+            forced |= e
+    edges = sorted(e for e in dedup if not e & forced)
+    try:
+        return _count(full & ~forced, edges, {})
+    except RecursionError:
+        raise BudgetExceeded(
+            f"the exact count of {len(edges)} edges recursed deeper than "
+            f"the interpreter's limit of {sys.getrecursionlimit()} frames; "
+            f"refusing rather than estimating") from None
 
 
 def edge_masks(G: Hypergraph) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -81,25 +82,27 @@ def _connected_sets(adj, start, max_size, smallest_start: bool):
     (used when sweeping all, so the union over starts is duplicate-free).
     Growth follows the exclusive-neighbourhood scheme: a vertex enters the
     extension pool the first time it becomes adjacent to the current set,
-    and is permanently retired at the level where it was branched on.
+    and is permanently retired at the level where it was branched on.  The
+    growth path is an explicit stack of (set, pool, closed) levels, so its
+    depth is not bounded by the interpreter's recursion limit.
     """
 
     def eligible(u):
         return u > start if smallest_start else u != start
 
-    def grow(sub, ext, closed):
-        yield frozenset(sub)
-        if len(sub) == max_size:
-            return
-        pool = list(ext)
-        while pool:
-            w = pool.pop(0)
-            fresh = sorted(u for u in adj[w] if eligible(u) and u not in closed)
-            yield from grow(sub + [w], pool + fresh, closed | set(fresh) | {w})
-        return
-
     first = sorted(u for u in adj[start] if eligible(u))
-    yield from grow([start], first, set(first) | {start})
+    yield frozenset([start])
+    stack = [([start], first, set(first) | {start})]
+    while stack:
+        sub, pool, closed = stack[-1]
+        if len(sub) == max_size or not pool:
+            stack.pop()
+            continue
+        w = pool.pop(0)
+        fresh = sorted(u for u in adj[w] if eligible(u) and u not in closed)
+        grown = sub + [w]
+        yield frozenset(grown)
+        stack.append((grown, pool + fresh, closed | set(fresh) | {w}))
 
 
 def enumerate_polymers(G: Hypergraph, cls: int, b: int,
@@ -112,13 +115,14 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
     G._check_class(cls)
     if b < 0:
         raise InputError("polymer order bound b must be non-negative")
-    if b == 0:
-        return []
-    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
     if root is not None:
         root = G._check_vertex(root)
         if root.cls != cls:
             raise InputError(f"root {root} not in class {cls}")
+    if b == 0:
+        return []
+    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    if root is not None:
         sets = _connected_sets(adj, root, b, smallest_start=False)
     else:
         sets = itertools.chain.from_iterable(
@@ -167,7 +171,8 @@ def compatibility_sum(weights: Sequence[Fraction],
     Each weight is an integer m_i over 2^e_i.  The sum over the indices of
     a mask is kept as an integer over 2^E(mask), E(mask) the sum of e_i
     over the mask, so a product over components needs no rescaling and one
-    Fraction is built at the end.
+    Fraction is built at the end.  Refuses with BudgetExceeded when the
+    search recurses deeper than the interpreter allows.
     """
     n = len(weights)
     nums, exps = zip(*map(dyadic, weights)) if n else ((), ())
@@ -223,7 +228,13 @@ def compatibility_sum(weights: Sequence[Fraction],
         return result
 
     full = (1 << n) - 1
-    return Fraction(total(full), 1 << exponent(full))
+    try:
+        return Fraction(total(full), 1 << exponent(full))
+    except RecursionError:
+        raise BudgetExceeded(
+            f"the compatibility sum over {n} polymers recursed deeper than "
+            f"the interpreter's limit of {sys.getrecursionlimit()} frames; "
+            f"refusing rather than estimating") from None
 
 
 def partition_function(G: Hypergraph, cls: int, b: int,

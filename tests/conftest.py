@@ -29,6 +29,15 @@ def two_shared(k: int = 3) -> Hypergraph:
     return Hypergraph.build(k, sizes, [e1, e2])
 
 
+def loose_path(m: int) -> Hypergraph:
+    """Loose path of m 3-edges: edge i is {J_i, J_(i+1), (2, i)} with joint
+    J_i = (i mod 2, i div 2), so consecutive edges share exactly one joint."""
+    joint = lambda i: (i % 2, i // 2)
+    return Hypergraph.build(3, [m // 2 + 1, (m + 1) // 2, m],
+                            [[joint(i), joint(i + 1), (2, i)]
+                             for i in range(m)])
+
+
 def circulant(n: int, r: int) -> Hypergraph:
     """Deterministic linear r-regular 3-partite instance on classes of size
     n: edge (i, j) covers (0, i), (1, i+j mod n), (2, i+2j mod n).  Sharing

@@ -2,8 +2,9 @@
 
 Each one computes a quantity of the library a second, independent way:
 literal enumerations (Ursell functions over edge subsets, clusters of an
-abstract polymer model) and the term-by-term `Fraction` forms of the
-integer engines (`compatibility_sum`, `truncated_log_xi`).
+abstract polymer model), a transfer matrix along a loose path, and the
+term-by-term `Fraction` forms of the integer engines (`compatibility_sum`,
+`truncated_log_xi`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ def graph_components(n: int, edges) -> int:
     for a, b in edges:
         parent[find(a)] = find(b)
     return len({find(i) for i in range(n)})
+
+
+def loose_path_count(m: int) -> int:
+    """Independent sets of conftest's loose path of m 3-edges, by a transfer
+    matrix over the joints: an edge whose two joints are both in the set
+    leaves its own vertex one choice (out), any other edge two."""
+    out, inside = 1, 1  # sets over the joints so far, by the last joint
+    for _ in range(m):
+        out, inside = 2 * out + 2 * inside, 2 * out + inside
+    return out + inside
 
 
 # ----- Ursell functions and abstract polymer models ---------------------------

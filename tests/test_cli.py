@@ -8,7 +8,7 @@ import pytest
 from hypercount import loads, serialize_text
 from hypercount.cli import main
 
-from conftest import matching, single_edge
+from conftest import loose_path, matching, single_edge
 
 
 SINGLE = serialize_text(single_edge(3))
@@ -233,6 +233,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, command, "-i", str(path),
                                "--class", "0", "--b", "2")
         assert code == 3 and "polymers exceed the cap of 1" in err
+
+    def test_deep_compatibility_sum_refuses(self, capsys, tmp_path):
+        # the 1200 class-2 polymers of a loose path form a path of
+        # incompatibilities, deeper than the default recursion limit
+        path = tmp_path / "path.hg"
+        path.write_text(serialize_text(loose_path(1200)))
+        code, _, err = run_cli(capsys, "xi", "-i", str(path),
+                               "--class", "2", "--b", "1")
+        assert code == 3 and "error=budget" in err
+        assert "recursed deeper" in err
+
+    def test_long_polymer_growth_refuses_at_the_cap(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # growing a polymer towards order 990 goes deeper than the default
+        # recursion limit before the cap is reached
+        from hypercount import gen_linear_regular
+        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", "2000")
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 1500, 2, seed=0)))
+        code, _, err = run_cli(capsys, "polymers", "-i", str(path),
+                               "--class", "0", "--b", "990")
+        assert code == 3 and "polymers exceed the cap of 2000" in err
+
+    @pytest.mark.parametrize("command", ["polymers", "kp-check"])
+    @pytest.mark.parametrize("b", ["0", "1"])
+    def test_missing_root(self, capsys, tmp_path, command, b):
+        from hypercount import gen_linear_regular
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=1)))
+        code, _, err = run_cli(capsys, command, "-i", str(path),
+                               "--class", "0", "--b", b, "--root", "0:99")
+        assert code == 2 and "error=input" in err
 
     def test_generation_failure(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--k", "4", "--n", "2",

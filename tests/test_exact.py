@@ -1,11 +1,13 @@
 """Exact counting oracles: backtracking counter vs the subset filter, the
 completion formula, and defect-restricted counts."""
 
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
@@ -14,10 +16,24 @@ from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
                         count_with_defect_class, defect_profile, edge_masks,
                         independent_masks)
 
-from conftest import (matching, partite_hypergraphs, random_partite,
-                      random_uniform_system, two_shared)
+from conftest import (loose_path, matching, partite_hypergraphs,
+                      random_partite, random_uniform_system, two_shared)
+from oracles import loose_path_count
 
 V = Vertex
+
+
+@st.composite
+def mixed_systems(draw):
+    """(vertex count, edge masks) with masks of every size: the empty mask,
+    singletons, repeats and edges nested inside other edges."""
+    n = draw(st.integers(0, 10))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, full), max_size=10))
+    singles = draw(st.lists(st.sampled_from([1 << v for v in range(n)] or [0]),
+                            max_size=3))
+    nested = [m & draw(st.integers(0, full)) or m for m in masks[:3]]
+    return n, masks + singles + nested + masks[:2]
 
 
 class TestCountExamples:
@@ -68,9 +84,34 @@ class TestFilterAgreement:
                                          1 + seed % 9, seed)
         assert count_subsets_avoiding(n, masks) == count_by_filter(n, masks)
 
+    @given(mixed_systems())
+    @example((0, [0]))
+    @example((4, [0b0001, 0b0011, 0b0110, 0b0110, 0b1110]))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_sizes(self, system):
+        n, masks = system
+        assert count_subsets_avoiding(n, masks) == count_by_filter(n, masks)
+
     def test_filter_budget(self):
         with pytest.raises(BudgetExceeded):
             count_by_filter(30, [3])
+
+
+class TestLoosePath:
+    def test_long_path_matches_transfer_matrix(self):
+        assert count_independent_sets(loose_path(300)) == loose_path_count(300)
+
+    def test_deep_recursion_refuses(self):
+        # the search on a loose path recurses about once per two edges
+        G = loose_path(120)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            with pytest.raises(BudgetExceeded, match="recursed deeper"):
+                count_independent_sets(G)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count_independent_sets(G) == loose_path_count(120)
 
 
 @given(partite_hypergraphs())
