@@ -30,9 +30,12 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise InputError(f"environment variable {name}={raw!r} is not an integer")
+    if value < 0:
+        raise InputError(f"environment variable {name}={raw!r} is negative")
+    return value
 
 
 def _fmt(v):
@@ -142,20 +145,17 @@ def _cmd_kp_check(args):
     cap = _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
     roots = ([_vertex(args.root)] if args.root
              else list(G.class_vertices(args.cls)))
-    rows = []
-    all_hold = True
-    for u in roots:
-        res = polymers.kp_terms(G, args.cls, u, args.b, max_polymers=cap)
-        all_hold &= res.holds
-        rows.append(("root", {
-            "vertex": u,
-            "lhs_upper": res.lhs_upper,
-            "rhs": res.rhs,
-            "holds": res.holds,
-            "polymers": len(res.terms),
-        }))
+    found = polymers.kp_terms(G, args.cls, roots, args.b, max_polymers=cap)
+    rows = [("root", {
+        "vertex": res.root,
+        "lhs_upper": res.lhs_upper,
+        "rhs": res.rhs,
+        "holds": res.holds,
+        "polymers": len(res.terms),
+    }) for res in found]
     return (G, {"class": args.cls, "b": args.b},
-            {"all_hold": all_hold, "roots": len(roots)}, rows)
+            {"all_hold": all(res.holds for res in found),
+             "roots": len(roots)}, rows)
 
 
 def _cmd_clusters(args):

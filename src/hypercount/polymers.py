@@ -75,22 +75,17 @@ def compatible(S: Polymer, T: Polymer) -> bool:
 # ----- enumeration of connected sets in the distance-two structure ------------
 
 
-def _connected_sets(adj, start, max_size, smallest_start: bool):
-    """Yield every connected set containing `start`, exactly once.
+def _connected_sets(adj, start, max_size, barred):
+    """Yield every connected set containing `start` and no vertex of
+    `barred` other than `start`, exactly once.
 
-    With smallest_start=True only sets whose minimum is `start` are produced
-    (used when sweeping all, so the union over starts is duplicate-free).
     Growth follows the exclusive-neighbourhood scheme: a vertex enters the
     extension pool the first time it becomes adjacent to the current set,
     and is permanently retired at the level where it was branched on.  The
     growth path is an explicit stack of (set, pool, closed) levels, so its
     depth is not bounded by the interpreter's recursion limit.
     """
-
-    def eligible(u):
-        return u > start if smallest_start else u != start
-
-    first = sorted(u for u in adj[start] if eligible(u))
+    first = sorted(u for u in adj[start] if u not in barred)
     yield frozenset([start])
     stack = [([start], first, set(first) | {start})]
     while stack:
@@ -99,10 +94,43 @@ def _connected_sets(adj, start, max_size, smallest_start: bool):
             stack.pop()
             continue
         w = pool.pop(0)
-        fresh = sorted(u for u in adj[w] if eligible(u) and u not in closed)
+        fresh = sorted(u for u in adj[w]
+                       if u not in barred and u not in closed)
         grown = sub + [w]
         yield frozenset(grown)
         stack.append((grown, pool + fresh, closed | set(fresh) | {w}))
+
+
+def _checked_roots(G: Hypergraph, cls: int, b: int, roots: Iterable) -> list:
+    """The roots as vertices, after checking the class, the order bound and
+    that every root lies in the class."""
+    G._check_class(cls)
+    if b < 0:
+        raise InputError("polymer order bound b must be non-negative")
+    checked = []
+    for u in roots:
+        u = G._check_vertex(u)
+        if u.cls != cls:
+            raise InputError(f"root {u} not in class {cls}")
+        checked.append(u)
+    return checked
+
+
+def _sets_meeting(G: Hypergraph, cls: int, b: int, roots: list):
+    """Every 2-linked set within the class with 1 <= |S| <= b that meets
+    the roots, each exactly once (b >= 1): each set is grown from its least
+    root, so no root at or below the start may join."""
+    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    barred = set()
+    for start in sorted(set(roots)):
+        barred.add(start)
+        yield from _connected_sets(adj, start, b, barred)
+
+
+def _refuse_cap(cap: int):
+    return BudgetExceeded(
+        f"at least {cap + 1} polymers exceed the cap of {cap}; "
+        f"refusing rather than truncating")
 
 
 def enumerate_polymers(G: Hypergraph, cls: int, b: int,
@@ -112,31 +140,20 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
     given), each exactly once, sorted lexicographically.  b = 0 denotes the
     empty model.  With max_polymers set, generation stops at max_polymers + 1
     sets and refuses with BudgetExceeded rather than truncating."""
-    G._check_class(cls)
-    if b < 0:
-        raise InputError("polymer order bound b must be non-negative")
-    if root is not None:
-        root = G._check_vertex(root)
-        if root.cls != cls:
-            raise InputError(f"root {root} not in class {cls}")
+    roots = _checked_roots(G, cls, b, G.class_vertices(cls) if root is None
+                           else [root])
     if b == 0:
         return []
-    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
-    if root is not None:
-        sets = _connected_sets(adj, root, b, smallest_start=False)
-    else:
-        sets = itertools.chain.from_iterable(
-            _connected_sets(adj, v, b, smallest_start=True)
-            for v in G.class_vertices(cls))
+    sets = _sets_meeting(G, cls, b, roots)
     if max_polymers is not None:
         sets = list(itertools.islice(sets, max_polymers + 1))
         if len(sets) > max_polymers:
-            raise BudgetExceeded(
-                f"at least {len(sets)} polymers exceed the cap of "
-                f"{max_polymers}; refusing rather than truncating")
-    polymers = [Polymer(tuple(sorted(s)), G.neighborhood(s)) for s in sets]
-    polymers.sort()
-    return polymers
+            raise _refuse_cap(max_polymers)
+    return _sorted_polymers(G, sets)
+
+
+def _sorted_polymers(G: Hypergraph, sets) -> list:
+    return sorted(Polymer(tuple(sorted(s)), G.neighborhood(s)) for s in sets)
 
 
 def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
@@ -273,47 +290,74 @@ def _iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def kp_terms(G: Hypergraph, cls: int, root: Vertex, b: int,
-             max_polymers: int = DEFAULT_MAX_POLYMERS) -> KpTerms:
-    """Evaluate the summability inequality at one root vertex.
+def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
+             max_polymers: int = DEFAULT_MAX_POLYMERS) -> list:
+    """Evaluate the summability inequality at each root vertex: one KpTerms
+    per root, in the order of `roots`.
 
-    f(S) = (k-1)|S|/r and g(S) = log(gamma_k) * r * log(2|S|) depend on |S|
-    only, so the exact weights are summed per order s (as integers over a
-    power of two) and each order takes one interval product
-    W_s * exp(f_s + g_s), rounded outward, so `holds` is conservative.
+    Each polymer meeting the roots is enumerated and weighed once, and its
+    weight goes to every root it contains.  f(S) = (k-1)|S|/r and g(S) =
+    log(gamma_k) * r * log(2|S|) depend on |S| only, so they are computed
+    once per order s; at each root the exact weights are summed per order
+    (as integers over a power of two) and each order takes one interval
+    product W_s * exp(f_s + g_s), rounded outward, so `holds` is
+    conservative.  Refuses with BudgetExceeded as soon as some root lies in
+    more than max_polymers polymers.
     """
     r = G.regular_degree()
     if r is None:
         raise InputError("summability sums require a regular hypergraph")
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
-    polymers = enumerate_polymers(G, cls, b, root=root,
-                                  max_polymers=max_polymers)
+    roots = _checked_roots(G, cls, b, roots)
+    through = {u: [] for u in roots}  # root -> its (polymer, weight, m, e)
+    sets = []
+    if b > 0:
+        count = dict.fromkeys(through, 0)
+        for S in _sets_meeting(G, cls, b, roots):
+            for u in S:
+                if u in count:
+                    count[u] += 1
+                    if count[u] > max_polymers:
+                        raise _refuse_cap(max_polymers)
+            sets.append(S)
+    polymers = _sorted_polymers(G, sets)
+    for p in polymers:
+        w = polymer_weight(G, p)
+        entry = (p, w) + dyadic(w)
+        for u in p.vertices:
+            if u in through:
+                through[u].append(entry)
     k = G.k
     log_gamma = iv.log(iv.mpf(2) ** (k - 1)) - iv.log(iv.mpf(2) ** (k - 1) - 1)
-    weights = [polymer_weight(G, p) for p in polymers]
-    by_order = {}
-    for p, w in zip(polymers, weights):
-        by_order.setdefault(p.order, []).append(dyadic(w))
-    lhs = iv.mpf(0)
     fg = {}  # order s -> (f_s, g_s)
-    for s, pairs in sorted(by_order.items()):
-        # num / 2^e is the exact sum W_s of the order-s weights
-        e = max(d for _, d in pairs)
-        num = sum(m << (e - d) for m, d in pairs)
+    boost = {}  # order s -> exp(f_s + g_s) as an interval
+    for s in {p.order for p in polymers}:
         f = Fraction(k - 1, r) * s
         g = log_gamma * r * iv.log(iv.mpf(2 * s))
-        lhs += iv.mpf(num) / iv.mpf(1 << e) * iv.exp(_iv_fraction(f) + g)
         fg[s] = (float(f), float(g.mid))
-    terms = [(p, w) + fg[p.order] for p, w in zip(polymers, weights)]
+        boost[s] = iv.exp(_iv_fraction(f) + g)
     rhs = Fraction(1, r ** 3)
     rhs_iv = _iv_fraction(rhs)
-    holds = bool(lhs.b <= rhs_iv.a)
-    # report float endpoints rounded outward so they stay true bounds
-    return KpTerms(root=root, b=b, r=r,
-                   lhs_lower=math.nextafter(float(lhs.a), -math.inf),
-                   lhs_upper=math.nextafter(float(lhs.b), math.inf),
-                   rhs=rhs, holds=holds, terms=tuple(terms))
+    results = {}
+    for u, entries in through.items():
+        by_order = {}
+        for p, _, m, e in entries:
+            by_order.setdefault(p.order, []).append((m, e))
+        lhs = iv.mpf(0)
+        for s, pairs in sorted(by_order.items()):
+            # num / 2^e is the exact sum W_s of the order-s weights
+            e = max(d for _, d in pairs)
+            num = sum(m << (e - d) for m, d in pairs)
+            lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
+        terms = tuple((p, w) + fg[p.order] for p, w, _, _ in entries)
+        # report float endpoints rounded outward so they stay true bounds
+        results[u] = KpTerms(root=u, b=b, r=r,
+                             lhs_lower=math.nextafter(float(lhs.a), -math.inf),
+                             lhs_upper=math.nextafter(float(lhs.b), math.inf),
+                             rhs=rhs, holds=bool(lhs.b <= rhs_iv.a),
+                             terms=terms)
+    return [results[u] for u in roots]
 
 
 # ----- matchings in link graphs -------------------------------------------------

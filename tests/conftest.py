@@ -100,6 +100,15 @@ def girth5_instances() -> tuple:
     return tuple(out)
 
 
+@functools.cache
+def kp_instances() -> tuple:
+    """Generated regular instances for the summability sums: k = 3 at
+    r = 2 and 3, and one k = 4 instance."""
+    return tuple(gen_linear_regular(k, n, r, seed=seed)
+                 for k, n, r, seed in ((3, 6, 2, 1), (3, 7, 2, 0),
+                                       (3, 6, 3, 0), (4, 6, 2, 0)))
+
+
 def random_uniform_system(num_vertices, uniformity, num_edges, seed):
     """Random uniform set system as (vertex count, edge bitmasks)."""
     rng = random.Random(seed)

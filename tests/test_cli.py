@@ -8,10 +8,17 @@ import pytest
 from hypercount import loads, serialize_text
 from hypercount.cli import main
 
-from conftest import loose_path, matching, single_edge
+from conftest import kp_instances, loose_path, matching, single_edge
 
 
 SINGLE = serialize_text(single_edge(3))
+
+# each budget variable with one command that reads it
+BUDGET_READERS = {
+    "HYPERCOUNT_MAX_POLYMERS": ("xi", "--class", "0", "--b", "2"),
+    "HYPERCOUNT_DEFECT_BUDGET": ("defect-count", "--class", "0", "--b", "1"),
+    "HYPERCOUNT_GIRTH_NODE_CAP": ("check", "girth"),
+}
 
 
 @pytest.fixture
@@ -179,6 +186,24 @@ class TestCommands:
         assert code == 0
         assert kv(out)["roots"] == "1"
 
+    def test_kp_check_rows_match_single_root_runs(self, capsys, tmp_path):
+        for i, G in enumerate(kp_instances()):
+            path = tmp_path / f"inst{i}.hg"
+            path.write_text(serialize_text(G))
+            for b in range(4):
+                args = ("kp-check", "-i", str(path), "--class", "0",
+                        "--b", str(b))
+                code, out, _ = run_cli(capsys, *args)
+                assert code == 0
+                rows = [line for line in out.splitlines()
+                        if line.startswith("root ")]
+                assert len(rows) == G.sizes[0]
+                for u, row in zip(G.class_vertices(0), rows):
+                    code, out, _ = run_cli(capsys, *args, "--root", str(u))
+                    assert code == 0
+                    assert [line for line in out.splitlines()
+                            if line.startswith("root ")] == [row]
+
     def test_polymers_with_root(self, capsys, single_path):
         code, out, _ = run_cli(capsys, "polymers", "-i", single_path,
                                "--class", "0", "--b", "1", "--root", "0:0")
@@ -233,6 +258,36 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, command, "-i", str(path),
                                "--class", "0", "--b", "2")
         assert code == 3 and "polymers exceed the cap of 1" in err
+
+    def test_kp_check_caps_polymers_per_root(self, capsys, tmp_path,
+                                             monkeypatch):
+        # the class holds more polymers than any one root lies in, and the
+        # cap bounds the polymers through each root
+        from hypercount import enumerate_polymers
+        G = kp_instances()[0]
+        most = max(len(enumerate_polymers(G, 0, 2, root=u))
+                   for u in G.class_vertices(0))
+        assert len(enumerate_polymers(G, 0, 2)) > most
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(G))
+        args = ("kp-check", "-i", str(path), "--class", "0", "--b", "2")
+        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", str(most))
+        assert run_cli(capsys, *args)[0] == 0
+        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", str(most - 1))
+        code, _, err = run_cli(capsys, *args)
+        assert code == 3
+        assert (f"at least {most} polymers exceed the cap of {most - 1};"
+                in err)
+
+    @pytest.mark.parametrize("name", sorted(BUDGET_READERS))
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_negative_budget_variable(self, capsys, single_path, monkeypatch,
+                                      name, value):
+        monkeypatch.setenv(name, value)
+        command, *rest = BUDGET_READERS[name]
+        code, out, err = run_cli(capsys, command, "-i", single_path, *rest)
+        assert code == 2 and out == ""
+        assert err.startswith("error=input") and name in err
 
     def test_deep_compatibility_sum_refuses(self, capsys, tmp_path):
         # the 1200 class-2 polymers of a loose path form a path of

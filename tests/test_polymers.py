@@ -16,8 +16,8 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         partition_function, polymer_count_bound_holds,
                         polymer_weight)
 
-from conftest import (girth5_instances, matching, partite_hypergraphs,
-                      random_partite, two_shared)
+from conftest import (girth5_instances, kp_instances, matching,
+                      partite_hypergraphs, random_partite, two_shared)
 from oracles import compatibility_sum_fraction
 
 V = Vertex
@@ -222,25 +222,25 @@ class TestPartitionFunction:
 
 class TestKpTerms:
     def test_single_edge_values(self, edge3):
-        res = kp_terms(edge3, 0, V(0, 0), 1)
+        res = kp_terms(edge3, 0, [V(0, 0)], 1)[0]
         assert res.rhs == 1
         assert not res.holds
         assert 6.76 < res.lhs_upper < 6.77
         assert res.lhs_upper - res.lhs_lower < 1e-12
 
     def test_empty_sum_holds(self, edge3):
-        res = kp_terms(edge3, 0, V(0, 0), 0)
+        res = kp_terms(edge3, 0, [V(0, 0)], 0)[0]
         assert res.lhs_upper < 1e-300 and res.holds
 
     def test_positive_size_booster(self):
         # g(S) = log(gamma) r log(2|S|) is strictly positive for every term
         G = gen_linear_regular(3, 4, 2, seed=5)
-        res = kp_terms(G, 0, V(0, 0), 3)
+        res = kp_terms(G, 0, [V(0, 0)], 3)[0]
         assert res.terms and all(g > 0 for _, _, _, g in res.terms)
 
     def test_term_by_term_recomputation(self):
         G = gen_linear_regular(3, 4, 2, seed=5)
-        res = kp_terms(G, 0, V(0, 0), 2)
+        res = kp_terms(G, 0, [V(0, 0)], 2)[0]
         k, r = 3, 2
         recomputed = iv.mpf(0)
         for p in enumerate_polymers(G, 0, 2, root=V(0, 0)):
@@ -260,7 +260,7 @@ class TestKpTerms:
         for seed, b in ((5, 2), (5, 3), (0, 3)):
             G = gen_linear_regular(3, 4 + seed, 2, seed=seed)
             root = V(0, 0)
-            res = kp_terms(G, 0, root, b)
+            res = kp_terms(G, 0, [root], b)[0]
             log_gamma = iv.log(iv.mpf(4)) - iv.log(iv.mpf(3))  # log gamma_3
             term_by_term = iv.mpf(0)
             for p in enumerate_polymers(G, 0, b, root=root):
@@ -277,7 +277,36 @@ class TestKpTerms:
 
     def test_requires_regular(self):
         with pytest.raises(InputError):
-            kp_terms(two_shared(3), 0, V(0, 0), 1)
+            kp_terms(two_shared(3), 0, [V(0, 0)], 1)
+
+    def test_shared_pass_matches_single_roots(self):
+        # one pass over every root gives each root what a pass over that
+        # root alone gives it
+        for G in kp_instances():
+            for cls in (0, 1):
+                roots = G.class_vertices(cls)
+                for b in range(4):
+                    shared = kp_terms(G, cls, roots, b)
+                    assert [res.root for res in shared] == list(roots)
+                    for u, res in zip(roots, shared):
+                        alone = kp_terms(G, cls, [u], b)[0]
+                        assert res.terms == alone.terms
+                        assert res.lhs_lower == alone.lhs_lower
+                        assert res.lhs_upper == alone.lhs_upper
+                        assert res.holds == alone.holds
+                        assert len(res.terms) == len(
+                            enumerate_polymers(G, cls, b, root=u))
+
+    def test_roots_keep_their_order(self):
+        G = kp_instances()[0]
+        roots = [V(0, 3), V(0, 0), V(0, 3)]
+        assert [res.root for res in kp_terms(G, 0, roots, 2)] == roots
+        assert kp_terms(G, 0, [], 2) == []
+
+    def test_roots_are_checked_before_the_empty_model(self, edge3):
+        for roots in ([V(0, 1)], [V(1, 0)]):
+            with pytest.raises(InputError):
+                kp_terms(edge3, 0, roots, 0)
 
 
 class TestMatching:
