@@ -2,22 +2,22 @@
 
 This module is the ground-truth oracle the rest of the package is judged
 against, so everything here is exact integer arithmetic.  The main counter
-is one memoised backtracking search over bitmask set systems: it factors
-the edges into connected components and branches each component on its
-lowest vertex.  A search that recurses deeper than the interpreter allows
-refuses with BudgetExceeded.  A vectorized 2^|V| filter is retained as an
-independent cross-check for small vertex counts; it is the one place that
-enumerates vertex subsets.  Callers reach it through a small public seam:
-`independent_masks(G)` lists the independent sets of G as bitmasks,
-`edge_masks(G)` gives the edges in the same bit order (bit i is
+works on bitmask set systems.  A vertex in exactly one edge is private to
+it, so an edge with p private vertices contributes a factor 2^p, or
+2^p - 1 when all of its shared vertices are chosen.  One frontier sweep
+visits the shared vertices, those in two or more edges, once each, and
+keeps a table from partial states to integer counts; more than STATE_CAP
+live states refuse with BudgetExceeded.  A vectorized 2^|V| filter is
+retained as an independent cross-check for small vertex counts; it is the
+one place that enumerates vertex subsets.  Callers reach it through a small
+public seam: `independent_masks(G)` lists the independent sets of G as
+bitmasks, `edge_masks(G)` gives the edges in the same bit order (bit i is
 `list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
-one class.
-"""
+one class."""
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph, LinkGraph
 
-_MEMO_LIMIT = 1 << 20  # entries per top-level call before the cache is dropped
+STATE_CAP = 1 << 18  # live states of the frontier sweep before it refuses
 
 FILTER_VERTEX_CAP = 24  # vertex cap of the 2^|V| filter
 
@@ -41,83 +41,132 @@ class DefectClassCount:
     count: int
 
 
-# ----- bitmask core -----------------------------------------------------------
+# ----- frontier sweep ---------------------------------------------------------
 
 
-def _count(vmask: int, edges, memo) -> int:
-    """Subsets of vmask containing no edge, for distinct edge masks of two
-    or more vertices within vmask.  Each connected component of two or more
-    edges branches on its lowest vertex: excluding it drops its edges,
-    including it shrinks them, and an edge shrunk to one vertex excludes
-    that vertex at once, together with the edges through it."""
-    covered = 0
-    for e in edges:
-        covered |= e
-    result = 1 << (vmask & ~covered).bit_count()
-    rest = edges
-    while rest:
-        cmask = rest[0]
-        comp = [cmask]
-        rest = rest[1:]
-        grew = True
-        while grew:
-            grew = False
-            keep = []
-            for e in rest:
-                if e & cmask:
-                    comp.append(e)
-                    cmask |= e
-                    grew = True
-                else:
-                    keep.append(e)
-            rest = keep
-        if len(comp) == 1:
-            result *= (1 << cmask.bit_count()) - 1
+def _sweep(parts: list, private: list) -> int:
+    """Independent-set count of edges given by their parts on the shared
+    vertices (each non-empty) and their private vertex counts p: the sum
+    over the choices of shared vertices of the product over the edges of
+    2^p, or 2^p - 1 when all of the edge's shared vertices are chosen.
+
+    The shared vertices are visited once each, every component in
+    breadth-first order over its edges from its lowest one.  A state is the
+    set of edges that are started, unfinished and fully chosen so far, as a
+    bitmask over slots that an edge holds from its first shared vertex to
+    its last; each state maps to its integer count.  Refuses with
+    BudgetExceeded when more than STATE_CAP states are live."""
+    through = {}  # shared vertex (as its bit) -> the edges through it
+    for j, rest in enumerate(parts):
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if v in through:
+                through[v].append(j)
+            else:
+                through[v] = [j]
+    order = []
+    queued = [False] * len(parts)
+    visited = 0
+    for lowest in range(len(parts)):
+        if queued[lowest]:
             continue
-        key = tuple(sorted(comp))
-        val = memo.get(key)
-        if val is None:
-            low = cmask & -cmask
-            forced = 0
-            for e in comp:
-                if e & low and (e ^ low).bit_count() == 1:
-                    forced |= e ^ low
-            included = {e & ~low for e in comp if not e & forced}
-            val = (_count(cmask ^ low, [e for e in comp if not e & low], memo)
-                   + _count(cmask ^ low ^ forced, list(included), memo))
-            if len(memo) > _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = val
-        result *= val
-    return result
+        queued[lowest] = True
+        queue = [lowest]
+        for j in queue:
+            fresh = parts[j] & ~visited
+            visited |= fresh
+            while fresh:
+                v = fresh & -fresh
+                fresh ^= v
+                order.append(v)
+                for i in through[v]:
+                    if not queued[i]:
+                        queued[i] = True
+                        queue.append(i)
+    left = [rest.bit_count() for rest in parts]
+    slot = [0] * len(parts)  # a started, unfinished edge's bit in the state
+    used = 0
+    states = {0: 1}
+    for swept, v in enumerate(order, 1):
+        seen = ends = begins = shift = 0
+        finishing = []  # (slot bit, or 0 for an edge started here, p)
+        for j in through[v]:
+            left[j] -= 1
+            bit = slot[j]
+            if left[j]:
+                if bit:
+                    seen |= bit
+                else:  # the edge starts here: take the lowest free slot
+                    bit = ~used & (used + 1)
+                    used |= bit
+                    slot[j] = bit
+                    begins |= bit
+                continue
+            p = private[j]
+            finishing.append((bit, p))
+            shift += p
+            seen |= bit
+            ends |= bit
+        used &= ~ends
+        nxt = {}
+        for key, count in states.items():
+            # v left out: no edge through it is fully chosen any more
+            out = key & ~seen
+            nxt[out] = nxt.get(out, 0) + (count << shift)
+            # v chosen: each finishing edge that is still fully chosen
+            # leaves its private vertices 2^p - 1 choices
+            for bit, p in finishing:
+                if bit and not key & bit:
+                    count <<= p
+                else:
+                    count *= (1 << p) - 1
+            if count:
+                key = key & ~ends | begins
+                nxt[key] = nxt.get(key, 0) + count
+        if len(nxt) > STATE_CAP:
+            raise BudgetExceeded(
+                f"the exact count swept {swept} of {len(order)} shared "
+                f"vertices and held {len(nxt)} live states, over the cap of "
+                f"{STATE_CAP}; refusing rather than estimating")
+        states = nxt
+    return states[0]
 
 
 def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     """Number of subsets of {0..num_vertices-1} containing no edge mask.
 
-    Refuses with BudgetExceeded when the search recurses deeper than the
-    interpreter allows."""
+    A vertex in no edge doubles the count, an edge sharing no vertex with
+    another multiplies it by 2^p - 1, and the edges that do share vertices
+    go to the frontier sweep, which refuses with BudgetExceeded when more
+    than STATE_CAP partial states are live."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
-    dedup = set(int(e) for e in edge_masks)
-    full = (1 << num_vertices) - 1
+    dedup = set(map(int, edge_masks))
+    forced = covered = 0
     for e in dedup:
-        if e & ~full:
-            raise InputError("edge mask uses vertices outside the ground set")
-    if 0 in dedup:
-        return 0
-    forced = 0
-    for e in dedup:
+        covered |= e
         if e.bit_count() == 1:
             forced |= e
+    if covered >> num_vertices:
+        raise InputError("edge mask uses vertices outside the ground set")
+    if 0 in dedup:
+        return 0
     edges = sorted(e for e in dedup if not e & forced)
-    try:
-        return _count(full & ~forced, edges, {})
-    except RecursionError:
-        raise BudgetExceeded(
-            f"the exact count of {len(edges)} edges recursed deeper than "
-            f"the interpreter's limit of {sys.getrecursionlimit()} frames; "
-            f"refusing rather than estimating") from None
+    covered = shared = 0
+    for e in edges:
+        shared |= covered & e
+        covered |= e
+    result = 1 << (num_vertices - (forced | covered).bit_count())
+    parts, private = [], []
+    for e in edges:
+        p = (e & ~shared).bit_count()
+        if e & shared:
+            parts.append(e & shared)
+            private.append(p)
+        else:
+            result *= (1 << p) - 1
+    return result * _sweep(parts, private) if parts else result
 
 
 def edge_masks(G: Hypergraph) -> list:
@@ -139,7 +188,7 @@ def count_independent_sets(H: Union[Hypergraph, LinkGraph]) -> int:
     if isinstance(H, Hypergraph):
         return count_subsets_avoiding(H.num_vertices, edge_masks(H))
     if isinstance(H, LinkGraph):
-        pos = {v: i for i, v in enumerate(sorted(H.vertices))}
+        pos = {v: i for i, v in enumerate(H.vertices)}
         masks = []
         for e in H.edges:
             m = 0
@@ -177,8 +226,8 @@ def _filter_chunks(num_vertices: int, edge_masks: Sequence[int], cap: int):
 
 
 def count_by_filter(num_vertices: int, edge_masks: Sequence[int]) -> int:
-    """Count by testing every subset mask; independent of the backtracking
-    path, usable for cross-checks up to FILTER_VERTEX_CAP vertices."""
+    """Count by testing every subset mask; independent of the frontier
+    sweep, usable for cross-checks up to FILTER_VERTEX_CAP vertices."""
     return sum(int(kept.size) for kept in
                _filter_chunks(num_vertices, edge_masks, FILTER_VERTEX_CAP))
 

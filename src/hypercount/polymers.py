@@ -101,12 +101,15 @@ def _connected_sets(adj, start, max_size, barred):
         stack.append((grown, pool + fresh, closed | set(fresh) | {w}))
 
 
-def _checked_roots(G: Hypergraph, cls: int, b: int, roots: Iterable) -> list:
-    """The roots as vertices, after checking the class, the order bound and
-    that every root lies in the class."""
+def _checked_roots(G: Hypergraph, cls: int, b: int, roots: Iterable,
+                   cap: Optional[int]) -> list:
+    """The roots as vertices, after checking the class, the order bound, the
+    polymer cap and that every root lies in the class."""
     G._check_class(cls)
     if b < 0:
         raise InputError("polymer order bound b must be non-negative")
+    if cap is not None and cap < 0:
+        raise InputError(f"polymer cap must be non-negative, got {cap}")
     checked = []
     for u in roots:
         u = G._check_vertex(u)
@@ -141,7 +144,7 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
     empty model.  With max_polymers set, generation stops at max_polymers + 1
     sets and refuses with BudgetExceeded rather than truncating."""
     roots = _checked_roots(G, cls, b, G.class_vertices(cls) if root is None
-                           else [root])
+                           else [root], max_polymers)
     if b == 0:
         return []
     sets = _sets_meeting(G, cls, b, roots)
@@ -185,14 +188,17 @@ def compatibility_sum(weights: Sequence[Fraction],
     """Sum over all families of pairwise-compatible indices of the product
     of their weights (empty family contributes 1).
 
-    Each weight is an integer m_i over 2^e_i.  The sum over the indices of
-    a mask is kept as an integer over 2^E(mask), E(mask) the sum of e_i
-    over the mask, so a product over components needs no rescaling and one
-    Fraction is built at the end.  Refuses with BudgetExceeded when the
-    search recurses deeper than the interpreter allows.
+    Each weight is an integer m_i over 2^e_i, rewritten over the common
+    2^E, E the largest e_i, as m_i * 2^(E - e_i).  The sum over the indices
+    of a mask is kept as an integer over 2^(E |mask|), so a product over
+    components needs no rescaling and one Fraction is built at the end.
+    Refuses with BudgetExceeded when the search recurses deeper than the
+    interpreter allows.
     """
     n = len(weights)
-    nums, exps = zip(*map(dyadic, weights)) if n else ((), ())
+    pairs = [dyadic(w) for w in weights]
+    E = max((e for _, e in pairs), default=0)
+    nums = [m << (E - e) for m, e in pairs]
     incompat = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
@@ -218,16 +224,8 @@ def compatibility_sum(weights: Sequence[Fraction],
             rest &= ~comp
         return comps
 
-    def exponent(mask):
-        e = 0
-        while mask:
-            low = mask & -mask
-            e += exps[low.bit_length() - 1]
-            mask ^= low
-        return e
-
     def total(mask):
-        # the sum over the families within mask, times 2^E(mask)
+        # the sum over the families within mask, times 2^(E |mask|)
         if mask == 0:
             return 1
         hit = memo.get(mask)
@@ -237,16 +235,16 @@ def compatibility_sum(weights: Sequence[Fraction],
         for comp in components(mask):
             i = comp.bit_length() - 1  # branch on the highest index
             rest = comp & ~(1 << i)
-            skip = total(rest) << exps[i]
+            skip = total(rest) << E
             take = (nums[i] * total(rest & ~incompat[i])
-                    << exponent(rest & incompat[i]))
+                    << E * (rest & incompat[i]).bit_count())
             result *= skip + take
         memo[mask] = result
         return result
 
     full = (1 << n) - 1
     try:
-        return Fraction(total(full), 1 << exponent(full))
+        return Fraction(total(full), 1 << E * n)
     except RecursionError:
         raise BudgetExceeded(
             f"the compatibility sum over {n} polymers recursed deeper than "
@@ -309,7 +307,7 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
         raise InputError("summability sums require a regular hypergraph")
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
-    roots = _checked_roots(G, cls, b, roots)
+    roots = _checked_roots(G, cls, b, roots, max_polymers)
     through = {u: [] for u in roots}  # root -> its (polymer, weight, m, e)
     sets = []
     if b > 0:

@@ -179,7 +179,7 @@ def test_criterion_6_single_polymer_log_series():
 
 
 def test_criterion_7_counter_vs_filter():
-    with criterion(7, "backtracking counter equals subset filter on 500 "
+    with criterion(7, "frontier-sweep counter equals subset filter on 500 "
                       "random systems"):
         start = time.perf_counter()
         rng = random.Random(77)

@@ -8,7 +8,8 @@ import pytest
 from hypercount import loads, serialize_text
 from hypercount.cli import main
 
-from conftest import kp_instances, loose_path, matching, single_edge
+from conftest import (circulant, kp_instances, loose_path, matching,
+                      single_edge)
 
 
 SINGLE = serialize_text(single_edge(3))
@@ -247,6 +248,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "defect-count", "-i", str(path),
                                "--class", "0", "--b", "1")
         assert code == 3 and "error=budget" in err
+
+    def test_state_cap_refusal(self, capsys, tmp_path, monkeypatch):
+        from hypercount import exact
+        monkeypatch.setattr(exact, "STATE_CAP", 16)
+        path = tmp_path / "circulant.hg"
+        path.write_text(serialize_text(circulant(5, 2)))
+        code, out, err = run_cli(capsys, "exact-count", "-i", str(path))
+        assert code == 3 and out == "" and "error=budget" in err
+        assert "swept 6 of 15 shared vertices" in err
 
     @pytest.mark.parametrize("command", ["polymers", "xi", "kp-check"])
     def test_polymer_cap_refusal(self, capsys, tmp_path, monkeypatch,

@@ -1,22 +1,21 @@
-"""Exact counting oracles: backtracking counter vs the subset filter, the
+"""Exact counting oracles: frontier-sweep counter vs the subset filter, the
 completion formula, and defect-restricted counts."""
 
-import inspect
 import itertools
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypercount import exact
 from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
                         count_by_filter, count_completions,
                         count_independent_sets, count_subsets_avoiding,
                         count_with_defect_class, defect_profile, edge_masks,
                         independent_masks)
 
-from conftest import (loose_path, matching, partite_hypergraphs,
+from conftest import (circulant, loose_path, matching, partite_hypergraphs,
                       random_partite, random_uniform_system, two_shared)
 from oracles import loose_path_count
 
@@ -34,6 +33,26 @@ def mixed_systems(draw):
                             max_size=3))
     nested = [m & draw(st.integers(0, full)) or m for m in masks[:3]]
     return n, masks + singles + nested + masks[:2]
+
+
+@st.composite
+def linked_systems(draw):
+    """(vertex count, edge masks): edges over a pool of shared vertices,
+    each with up to two private vertices of its own, plus repeated edges,
+    edges nested inside others and singletons."""
+    pool = draw(st.integers(1, 6))
+    cores = draw(st.lists(st.integers(1, (1 << pool) - 1), min_size=1,
+                          max_size=6))
+    n = pool
+    masks = []
+    for core in cores:
+        p = draw(st.integers(0, 2))
+        masks.append(core | ((1 << p) - 1) << n)
+        n += p
+    nested = [m & draw(st.integers(1, (1 << n) - 1)) or m for m in masks[:2]]
+    singles = draw(st.lists(st.sampled_from([1 << v for v in range(n)]),
+                            max_size=2))
+    return n, masks + masks[:2] + nested + singles
 
 
 class TestCountExamples:
@@ -87,8 +106,15 @@ class TestFilterAgreement:
     @given(mixed_systems())
     @example((0, [0]))
     @example((4, [0b0001, 0b0011, 0b0110, 0b0110, 0b1110]))
+    @example((5, [2, 25, 2, 9, 2, 25]))  # {0,3} inside {0,3,4}: 12 sets
     @settings(max_examples=80, deadline=None)
     def test_mixed_sizes(self, system):
+        n, masks = system
+        assert count_subsets_avoiding(n, masks) == count_by_filter(n, masks)
+
+    @given(linked_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_and_private_vertices(self, system):
         n, masks = system
         assert count_subsets_avoiding(n, masks) == count_by_filter(n, masks)
 
@@ -101,17 +127,26 @@ class TestLoosePath:
     def test_long_path_matches_transfer_matrix(self):
         assert count_independent_sets(loose_path(300)) == loose_path_count(300)
 
-    def test_deep_recursion_refuses(self):
-        # the search on a loose path recurses about once per two edges
-        G = loose_path(120)
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
-        try:
-            with pytest.raises(BudgetExceeded, match="recursed deeper"):
-                count_independent_sets(G)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert count_independent_sets(G) == loose_path_count(120)
+    def test_5000_edges_match_transfer_matrix(self, monkeypatch):
+        # the sweep's frontier on a path holds at most two edges, so its
+        # length costs no states
+        monkeypatch.setattr(exact, "STATE_CAP", 4)
+        assert count_independent_sets(loose_path(5000)) == loose_path_count(5000)
+
+
+class TestStateCap:
+    def test_refusal_names_how_far_the_sweep_got(self, monkeypatch):
+        monkeypatch.setattr(exact, "STATE_CAP", 16)
+        with pytest.raises(BudgetExceeded, match=(
+                r"^the exact count swept 6 of 15 shared vertices and held 24 "
+                r"live states, over the cap of 16; refusing")):
+            count_independent_sets(circulant(5, 2))
+
+    def test_count_under_the_cap_is_exact(self, monkeypatch):
+        G = circulant(5, 2)
+        expected = count_independent_sets(G)
+        monkeypatch.setattr(exact, "STATE_CAP", 24)
+        assert count_independent_sets(G) == expected
 
 
 @given(partite_hypergraphs())

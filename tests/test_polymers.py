@@ -187,6 +187,13 @@ class TestPartitionFunction:
         with pytest.raises(BudgetExceeded, match="at least 4 polymers"):
             enumerate_polymers(G, 0, 3, max_polymers=3)
 
+    @pytest.mark.parametrize("cap", [-1, -5])
+    @pytest.mark.parametrize("b", [0, 2])
+    def test_negative_cap_is_an_input_error(self, cap, b):
+        G = gen_linear_regular(3, 6, 2, seed=1)
+        with pytest.raises(InputError, match=f"cap must be non-negative, got {cap}"):
+            enumerate_polymers(G, 0, b, max_polymers=cap)
+
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6),
                               st.frozensets(st.integers(0, 5), max_size=3)),
                     max_size=9))
@@ -221,6 +228,13 @@ class TestPartitionFunction:
 
 
 class TestKpTerms:
+    @pytest.mark.parametrize("cap", [-1, -5])
+    @pytest.mark.parametrize("b", [0, 2])
+    def test_negative_cap_is_an_input_error(self, cap, b):
+        G = gen_linear_regular(3, 6, 2, seed=1)
+        with pytest.raises(InputError, match=f"cap must be non-negative, got {cap}"):
+            kp_terms(G, 0, G.class_vertices(0), b, max_polymers=cap)
+
     def test_single_edge_values(self, edge3):
         res = kp_terms(edge3, 0, [V(0, 0)], 1)[0]
         assert res.rhs == 1
