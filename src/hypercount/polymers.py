@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from mpmath import iv
 
+from . import exact
 from .errors import BudgetExceeded, InputError
 from .exact import count_independent_sets
 from .hypergraph import Hypergraph, LinkGraph, Vertex
@@ -186,70 +186,63 @@ def dyadic(w: Fraction) -> tuple:
 def compatibility_sum(weights: Sequence[Fraction],
                       neighborhoods: Sequence[frozenset]) -> Fraction:
     """Sum over all families of pairwise-compatible indices of the product
-    of their weights (empty family contributes 1).
+    of their weights (empty family contributes 1); indices i and j are
+    incompatible when they are equal or their neighbourhoods meet.
 
-    Each weight is an integer m_i over 2^e_i, rewritten over the common
-    2^E, E the largest e_i, as m_i * 2^(E - e_i).  The sum over the indices
-    of a mask is kept as an integer over 2^(E |mask|), so a product over
-    components needs no rescaling and one Fraction is built at the end.
-    Refuses with BudgetExceeded when the search recurses deeper than the
-    interpreter allows.
+    One frontier sweep visits the indices once each, every component of
+    the incompatibility graph in breadth-first order from its lowest index.
+    A state is the set of later positions that some chosen index blocks;
+    each state maps to its integer count.  Each weight is an integer m_i
+    over 2^e_i, rewritten over the common 2^E, E the largest e_i, so after
+    p positions every count is an integer over 2^(E p) and one Fraction is
+    built at the end.  Refuses with BudgetExceeded when more than
+    exact.STATE_CAP states are live.
     """
     n = len(weights)
     pairs = [dyadic(w) for w in weights]
     E = max((e for _, e in pairs), default=0)
-    nums = [m << (E - e) for m, e in pairs]
-    incompat = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if neighborhoods[i] & neighborhoods[j]:
-                incompat[i] |= 1 << j
-                incompat[j] |= 1 << i
-    memo = {}
-
-    def components(mask):
-        comps = []
-        rest = mask
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                i = frontier.bit_length() - 1
-                frontier &= ~(1 << i)
-                grow = incompat[i] & rest & ~comp
-                comp |= grow
-                frontier |= grow
-            comps.append(comp)
-            rest &= ~comp
-        return comps
-
-    def total(mask):
-        # the sum over the families within mask, times 2^(E |mask|)
-        if mask == 0:
-            return 1
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        result = 1
-        for comp in components(mask):
-            i = comp.bit_length() - 1  # branch on the highest index
-            rest = comp & ~(1 << i)
-            skip = total(rest) << E
-            take = (nums[i] * total(rest & ~incompat[i])
-                    << E * (rest & incompat[i]).bit_count())
-            result *= skip + take
-        memo[mask] = result
-        return result
-
-    full = (1 << n) - 1
-    try:
-        return Fraction(total(full), 1 << E * n)
-    except RecursionError:
-        raise BudgetExceeded(
-            f"the compatibility sum over {n} polymers recursed deeper than "
-            f"the interpreter's limit of {sys.getrecursionlimit()} frames; "
-            f"refusing rather than estimating") from None
+    through = {}  # outer vertex -> the indices whose neighbourhood holds it
+    for i, nb in enumerate(neighborhoods):
+        for v in nb:
+            through.setdefault(v, []).append(i)
+    near = [sorted({j for v in nb for j in through[v]} - {i})
+            for i, nb in enumerate(neighborhoods)]
+    order = []
+    queued = [False] * n
+    for lowest in range(n):
+        if queued[lowest]:
+            continue
+        queued[lowest] = True
+        queue = [lowest]
+        for i in queue:
+            for j in near[i]:
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
+        order += queue
+    pos = {i: p for p, i in enumerate(order)}
+    cap = exact.STATE_CAP
+    states = {0: 1}
+    for p, i in enumerate(order):
+        bit = 1 << p
+        blocks = sum(1 << pos[j] for j in near[i] if pos[j] > p)
+        m, e = pairs[i]
+        num = m << (E - e)
+        nxt = {}
+        for key, count in states.items():
+            blocked = key & bit
+            key ^= blocked
+            nxt[key] = nxt.get(key, 0) + (count << E)
+            if not blocked:  # a blocked index can only be skipped
+                key |= blocks
+                nxt[key] = nxt.get(key, 0) + count * num
+        if len(nxt) > cap:
+            raise BudgetExceeded(
+                f"the compatibility sum swept {p + 1} of {n} polymers and "
+                f"held {len(nxt)} live states, over the cap of {cap}; "
+                f"refusing rather than estimating")
+        states = nxt
+    return Fraction(states[0], 1 << E * n)
 
 
 def partition_function(G: Hypergraph, cls: int, b: int,

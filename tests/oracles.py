@@ -2,9 +2,10 @@
 
 Each one computes a quantity of the library a second, independent way:
 literal enumerations (Ursell functions over edge subsets, clusters of an
-abstract polymer model), a transfer matrix along a loose path, and the
-term-by-term `Fraction` forms of the integer engines (`compatibility_sum`,
-`truncated_log_xi`).
+abstract polymer model), a transfer matrix along a loose path, the
+independence polynomial of a path, a memoised recursion for the
+compatibility sum, and the term-by-term `Fraction` form of
+`truncated_log_xi`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def loose_path_count(m: int) -> int:
     for _ in range(m):
         out, inside = 2 * out + 2 * inside, 2 * out + inside
     return out + inside
+
+
+def path_independence_polynomial(n: int, x: Fraction) -> Fraction:
+    """Sum of x^|I| over the independent sets I of a path on n vertices, by
+    the recurrence P_n = P_(n-1) + x P_(n-2) from P_(-1) = P_0 = 1."""
+    before, last = Fraction(1), Fraction(1)
+    for _ in range(n):
+        before, last = last, last + x * before
+    return last
 
 
 # ----- Ursell functions and abstract polymer models ---------------------------
@@ -117,9 +127,10 @@ def truncated_log_generic(items: Sequence, order_of: Callable,
 
 def compatibility_sum_fraction(weights: Sequence[Fraction],
                                neighborhoods: Sequence[frozenset]) -> Fraction:
-    """`polymers.compatibility_sum` with one Fraction operation per term:
-    branch on the highest index of each component of the incompatibility
-    graph, memoised by mask."""
+    """The compatibility sum by an independent recursion, with one Fraction
+    operation per term: branch on the highest index of each component of
+    the incompatibility graph, memoised by mask.  It shares no code with
+    the frontier sweep of `polymers.compatibility_sum`."""
     n = len(weights)
     incompat = [0] * n
     for i in range(n):

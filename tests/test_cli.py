@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from hypercount.cli import main
 
 from conftest import (circulant, kp_instances, loose_path, matching,
                       single_edge)
+from oracles import path_independence_polynomial
 
 
 SINGLE = serialize_text(single_edge(3))
@@ -84,6 +86,18 @@ class TestCommands:
                                "--class", "0", "--b", "1")
         assert code == 0
         assert kv(out)["log_xi"] == format(1300 * math.log(7 / 4), ".12g")
+
+    def test_xi_on_a_long_loose_path(self, capsys, tmp_path):
+        # the class-2 vertex of edge i has weight 3/4 and meets only the
+        # class-2 vertices of edges i - 1 and i + 1, so Xi is the
+        # independence polynomial of a 1200-vertex path at 3/4
+        path = tmp_path / "path.hg"
+        path.write_text(serialize_text(loose_path(1200)))
+        code, out, _ = run_cli(capsys, "xi", "-i", str(path),
+                               "--class", "2", "--b", "1")
+        assert code == 0
+        assert Fraction(kv(out)["xi"]) == \
+            path_independence_polynomial(1200, Fraction(3, 4))
 
     def test_kp_check(self, capsys, single_path):
         code, out, _ = run_cli(capsys, "kp-check", "-i", single_path,
@@ -299,15 +313,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error=input") and name in err
 
-    def test_deep_compatibility_sum_refuses(self, capsys, tmp_path):
-        # the 1200 class-2 polymers of a loose path form a path of
-        # incompatibilities, deeper than the default recursion limit
-        path = tmp_path / "path.hg"
-        path.write_text(serialize_text(loose_path(1200)))
-        code, _, err = run_cli(capsys, "xi", "-i", str(path),
-                               "--class", "2", "--b", "1")
-        assert code == 3 and "error=budget" in err
-        assert "recursed deeper" in err
+    def test_compatibility_sum_state_cap_refusal(self, capsys, tmp_path,
+                                                 monkeypatch):
+        from hypercount import exact
+        monkeypatch.setattr(exact, "STATE_CAP", 7)
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(kp_instances()[1]))
+        code, out, err = run_cli(capsys, "xi", "-i", str(path),
+                                 "--class", "0", "--b", "2")
+        assert code == 3 and out == "" and err.startswith("error=budget")
+        assert "swept 7 of 20 polymers and held 8 live states" in err
 
     def test_long_polymer_growth_refuses_at_the_cap(self, capsys, tmp_path,
                                                     monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+from hypercount import exact
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         compatibility_sum, compatible, count_by_filter,
                         enumerate_polymers, gamma_k, gen_linear_regular,
@@ -21,6 +22,19 @@ from conftest import (girth5_instances, kp_instances, matching,
 from oracles import compatibility_sum_fraction
 
 V = Vertex
+
+
+@st.composite
+def dyadic_items(draw):
+    """Up to 14 (weight, neighbourhood) pairs: weights m / 2^e with mixed
+    exponents, neighbourhoods drawn from a pool of at most 8 small sets, so
+    repeated and empty ones are common."""
+    pool = draw(st.lists(st.frozensets(st.integers(0, 9), max_size=3),
+                         min_size=1, max_size=8))
+    return draw(st.lists(st.tuples(
+        st.builds(Fraction, st.integers(0, 40),
+                  st.integers(0, 6).map(lambda e: 1 << e)),
+        st.sampled_from(pool)), max_size=14))
 
 
 class TestEnumeration:
@@ -194,25 +208,28 @@ class TestPartitionFunction:
         with pytest.raises(InputError, match=f"cap must be non-negative, got {cap}"):
             enumerate_polymers(G, 0, b, max_polymers=cap)
 
-    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6),
-                              st.frozensets(st.integers(0, 5), max_size=3)),
-                    max_size=9))
+    @given(dyadic_items())
     @settings(max_examples=150, deadline=None)
     def test_compatibility_sum_matches_brute_force(self, items):
-        # weights m / 2^e with mixed exponents; distinct indices are
-        # compatible iff their sets are disjoint
-        weights = [Fraction(m, 1 << e) for m, e, _ in items]
-        sets = [nb for _, _, nb in items]
-        total = Fraction(0)
-        for size in range(len(items) + 1):
-            for fam in itertools.combinations(range(len(items)), size):
-                if all(not sets[a] & sets[c]
-                       for a, c in itertools.combinations(fam, 2)):
-                    prod = Fraction(1)
-                    for i in fam:
-                        prod *= weights[i]
-                    total += prod
-        assert compatibility_sum(weights, sets) == total
+        # every family of pairwise-disjoint neighbourhoods, listed one by one
+        weights = [w for w, _ in items]
+        sets = [nb for _, nb in items]
+        families = [((), Fraction(1))]
+        for i, nb in enumerate(sets):
+            families += [(fam + (i,), prod * weights[i])
+                         for fam, prod in families
+                         if all(not sets[j] & nb for j in fam)]
+        assert compatibility_sum(weights, sets) == \
+            sum(prod for _, prod in families)
+
+    @given(dyadic_items(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_compatibility_sum_ignores_the_index_order(self, items, data):
+        # the sweep's order, and so its states, follow the indices
+        shuffled = data.draw(st.permutations(items))
+        assert compatibility_sum([w for w, _ in shuffled],
+                                 [nb for _, nb in shuffled]) == \
+            compatibility_sum([w for w, _ in items], [nb for _, nb in items])
 
     def test_compatibility_sum_matches_fraction_form(self):
         for k, n, r, G in girth5_instances():
@@ -221,6 +238,28 @@ class TestPartitionFunction:
                 w = [polymer_weight(G, p) for p in polys]
                 nb = [p.neighborhood for p in polys]
                 assert compatibility_sum(w, nb) == compatibility_sum_fraction(w, nb)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("index", range(len(kp_instances())))
+    def test_compatibility_sum_matches_fraction_form_on_kp_instances(
+            self, index, b):
+        G = kp_instances()[index]
+        for cls in range(G.k):
+            polys = enumerate_polymers(G, cls, b)
+            w = [polymer_weight(G, p) for p in polys]
+            nb = [p.neighborhood for p in polys]
+            assert compatibility_sum(w, nb) == compatibility_sum_fraction(w, nb)
+
+    def test_state_cap_refusal(self, monkeypatch):
+        G = kp_instances()[1]
+        expected = partition_function(G, 0, 2)
+        monkeypatch.setattr(exact, "STATE_CAP", 8)
+        assert partition_function(G, 0, 2) == expected
+        monkeypatch.setattr(exact, "STATE_CAP", 7)
+        with pytest.raises(BudgetExceeded, match=(
+                r"^the compatibility sum swept 7 of 20 polymers and held 8 "
+                r"live states, over the cap of 7; refusing")):
+            partition_function(G, 0, 2)
 
     def test_compatibility_sum_needs_dyadic_weights(self):
         with pytest.raises(InputError):
