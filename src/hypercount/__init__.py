@@ -1,6 +1,6 @@
 """Exact and approximate counting of independent sets in k-partite
 k-uniform hypergraphs via polymer models and truncated cluster expansion,
-with exact brute-force oracles for every computable identity."""
+with an exact integer counter to check the expansion against."""
 
 from .clusters import (Cluster, CountEstimate, cluster_weight,
                        enumerate_clusters, estimate_count, truncated_log_xi,
@@ -8,14 +8,13 @@ from .clusters import (Cluster, CountEstimate, cluster_weight,
 from .errors import (BudgetExceeded, GenerationError, HypercountError,
                      InputError)
 from .exact import (DefectClassCount, class_mask, count_by_filter,
-                    count_completions, count_independent_sets,
-                    count_subsets_avoiding, count_with_defect_class,
-                    defect_profile, edge_masks, independent_masks)
+                    count_independent_sets, count_subsets_avoiding,
+                    count_with_defect_class, defect_profile, edge_masks,
+                    independent_masks)
 from .formats import (digest, load, loads, parse_json, parse_text,
                       serialize_json, serialize_text)
-from .formulas import (AlphaBound, ClosedFormEstimate, alpha_kt,
-                       closed_form_t1, closed_form_t2, expected_t2_delta,
-                       gamma_k, ordered_pair_sum_enumerated,
+from .formulas import (ClosedFormEstimate, closed_form_t1, closed_form_t2,
+                       expected_t2_delta, gamma_k, ordered_pair_sum_enumerated,
                        ordered_pair_sum_printed, pair_polymer_sum,
                        singleton_sum)
 from .hypergraph import (Hypergraph, LinkGraph, Vertex, find_loose_cycle,
@@ -27,7 +26,6 @@ from .lab import (PropertyReport, check_common_neighbor, check_def,
 from .logdomain import LogValue, log_sum_exp
 from .polymers import (KpTerms, Polymer, compatibility_sum, compatible,
                        enumerate_polymers, kp_terms, make_polymer,
-                       max_matching_size, partition_function,
-                       polymer_count_bound_holds, polymer_weight)
+                       partition_function, polymer_weight)
 
 __version__ = "0.1.0"

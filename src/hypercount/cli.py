@@ -267,8 +267,11 @@ def _cmd_generate(args):
                + (f" min_girth={args.min_girth}" if args.min_girth else ""))
     text = formats.serialize_text(G, comment=comment)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}")
         return (G, {"k": args.k, "n": args.n, "r": args.r, "seed": args.seed},
                 {"edges": G.num_edges, "out": args.out}, [])
     if args.json:
@@ -311,89 +314,94 @@ def _cmd_compare(args):
 # ----- parser ------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_CLASS = _arg("--class", dest="cls", type=int, required=True)
+_B = _arg("--b", type=int, required=True)
+_T = _arg("--t", type=int, required=True)
+_ROOT = _arg("--root", default=None, help="<class>:<index>")
+
+# command name -> (handler, reads --input, argument specs in parser order)
+_COMMANDS = {
+    "exact-count": (_cmd_exact_count, True, ()),
+    "defect-count": (_cmd_defect_count, True, (_CLASS, _B)),
+    "polymers": (_cmd_polymers, True, (_CLASS, _B, _ROOT)),
+    "xi": (_cmd_xi, True, (_CLASS, _B)),
+    "kp-check": (_cmd_kp_check, True, (_CLASS, _B, _ROOT)),
+    "clusters": (_cmd_clusters, True, (_CLASS, _T)),
+    "log-xi-trunc": (_cmd_log_xi_trunc, True, (_CLASS, _T)),
+    "estimate": (_cmd_estimate, True, (_T,)),
+    "closed-form": (_cmd_closed_form, True,
+                    (_arg("--t", type=int, choices=(1, 2), required=True),)),
+    "check": (_cmd_check, True, (
+        _arg("property", choices=("reg", "exp1", "exp2", "def", "linear",
+                                  "girth", "common-neighbor")),
+        _arg("--t", type=int, default=1),
+        _arg("--alpha", default="1/4"),
+        _arg("--beta", default="1/4"),
+        _arg("--b", type=int, default=1),
+        _arg("--min-girth", dest="min_girth", type=int, default=5),
+        _arg("--size-cap", dest="size_cap", type=int, default=3),
+        _arg("--samples", type=int, default=10_000),
+        _arg("--seed", type=int, default=0))),
+    "generate": (_cmd_generate, False, (
+        _arg("--k", type=int, required=True),
+        _arg("--n", type=int, required=True),
+        _arg("--r", type=int, required=True),
+        _arg("--seed", type=int, required=True),
+        _arg("--min-girth", dest="min_girth", type=int, default=None),
+        _arg("--out", default=None))),
+    "compare": (_cmd_compare, True, (_T,)),
+}
+
+
+def _command_of(argv: list) -> Optional[str]:
+    """The command that argv names after nothing but top-level flags, or
+    None.  Other leading tokens ('-', '-1', '--', '--js') can change what
+    argparse takes as the command, so they get the full parser."""
+    for arg in argv:
+        if arg not in ("--json", "-h", "--help"):
+            return arg if arg in _COMMANDS else None
+    return None
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser, holding only `command`'s subparser when it names one
+    (each add_argument builds a HelpFormatter, so the full tree costs
+    milliseconds per call) and every subparser otherwise."""
     parser = argparse.ArgumentParser(
         prog="hypercount",
         description="Exact and truncated-expansion counting of independent "
                     "sets in partite uniform hypergraphs.")
     parser.add_argument("--json", action="store_true",
                         help="structured JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, needs_input=True):
+    names = list(_COMMANDS)
+    if command in _COMMANDS:
+        # the metavar keeps top-level usage lines listing every command
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(names) + "}")
+        names = [command]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        _, needs_input, specs = _COMMANDS[name]
         p = sub.add_parser(name)
-        p.set_defaults(handler=fn)
         if needs_input:
             p.add_argument("--input", "-i", default="-",
                            help="path to instance file, '-' for stdin")
-        return p
-
-    add("exact-count", _cmd_exact_count)
-
-    p = add("defect-count", _cmd_defect_count)
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    p = add("polymers", _cmd_polymers)
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--root", default=None, help="<class>:<index>")
-
-    p = add("xi", _cmd_xi)
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-
-    p = add("kp-check", _cmd_kp_check)
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--root", default=None, help="<class>:<index>")
-
-    p = add("clusters", _cmd_clusters)
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = add("log-xi-trunc", _cmd_log_xi_trunc)
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = add("estimate", _cmd_estimate)
-    p.add_argument("--t", type=int, required=True)
-
-    p = add("closed-form", _cmd_closed_form)
-    p.add_argument("--t", type=int, choices=(1, 2), required=True)
-
-    p = add("check", _cmd_check)
-    p.add_argument("property", choices=("reg", "exp1", "exp2", "def",
-                                        "linear", "girth", "common-neighbor"))
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--alpha", default="1/4")
-    p.add_argument("--beta", default="1/4")
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--min-girth", dest="min_girth", type=int, default=5)
-    p.add_argument("--size-cap", dest="size_cap", type=int, default=3)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("generate", _cmd_generate, needs_input=False)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--min-girth", dest="min_girth", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-    p = add("compare", _cmd_compare)
-    p.add_argument("--t", type=int, required=True)
-
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(_command_of(argv)).parse_args(argv)
     start = time.perf_counter()
     try:
-        G, params, results, rows = args.handler(args)
+        G, params, results, rows = _COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error=input {exc}", file=sys.stderr)
         return 2

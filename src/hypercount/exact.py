@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -278,21 +278,3 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int,
     profile = defect_profile(G, cls, budget)
     bound = min(b, G.sizes[cls])
     return DefectClassCount(cls=cls, bound=b, count=profile[bound])
-
-
-def count_completions(G: Hypergraph, cls: int, T: Iterable) -> int:
-    """Number of independent sets I with trace exactly T on the given class.
-
-    Uses the closed formula: completions of T are independent sets of the
-    link graph of T on N(T), times free choices outside the class and N(T).
-    """
-    G._check_class(cls)
-    T = frozenset(G._check_vertex(v) for v in T)
-    for v in T:
-        if v.cls != cls:
-            raise InputError(f"defect vertex {v} not in class {cls}")
-    outside = G.num_vertices - G.sizes[cls]
-    if not T:
-        return 1 << outside
-    L = G.link_graph(T)
-    return count_independent_sets(L) << (outside - len(L.vertices))

@@ -100,13 +100,20 @@ def loads(text: str) -> Hypergraph:
 
 
 def load(source: Union[str, TextIO, None] = None) -> Hypergraph:
-    """Read from a path, an open stream, '-' or None for stdin."""
+    """Read from a path, an open stream, '-' or None for stdin.  A path that
+    cannot be read, or does not hold UTF-8 text, raises InputError."""
     if source is None or source == "-":
         return loads(sys.stdin.read())
-    if isinstance(source, str):
+    if not isinstance(source, str):
+        return loads(source.read())
+    try:
         with open(source, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
-    return loads(source.read())
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {source}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{source} is not UTF-8 text: {exc}")
+    return loads(text)
 
 
 def serialize_text(G: Hypergraph, comment: Optional[str] = None) -> str:

@@ -1,10 +1,8 @@
 """Closed-form constants and estimates for linear regular instances.
 
-Everything that can be a rational is a rational; the expansion parameter
-is evaluated in high precision with both branches reported.  The size-2
-closed form carries both the printed pair-cluster count and the
-enumeration-derived one (they differ by the diagonal pair), never silently
-preferring either.
+Everything that can be a rational is a rational.  The size-2 closed form
+carries both the printed pair-cluster count and the enumeration-derived one
+(they differ by the diagonal pair), never silently preferring either.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from mpmath import mp, mpf
 
 from .errors import InputError
 from .logdomain import LogValue
@@ -26,36 +22,6 @@ def gamma_k(k: int) -> Fraction:
     if k < 2:
         raise InputError("gamma_k requires k >= 2")
     return Fraction(1 << (k - 1), (1 << (k - 1)) - 1)
-
-
-@dataclass(frozen=True)
-class AlphaBound:
-    """Expansion slack parameter: half the minimum of a size-decaying branch
-    and a size-free weight-entropy branch; always strictly inside (0, 1)."""
-
-    k: int
-    t: int
-    decay_branch: float
-    balance_branch: float
-
-    @property
-    def value(self) -> float:
-        return min(self.decay_branch, self.balance_branch)
-
-
-def alpha_kt(k: int, t: int) -> AlphaBound:
-    if k < 2:
-        raise InputError("alpha requires k >= 2")
-    if t < 1:
-        raise InputError("alpha requires t >= 1")
-    with mp.workdps(50):
-        gamma = mpf(1 << (k - 1)) / mpf((1 << (k - 1)) - 1)
-        log_gamma = mp.log(gamma)
-        decay = mp.mpf("0.5") * (log_gamma / mp.log(2)) / mp.exp(2 * t)
-        balance = mp.mpf("0.5") * (k - 1) * (1 - mp.log(2)) * log_gamma \
-            / (mp.log((1 << (k - 1)) - 1) + log_gamma)
-        return AlphaBound(k=k, t=t, decay_branch=float(decay),
-                          balance_branch=float(balance))
 
 
 @dataclass(frozen=True)

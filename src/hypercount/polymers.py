@@ -21,7 +21,7 @@ from mpmath import iv
 from . import exact
 from .errors import BudgetExceeded, InputError
 from .exact import count_independent_sets
-from .hypergraph import Hypergraph, LinkGraph, Vertex
+from .hypergraph import Hypergraph, Vertex
 
 DEFAULT_MAX_POLYMERS = 20_000
 
@@ -350,61 +350,3 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
                              terms=terms)
     return [results[u] for u in roots]
 
-
-# ----- matchings in link graphs -------------------------------------------------
-
-
-def max_matching_size(L: LinkGraph) -> int:
-    """Maximum number of pairwise-disjoint edges, by branch and bound."""
-    order = sorted(L.vertices)
-    pos = {v: i for i, v in enumerate(order)}
-    masks = sorted({sum(1 << pos[v] for v in e) for e in L.edges})
-    best = [0]
-
-    def greedy(avail, edges):
-        used = 0
-        size = 0
-        for e in edges:
-            if not e & used and (e & avail) == e:
-                used |= e
-                size += 1
-        return size
-
-    def upper(avail, edges):
-        live = sum(1 for e in edges if (e & avail) == e)
-        if not live:
-            return 0
-        width = max(1, L.uniformity)
-        return min(live, bin(avail).count("1") // width)
-
-    def search(avail, edges, size):
-        best[0] = max(best[0], size)
-        live = [e for e in edges if (e & avail) == e]
-        if not live:
-            return
-        if size + upper(avail, live) <= best[0]:
-            return
-        e = live[0]
-        # take the first live edge, or discard it
-        search(avail & ~e, live[1:], size + 1)
-        search(avail, live[1:], size)
-
-    avail = (1 << len(order)) - 1
-    best[0] = greedy(avail, masks)
-    search(avail, masks, 0)
-    return best[0]
-
-
-# ----- enumeration bounds --------------------------------------------------------
-
-
-def polymer_count_bound(k: int, r: int, s: int):
-    """Interval enclosure of e * ((k-1) e r^2)^(s-1), the exact upper bound
-    on the number of 2-linked s-sets through a fixed vertex."""
-    e = iv.exp(iv.mpf(1))
-    return e * (iv.mpf((k - 1) * r * r) * e) ** (s - 1)
-
-
-def polymer_count_bound_holds(count: int, k: int, r: int, s: int) -> bool:
-    """Outward-rounded comparison: True only when the bound certainly holds."""
-    return bool(iv.mpf(count) <= polymer_count_bound(k, r, s).a)

@@ -5,16 +5,23 @@ literal enumerations (Ursell functions over edge subsets, clusters of an
 abstract polymer model), a transfer matrix along a loose path, the
 independence polynomial of a path, a memoised recursion for the
 compatibility sum, and the term-by-term `Fraction` form of
-`truncated_log_xi`.
+`truncated_log_xi`.  It also holds helpers that only the tests read: the
+completion formula for a defect set, maximum matchings in link graphs, the
+polymer-count bound and the expansion parameter alpha(k, t).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from hypercount import Hypergraph, enumerate_polymers, polymer_weight, ursell
+from mpmath import iv, mp, mpf
+
+from hypercount import (Hypergraph, InputError, LinkGraph,
+                        count_independent_sets, enumerate_polymers,
+                        polymer_weight, ursell)
 
 
 def graph_components(n: int, edges) -> int:
@@ -215,3 +222,105 @@ def truncated_log_xi_fraction(G: Hypergraph, cls: int, t: int) -> Fraction:
             total += logs[s] * sum((-1) ** j * math.comb(d, j)
                                    for j in range(s - c + 1))
     return total
+
+
+# ----- helpers read only by the tests -------------------------------------------
+
+
+def count_completions(G: Hypergraph, cls: int, T: Iterable) -> int:
+    """Number of independent sets I with trace exactly T on the given class.
+
+    Uses the closed formula: completions of T are independent sets of the
+    link graph of T on N(T), times free choices outside the class and N(T).
+    """
+    T = frozenset(T)
+    if not T <= set(G.class_vertices(cls)):
+        raise InputError(f"defect set not within class {cls}")
+    outside = G.num_vertices - G.sizes[cls]
+    if not T:
+        return 1 << outside
+    L = G.link_graph(T)
+    return count_independent_sets(L) << (outside - len(L.vertices))
+
+
+def max_matching_size(L: LinkGraph) -> int:
+    """Maximum number of pairwise-disjoint edges, by branch and bound."""
+    order = sorted(L.vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    masks = sorted({sum(1 << pos[v] for v in e) for e in L.edges})
+    best = [0]
+
+    def greedy(avail, edges):
+        used = 0
+        size = 0
+        for e in edges:
+            if not e & used and (e & avail) == e:
+                used |= e
+                size += 1
+        return size
+
+    def upper(avail, edges):
+        live = sum(1 for e in edges if (e & avail) == e)
+        if not live:
+            return 0
+        width = max(1, L.uniformity)
+        return min(live, bin(avail).count("1") // width)
+
+    def search(avail, edges, size):
+        best[0] = max(best[0], size)
+        live = [e for e in edges if (e & avail) == e]
+        if not live:
+            return
+        if size + upper(avail, live) <= best[0]:
+            return
+        e = live[0]
+        # take the first live edge, or discard it
+        search(avail & ~e, live[1:], size + 1)
+        search(avail, live[1:], size)
+
+    avail = (1 << len(order)) - 1
+    best[0] = greedy(avail, masks)
+    search(avail, masks, 0)
+    return best[0]
+
+
+def polymer_count_bound(k: int, r: int, s: int):
+    """Interval enclosure of e * ((k-1) e r^2)^(s-1), the exact upper bound
+    on the number of 2-linked s-sets through a fixed vertex."""
+    e = iv.exp(iv.mpf(1))
+    return e * (iv.mpf((k - 1) * r * r) * e) ** (s - 1)
+
+
+def polymer_count_bound_holds(count: int, k: int, r: int, s: int) -> bool:
+    """Outward-rounded comparison: True only when the bound certainly holds."""
+    return bool(iv.mpf(count) <= polymer_count_bound(k, r, s).a)
+
+
+@dataclass(frozen=True)
+class AlphaBound:
+    """Expansion slack parameter: half the minimum of a size-decaying branch
+    and a size-free weight-entropy branch; always strictly inside (0, 1)."""
+
+    k: int
+    t: int
+    decay_branch: float
+    balance_branch: float
+
+    @property
+    def value(self) -> float:
+        return min(self.decay_branch, self.balance_branch)
+
+
+def alpha_kt(k: int, t: int) -> AlphaBound:
+    if k < 2:
+        raise InputError("alpha requires k >= 2")
+    if t < 1:
+        raise InputError("alpha requires t >= 1")
+    with mp.workdps(50):
+        gamma = mpf(1 << (k - 1)) / mpf((1 << (k - 1)) - 1)
+        log_gamma = mp.log(gamma)
+        decay = mp.mpf("0.5") * (log_gamma / mp.log(2)) / mp.exp(2 * t)
+        balance = mp.mpf("0.5") * (k - 1) * (1 - mp.log(2)) * log_gamma \
+            / (mp.log((1 << (k - 1)) - 1) + log_gamma)
+        return AlphaBound(k=k, t=t, decay_branch=float(decay),
+                          balance_branch=float(balance))

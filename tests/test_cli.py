@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hypercount import loads, serialize_text
-from hypercount.cli import main
+from hypercount.cli import _COMMANDS, _build_parser, main
 
 from conftest import (circulant, kp_instances, loose_path, matching,
                       single_edge)
@@ -35,6 +35,35 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def minimal_argv(name):
+    """`name` followed by a value for each argument it requires."""
+    argv = [name]
+    for flags, kwargs in _COMMANDS[name][2]:
+        if not flags[0].startswith("-"):
+            argv.append(kwargs["choices"][0])
+        elif kwargs.get("required"):
+            argv += [flags[0], str(kwargs.get("choices", (1,))[0])]
+    return argv
+
+
+def parse_outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# argv that the parser answers by itself: help, then usage errors
+PARSER_CASES = (
+    [[name, "--help"] for name in _COMMANDS]
+    + [[name] for name in _COMMANDS if minimal_argv(name) != [name]]
+    + [minimal_argv(name) + ["--bogus"] for name in _COMMANDS]
+    + [["check", "nope"], ["closed-form", "--t", "3"], ["estimate", "--t", "x"],
+       [], ["foo"], ["--json"], ["--json", "-h", "estimate"],
+       ["-1", "estimate"]])
 
 
 def kv(out):
@@ -355,6 +384,45 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "xi", "-i", single_path,
                                "--class", "7", "--b", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "undecodable",
+                                      "unwritable-out"])
+    def test_file_errors(self, capsys, tmp_path, case):
+        undecodable = tmp_path / "bytes.hg"
+        undecodable.write_bytes(b"\xff\xfe")
+        path = {"missing": tmp_path / "none.hg", "directory": tmp_path,
+                "undecodable": undecodable,
+                "unwritable-out": tmp_path / "none" / "out.hg"}[case]
+        if case == "unwritable-out":
+            argv = ("generate", "--k", "3", "--n", "3", "--r", "1",
+                    "--seed", "4", "--out", str(path))
+        else:
+            argv = ("estimate", "--t", "1", "-i", str(path))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error=input")
+        assert str(path) in err and "Traceback" not in err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_CASES,
+                             ids=lambda argv: " ".join(argv) or "(none)")
+    def test_selective_parse_matches_full_parser(self, capsys, argv):
+        assert (parse_outcome(capsys, main, argv)
+                == parse_outcome(capsys, _build_parser().parse_args, argv))
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_every_command_dispatches_to_its_handler(self, monkeypatch, name):
+        handler, needs_input, specs = _COMMANDS[name]
+        assert handler.__name__ == "_cmd_" + name.replace("-", "_")
+        calls = []
+
+        def record(args):
+            calls.append(args.command)
+            return None, {}, {}, []
+
+        monkeypatch.setitem(_COMMANDS, name, (record, needs_input, specs))
+        assert main(minimal_argv(name)) == 0
+        assert calls == [name]
 
 
 class TestDeterminism:

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from hypercount import exact
 from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
-                        count_by_filter, count_completions,
-                        count_independent_sets, count_subsets_avoiding,
-                        count_with_defect_class, defect_profile, edge_masks,
-                        independent_masks)
+                        count_by_filter, count_independent_sets,
+                        count_subsets_avoiding, count_with_defect_class,
+                        defect_profile, edge_masks, independent_masks)
 
 from conftest import (circulant, loose_path, matching, partite_hypergraphs,
                       random_partite, random_uniform_system, two_shared)
-from oracles import loose_path_count
+from oracles import count_completions, loose_path_count
 
 V = Vertex
 

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from hypercount import (InputError, alpha_kt, closed_form_t1, closed_form_t2,
+from hypercount import (InputError, closed_form_t1, closed_form_t2,
                         expected_t2_delta, gamma_k, gen_linear_regular,
                         ordered_pair_sum_enumerated, ordered_pair_sum_printed,
                         pair_polymer_sum, singleton_sum, truncated_log_xi)
 from hypercount.errors import GenerationError
+
+from oracles import alpha_kt
 
 
 class TestGamma:

@@ -13,13 +13,13 @@ from hypercount import exact
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         compatibility_sum, compatible, count_by_filter,
                         enumerate_polymers, gamma_k, gen_linear_regular,
-                        kp_terms, make_polymer, max_matching_size,
-                        partition_function, polymer_count_bound_holds,
+                        kp_terms, make_polymer, partition_function,
                         polymer_weight)
 
 from conftest import (girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
-from oracles import compatibility_sum_fraction
+from oracles import (compatibility_sum_fraction, max_matching_size,
+                     polymer_count_bound_holds)
 
 V = Vertex
 
