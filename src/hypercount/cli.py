@@ -38,6 +38,10 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
+def _polymer_cap() -> int:
+    return _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
+
+
 def _fmt(v):
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -116,14 +120,14 @@ def _cmd_defect_count(args):
 
 def _cmd_polymers(args):
     G = _load(args)
-    cap = _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
     root = _vertex(args.root) if args.root else None
     polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root,
-                                        max_polymers=cap)
+                                        max_polymers=_polymer_cap())
+    weights = polymers.weight_map(G, args.cls, polys)
     rows = [("polymer", {
         "vertices": [str(v) for v in p.vertices],
         "order": p.order,
-        "weight": polymers.polymer_weight(G, p),
+        "weight": weights[p],
         "neighborhood_size": len(p.neighborhood),
     }) for p in polys]
     params = {"class": args.cls, "b": args.b}
@@ -134,18 +138,16 @@ def _cmd_polymers(args):
 
 def _cmd_xi(args):
     G = _load(args)
-    cap = _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
-    value = polymers.partition_function(G, args.cls, args.b, max_polymers=cap)
+    value = polymers.partition_function(G, args.cls, args.b, _polymer_cap())
     return (G, {"class": args.cls, "b": args.b},
             {"xi": value, "log_xi": LogValue.of(value).log}, [])
 
 
 def _cmd_kp_check(args):
     G = _load(args)
-    cap = _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
     roots = ([_vertex(args.root)] if args.root
              else list(G.class_vertices(args.cls)))
-    found = polymers.kp_terms(G, args.cls, roots, args.b, max_polymers=cap)
+    found = polymers.kp_terms(G, args.cls, roots, args.b, _polymer_cap())
     rows = [("root", {
         "vertex": res.root,
         "lhs_upper": res.lhs_upper,
@@ -160,8 +162,9 @@ def _cmd_kp_check(args):
 
 def _cmd_clusters(args):
     G = _load(args)
-    found = cl.enumerate_clusters(G, args.cls, args.t)
-    weights = polymers.weight_map(G, {p for c in found for p, _ in c.entries})
+    found = cl.enumerate_clusters(G, args.cls, args.t, _polymer_cap())
+    weights = polymers.weight_map(G, args.cls,
+                                  {p for c in found for p, _ in c.entries})
     rows = []
     for c in found:
         rows.append(("cluster", {
@@ -177,7 +180,7 @@ def _cmd_clusters(args):
 
 def _cmd_log_xi_trunc(args):
     G = _load(args)
-    value = cl.truncated_log_xi(G, args.cls, args.t)
+    value = cl.truncated_log_xi(G, args.cls, args.t, _polymer_cap())
     return (G, {"class": args.cls, "t": args.t},
             {"log_xi_truncated": value,
              "log_xi_truncated_float": float(value)}, [])
@@ -185,7 +188,7 @@ def _cmd_log_xi_trunc(args):
 
 def _cmd_estimate(args):
     G = _load(args)
-    est = cl.estimate_count(G, args.t)
+    est = cl.estimate_count(G, args.t, _polymer_cap())
     results = {
         "log_value": est.log_value,
         "log10_value": est.value.log10,
@@ -284,7 +287,7 @@ def _cmd_generate(args):
 def _cmd_compare(args):
     G = _load(args)
     count = exact.count_independent_sets(G)
-    est = cl.estimate_count(G, args.t)
+    est = cl.estimate_count(G, args.t, _polymer_cap())
     log_exact = LogValue.of(count).log
     rel_error = math.exp(est.log_value - log_exact) - 1
     results = {

@@ -29,8 +29,9 @@ from typing import Callable, Iterable, Sequence
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph
 from .logdomain import LogValue, log_sum_exp
-from .polymers import (Polymer, compatible, dyadic, enumerate_polymers,
-                       polymer_weight)
+from .polymers import (DEFAULT_MAX_POLYMERS, Polymer, compatible,
+                       dyadic_weights, enumerate_polymers)
+from .polymers import polymer_weight  # noqa: F401 (bench/tracing.py)
 
 URSELL_VERTEX_CAP = 9
 
@@ -170,9 +171,11 @@ def cluster_weight(cluster: Cluster, weight_of: Callable) -> Fraction:
     return phi * prod
 
 
-def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
+def enumerate_clusters(G: Hypergraph, cls: int, t: int,
+                       max_polymers: int = DEFAULT_MAX_POLYMERS) -> list:
     """Every cluster of total size at most t over the class's polymer model
-    with polymer orders capped at t, as canonical multisets, each once.
+    with polymer orders capped at t, as canonical multisets, each once;
+    refuses above max_polymers polymers, as enumerate_polymers does.
 
     The union of a cluster's polymers is 2-linked (connected entries over a
     connected incompatibility graph), so enumeration runs per candidate
@@ -182,7 +185,8 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    by_vertices = {p.vertices: p for p in enumerate_polymers(G, cls, t)}
+    by_vertices = {p.vertices: p for p in
+                   enumerate_polymers(G, cls, t, max_polymers=max_polymers)}
     clusters = []
     for sup in by_vertices:
         support = frozenset(sup)
@@ -220,7 +224,8 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
 # ----- the truncated log partition sum -----------------------------------------
 
 
-def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
+def truncated_log_xi(G: Hypergraph, cls: int, t: int,
+                     max_polymers: int = DEFAULT_MAX_POLYMERS) -> Fraction:
     """Exact [z^1..z^t] of log Xi(z) for the class, at z = 1: the sum of
     ordered-cluster weights over all clusters of size <= t.
 
@@ -236,13 +241,14 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     support U holds [z^s] only for s >= |U|; within it, [z^s] log Xi_C
     enters through every W in U that has C as a 2-linked component, and
     those cancel unless U - C lies in the d_C shared-neighbour vertices,
-    leaving the sign (-1)^|U - C|.
+    leaving the sign (-1)^|U - C|.  Refuses above max_polymers polymers.
     """
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    polymers = enumerate_polymers(G, cls, t)
-    weights = {p.vertices: dyadic(polymer_weight(G, p)) for p in polymers}
+    polymers = enumerate_polymers(G, cls, t, max_polymers=max_polymers)
+    weights = dict(zip((p.vertices for p in polymers),
+                       dyadic_weights(G, cls, polymers)))
     adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
     lcm = math.lcm(*range(1, t + 1))
     totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)
@@ -313,12 +319,14 @@ class CountEstimate:
         return LogValue.from_log(self.log_value)
 
 
-def estimate_count(G: Hypergraph, t: int) -> CountEstimate:
+def estimate_count(G: Hypergraph, t: int,
+                   max_polymers: int = DEFAULT_MAX_POLYMERS) -> CountEstimate:
     """2^((k-1)n) times the sum over classes of exp(truncated class sum),
     assembled in the log domain.
 
     Requires uniformity at least 3, regularity, and equal class sizes;
     those are the hypotheses under which the truncation is meaningful.
+    Each class refuses above max_polymers polymers, as enumerate_polymers.
     """
     if t < 1:
         raise InputError("truncation size t must be at least 1")
@@ -330,7 +338,8 @@ def estimate_count(G: Hypergraph, t: int) -> CountEstimate:
     if len(set(G.sizes)) != 1:
         raise InputError("the estimator requires equal class sizes")
     n = G.sizes[0]
-    exponents = [(cls, truncated_log_xi(G, cls, t)) for cls in range(G.k)]
+    exponents = [(cls, truncated_log_xi(G, cls, t, max_polymers))
+                 for cls in range(G.k)]
     log_value = (G.k - 1) * n * math.log(2) + log_sum_exp(
         [float(x) for _, x in exponents])
     return CountEstimate(t=t, k=G.k, n=n, r=r,

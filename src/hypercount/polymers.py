@@ -2,10 +2,10 @@
 compatibility relation, exact partition functions, and the per-root
 convergence-condition sums.
 
-Every weight |IS(link graph)| / 2^|N(S)| is an integer over a power of two,
-so the exact sums run on Python integers scaled by powers of two and build
-one Fraction per result; every identity tested downstream holds
-bit-for-bit.
+Every weight |IS(link graph)| / 2^|N(S)| is an integer m over a power of
+two 2^e; one weigher on link-graph bitmasks, `dyadic_weights`, gives every
+caller its (m, e).  The exact sums run on these integers and build one
+Fraction per result; every identity tested downstream holds bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from mpmath import iv
 
 from . import exact
 from .errors import BudgetExceeded, InputError
-from .exact import count_independent_sets
+from .exact import count_independent_sets  # noqa: F401 (bench/tracing.py)
 from .hypergraph import Hypergraph, Vertex
 
 DEFAULT_MAX_POLYMERS = 20_000
@@ -152,23 +152,42 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
         sets = list(itertools.islice(sets, max_polymers + 1))
         if len(sets) > max_polymers:
             raise _refuse_cap(max_polymers)
-    return _sorted_polymers(G, sets)
+    return _sorted_polymers(G, cls, sets)
 
 
-def _sorted_polymers(G: Hypergraph, sets) -> list:
-    return sorted(Polymer(tuple(sorted(s)), G.neighborhood(s)) for s in sets)
+def _sorted_polymers(G: Hypergraph, cls: int, sets) -> list:
+    nb = {v: G.neighborhood([v]) for v in G.class_vertices(cls)}
+    return sorted(Polymer(tuple(sorted(s)), frozenset().union(*map(nb.get, s)))
+                  for s in sets)
+
+
+def dyadic_weights(G: Hypergraph, cls: int, polymers: Iterable) -> list:
+    """Each polymer's weight as a reduced (m, e), w(S) = m / 2^e: its link
+    graph's edges are the residues e - e[cls] of the edges e through S, and
+    counted over all of G's vertices, each outside N(S) doubles the count."""
+    own = exact.class_mask(G, cls)
+    residues = {v: [] for v in G.class_vertices(cls)}
+    for e, mask in zip(G.edges, exact.edge_masks(G)):
+        residues[e[cls]].append(mask & ~own)
+    n = G.num_vertices
+    out = []
+    for p in polymers:
+        D = len(p.neighborhood)
+        masks = [m for v in p.vertices for m in residues[v]]
+        count = exact.count_subsets_avoiding(n, masks) >> (n - D)
+        z = min((count & -count).bit_length() - 1, D)
+        out.append((count >> z, D - z))
+    return out
 
 
 def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
     """Exact weight: independent sets of the link graph over 2^|N(S)|."""
-    if not S.neighborhood:
-        return Fraction(1)
-    link = G.link_graph(S.vertices)
-    return Fraction(count_independent_sets(link), 1 << len(S.neighborhood))
+    return weight_map(G, S.cls, [S])[S]
 
 
-def weight_map(G: Hypergraph, polymers: Iterable[Polymer]) -> dict:
-    return {p: polymer_weight(G, p) for p in polymers}
+def weight_map(G: Hypergraph, cls: int, polymers: Collection[Polymer]) -> dict:
+    return {p: Fraction(m, 1 << e)
+            for p, (m, e) in zip(polymers, dyadic_weights(G, cls, polymers))}
 
 
 def dyadic(w: Fraction) -> tuple:
@@ -249,7 +268,7 @@ def partition_function(G: Hypergraph, cls: int, b: int,
                        max_polymers: int = DEFAULT_MAX_POLYMERS) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class."""
     polymers = enumerate_polymers(G, cls, b, max_polymers=max_polymers)
-    weights = [polymer_weight(G, p) for p in polymers]
+    weights = list(weight_map(G, cls, polymers).values())
     return compatibility_sum(weights, [p.neighborhood for p in polymers])
 
 
@@ -312,10 +331,9 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
                     if count[u] > max_polymers:
                         raise _refuse_cap(max_polymers)
             sets.append(S)
-    polymers = _sorted_polymers(G, sets)
-    for p in polymers:
-        w = polymer_weight(G, p)
-        entry = (p, w) + dyadic(w)
+    polymers = _sorted_polymers(G, cls, sets)
+    for p, (m, e) in zip(polymers, dyadic_weights(G, cls, polymers)):
+        entry = (p, Fraction(m, 1 << e), m, e)
         for u in p.vertices:
             if u in through:
                 through[u].append(entry)

@@ -23,6 +23,18 @@ BUDGET_READERS = {
     "HYPERCOUNT_GIRTH_NODE_CAP": ("check", "girth"),
 }
 
+# each command that enumerates polymers under HYPERCOUNT_MAX_POLYMERS, with
+# its arguments past the input
+CAPPED_BY_MAX_POLYMERS = {
+    "polymers": ("--class", "0", "--b", "2"),
+    "xi": ("--class", "0", "--b", "2"),
+    "kp-check": ("--class", "0", "--b", "2"),
+    "clusters": ("--class", "0", "--t", "2"),
+    "log-xi-trunc": ("--class", "0", "--t", "2"),
+    "estimate": ("--t", "2"),
+    "compare": ("--t", "2"),
+}
+
 
 @pytest.fixture
 def single_path(tmp_path):
@@ -301,16 +313,18 @@ class TestExitCodes:
         assert code == 3 and out == "" and "error=budget" in err
         assert "swept 6 of 15 shared vertices" in err
 
-    @pytest.mark.parametrize("command", ["polymers", "xi", "kp-check"])
+    @pytest.mark.parametrize("command", sorted(CAPPED_BY_MAX_POLYMERS))
     def test_polymer_cap_refusal(self, capsys, tmp_path, monkeypatch,
                                  command):
         from hypercount import gen_linear_regular
         monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", "1")
         path = tmp_path / "inst.hg"
         path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=1)))
-        code, _, err = run_cli(capsys, command, "-i", str(path),
-                               "--class", "0", "--b", "2")
-        assert code == 3 and "polymers exceed the cap of 1" in err
+        code, out, err = run_cli(capsys, command, "-i", str(path),
+                                 *CAPPED_BY_MAX_POLYMERS[command])
+        assert code == 3 and out == ""
+        assert err.startswith("error=budget")
+        assert "polymers exceed the cap of 1" in err
 
     def test_kp_check_caps_polymers_per_root(self, capsys, tmp_path,
                                              monkeypatch):

@@ -342,6 +342,21 @@ class TestTruncatedSums:
             G = gen_linear_regular(k, n, r, seed=seed)
             assert truncated_log_xi(G, 0, t) == _cluster_sum(G, 0, t)
 
+    def test_polymer_cap(self):
+        # the cap counts the class's polymers of order <= t, and each
+        # class of the estimate is capped on its own
+        G = gen_linear_regular(3, 6, 2, seed=0)
+        count = len(enumerate_polymers(G, 0, 3))
+        most = max(len(enumerate_polymers(G, c, 3)) for c in range(3))
+        assert truncated_log_xi(G, 0, 3, count) == truncated_log_xi(G, 0, 3)
+        assert len(enumerate_clusters(G, 0, 3, count)) > 0
+        assert estimate_count(G, 3, most) == estimate_count(G, 3)
+        for run in (lambda: truncated_log_xi(G, 0, 3, count - 1),
+                    lambda: enumerate_clusters(G, 0, 3, count - 1),
+                    lambda: estimate_count(G, 3, most - 1)):
+            with pytest.raises(BudgetExceeded, match="exceed the cap"):
+                run()
+
     def test_convergence_trend_on_tiny_instance(self, edge3, capsys):
         # reported, not asserted: the truncation error against the exact
         # log partition function for t = 1..6

@@ -12,9 +12,10 @@ from mpmath import iv
 from hypercount import exact
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         compatibility_sum, compatible, count_by_filter,
-                        enumerate_polymers, gamma_k, gen_linear_regular,
-                        kp_terms, make_polymer, partition_function,
-                        polymer_weight)
+                        count_independent_sets, enumerate_polymers, gamma_k,
+                        gen_linear_regular, kp_terms, make_polymer,
+                        partition_function, polymer_weight)
+from hypercount.polymers import dyadic_weights
 
 from conftest import (girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
@@ -92,7 +93,60 @@ class TestEnumeration:
             make_polymer(G, [V(0, 0), V(0, 1)])  # not 2-linked
 
 
+@st.composite
+def weigher_instances(draw):
+    """k-partite instances with k = 2..4, classes of 1..3 vertices and up to
+    16 edges, so that residues often repeat; class 0 sometimes gains a last
+    vertex in no edge."""
+    k = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, 3)) for _ in range(k)]
+    space = list(itertools.product(*[range(s) for s in sizes]))
+    picks = draw(st.lists(st.sampled_from(space), unique=True, max_size=16))
+    sizes[0] += draw(st.booleans())
+    return Hypergraph.build(k, sizes, [list(enumerate(combo))
+                                       for combo in picks])
+
+
+def assert_weights_match_link_graphs(G):
+    """Every polymer of order <= 3 weighs, on the residue bitmasks, what
+    its link graph gives through the exact counter, as a reduced (m, e),
+    and carries G's neighbourhood of it."""
+    for cls in range(G.k):
+        polys = enumerate_polymers(G, cls, 3)
+        for p, (m, e) in zip(polys, dyadic_weights(G, cls, polys)):
+            nb = G.neighborhood(p.vertices)
+            want = Fraction(count_independent_sets(G.link_graph(p.vertices)),
+                            2 ** len(nb))
+            assert Fraction(m, 1 << e) == want
+            assert m % 2 == 1 or e == 0
+            assert p.neighborhood == nb
+            assert polymer_weight(G, p) == want
+
+
 class TestWeights:
+    @given(weigher_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_bitmask_weights_match_link_graphs(self, G):
+        assert_weights_match_link_graphs(G)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_repeated_residues_and_an_isolated_vertex(self, k):
+        # edges (0:i, 1:0, ..) for i = 0, 1 repeat their residue, and 0:2
+        # lies in no edge
+        rest = [(c, 0) for c in range(1, k)]
+        G = Hypergraph.build(k, [3] + [2] * (k - 1),
+                             [[(0, 0)] + rest, [(0, 1)] + rest,
+                              [(0, 1)] + [(c, 1) for c in range(1, k)]])
+        assert_weights_match_link_graphs(G)
+        pair = make_polymer(G, [V(0, 0), V(0, 1)])
+        assert len(G.link_graph(pair.vertices).edges) == 2
+        # two disjoint (k-1)-edges on the 2(k-1) vertices of N(pair)
+        assert dyadic_weights(G, 0, [pair]) == [
+            (((1 << k - 1) - 1) ** 2, 2 * (k - 1))]
+        alone = make_polymer(G, [V(0, 2)])
+        assert alone.neighborhood == frozenset()
+        assert dyadic_weights(G, 0, [alone]) == [(1, 0)]
+
     def test_single_edge_weight(self, edge3):
         p = make_polymer(edge3, [V(0, 0)])
         assert polymer_weight(edge3, p) == Fraction(3, 4)
