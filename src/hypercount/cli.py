@@ -98,6 +98,13 @@ def _vertex(text: str) -> Vertex:
         raise InputError(f"bad vertex {text!r}, expected <class>:<index>")
 
 
+def _fraction(name: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad --{name} {text!r}, expected a rational")
+
+
 def _load(args) -> Hypergraph:
     return formats.load(args.input)
 
@@ -123,11 +130,10 @@ def _cmd_polymers(args):
     root = _vertex(args.root) if args.root else None
     polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root,
                                         max_polymers=_polymer_cap())
-    weights = polymers.weight_map(G, args.cls, polys)
     rows = [("polymer", {
         "vertices": [str(v) for v in p.vertices],
         "order": p.order,
-        "weight": weights[p],
+        "weight": p.weight,
         "neighborhood_size": len(p.neighborhood),
     }) for p in polys]
     params = {"class": args.cls, "b": args.b}
@@ -163,8 +169,6 @@ def _cmd_kp_check(args):
 def _cmd_clusters(args):
     G = _load(args)
     found = cl.enumerate_clusters(G, args.cls, args.t, _polymer_cap())
-    weights = polymers.weight_map(G, args.cls,
-                                  {p for c in found for p, _ in c.entries})
     rows = []
     for c in found:
         rows.append(("cluster", {
@@ -172,7 +176,7 @@ def _cmd_clusters(args):
             "length": c.length,
             "size": c.size,
             "orderings": c.ordering_count,
-            "weight": cl.cluster_weight(c, weights.__getitem__),
+            "weight": cl.cluster_weight(c, lambda p: p.weight),
         }))
     return (G, {"class": args.cls, "t": args.t},
             {"count": len(found)}, rows)
@@ -241,12 +245,11 @@ def _cmd_check(args):
     kind = args.property
     if kind == "reg":
         rep = lab.check_reg(G, args.t)
-    elif kind == "exp1":
-        rep = lab.check_exp1(G, Fraction(args.alpha), size_cap=args.size_cap,
-                             samples=args.samples, seed=args.seed)
-    elif kind == "exp2":
-        rep = lab.check_exp2(G, Fraction(args.beta), size_cap=args.size_cap,
-                             samples=args.samples, seed=args.seed)
+    elif kind in ("exp1", "exp2"):
+        check, name = ((lab.check_exp1, "alpha") if kind == "exp1"
+                       else (lab.check_exp2, "beta"))
+        rep = check(G, _fraction(name, getattr(args, name)),
+                    size_cap=args.size_cap, samples=args.samples, seed=args.seed)
     elif kind == "def":
         budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.FILTER_VERTEX_CAP)
         rep = lab.check_def(G, args.b, budget=budget, seed=args.seed)

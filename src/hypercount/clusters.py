@@ -7,15 +7,17 @@ at a time from the log series of the small polynomial Xi_C(z), the
 partition function of the subsets of C, with no clusters and no Ursell
 functions.  Every polymer is incompatible with itself, so compatible
 families are sets of polymers, as in `polymers.partition_function`.  Every
-weight is an integer over a power of two, so the series run on integers
-over 2^|N(C)| and lcm(1..t), and one Fraction is built per call.
+polymer carries its weight as an integer over a power of two, so the series
+run on integers over 2^|N(C)| and lcm(1..t), and one Fraction is built per
+call.
 
 The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`)
 serves the `clusters` command and tests the truncation.  Clusters are
 canonical multisets of polymers together with the number of orderings they
 represent, so sums over ordered polymer vectors are computed without
-factorial blowup.  Cluster weights are exact rationals; floats appear only
-at the log-domain boundary of the estimator.
+factorial blowup.  The listing refuses, as the polymer enumeration does,
+above max_polymers clusters.  Cluster weights are exact rationals; floats
+appear only at the log-domain boundary of the estimator.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph
 from .logdomain import LogValue, log_sum_exp
 from .polymers import (DEFAULT_MAX_POLYMERS, Polymer, compatible,
-                       dyadic_weights, enumerate_polymers)
+                       enumerate_polymers, refuse_cap)
 from .polymers import polymer_weight  # noqa: F401 (bench/tracing.py)
 
 URSELL_VERTEX_CAP = 9
@@ -131,10 +133,7 @@ class Cluster:
         return num
 
     def expanded(self) -> list:
-        out = []
-        for p, m in self.entries:
-            out.extend([p] * m)
-        return out
+        return [p for p, m in self.entries for _ in range(m)]
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) + (f"^{m}" if m > 1 else "")
@@ -175,7 +174,8 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int,
                        max_polymers: int = DEFAULT_MAX_POLYMERS) -> list:
     """Every cluster of total size at most t over the class's polymer model
     with polymer orders capped at t, as canonical multisets, each once;
-    refuses above max_polymers polymers, as enumerate_polymers does.
+    refuses above max_polymers polymers, as enumerate_polymers does, and
+    stops at max_polymers + 1 clusters and refuses the same way.
 
     The union of a cluster's polymers is 2-linked (connected entries over a
     connected incompatibility graph), so enumeration runs per candidate
@@ -198,13 +198,14 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int,
             suffix_cover[i] = suffix_cover[i + 1] | frozenset(polymers[i].vertices)
 
         def assign(i, budget, covered, chosen):
-            if i == len(polymers):
+            if i == len(polymers) or budget == 0:  # nothing more to choose
                 if covered == support:
-                    expanded = []
-                    for p, m in chosen:
-                        expanded.extend([p] * m)
-                    if _connected_multiset(expanded):
-                        clusters.append(Cluster(tuple(chosen)))
+                    cluster = Cluster(tuple(chosen))
+                    if _connected_multiset(cluster.expanded()):
+                        clusters.append(cluster)
+                        if (max_polymers is not None
+                                and len(clusters) > max_polymers):
+                            raise refuse_cap(max_polymers, "clusters")
                 return
             if not (support - covered) <= suffix_cover[i]:
                 return
@@ -247,8 +248,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int,
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
     polymers = enumerate_polymers(G, cls, t, max_polymers=max_polymers)
-    weights = dict(zip((p.vertices for p in polymers),
-                       dyadic_weights(G, cls, polymers)))
+    weights = {p.vertices: p.dyadic_weight for p in polymers}
     adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
     lcm = math.lcm(*range(1, t + 1))
     totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)

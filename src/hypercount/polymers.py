@@ -3,8 +3,9 @@ compatibility relation, exact partition functions, and the per-root
 convergence-condition sums.
 
 Every weight |IS(link graph)| / 2^|N(S)| is an integer m over a power of
-two 2^e; one weigher on link-graph bitmasks, `dyadic_weights`, gives every
-caller its (m, e).  The exact sums run on these integers and build one
+two 2^e.  Polymers are weighed where they are built, by one weigher on
+link-graph bitmasks, and each carries its reduced (m, e) next to its
+neighbourhood.  The exact sums run on these integers and build one
 Fraction per result; every identity tested downstream holds bit-for-bit.
 """
 
@@ -14,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from mpmath import iv
 
@@ -30,7 +31,8 @@ iv.prec = 160  # ample for the conservative interval comparisons below
 
 @dataclass(frozen=True)
 class Polymer:
-    """A 2-linked subset of one partition class with its cached neighbourhood.
+    """A 2-linked subset of one partition class with its neighbourhood and
+    its exact weight w(S) = m / 2^e as a reduced (m, e).
 
     Equality and ordering are by the sorted vertex tuple, so streams of
     polymers have a reproducible canonical order.
@@ -38,6 +40,13 @@ class Polymer:
 
     vertices: tuple
     neighborhood: frozenset = field(compare=False, hash=False, repr=False)
+    dyadic_weight: tuple = field(compare=False, hash=False, repr=False)
+
+    @property
+    def weight(self) -> Fraction:
+        """Exact weight: independent sets of the link graph over 2^|N(S)|."""
+        m, e = self.dyadic_weight
+        return Fraction(m, 1 << e)
 
     @property
     def order(self) -> int:
@@ -60,7 +69,7 @@ def make_polymer(G: Hypergraph, vertices: Iterable) -> Polymer:
         raise InputError("polymers are non-empty")
     if not G.is_two_linked(verts):
         raise InputError(f"{[str(v) for v in verts]} is not 2-linked")
-    return Polymer(verts, G.neighborhood(verts))
+    return _weighed(G, verts[0].cls, [verts])[0]
 
 
 def compatible(S: Polymer, T: Polymer) -> bool:
@@ -130,9 +139,9 @@ def _sets_meeting(G: Hypergraph, cls: int, b: int, roots: list):
         yield from _connected_sets(adj, start, b, barred)
 
 
-def _refuse_cap(cap: int):
+def refuse_cap(cap: int, items: str = "polymers") -> BudgetExceeded:
     return BudgetExceeded(
-        f"at least {cap + 1} polymers exceed the cap of {cap}; "
+        f"at least {cap + 1} {items} exceed the cap of {cap}; "
         f"refusing rather than truncating")
 
 
@@ -151,75 +160,58 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
     if max_polymers is not None:
         sets = list(itertools.islice(sets, max_polymers + 1))
         if len(sets) > max_polymers:
-            raise _refuse_cap(max_polymers)
-    return _sorted_polymers(G, cls, sets)
+            raise refuse_cap(max_polymers)
+    return _weighed(G, cls, sets)
 
 
-def _sorted_polymers(G: Hypergraph, cls: int, sets) -> list:
+def _weighed(G: Hypergraph, cls: int, sets: Iterable) -> list:
+    """The sets of class vertices as Polymers, sorted, each weighed as a
+    reduced (m, e), w(S) = m / 2^e: its link graph's edges are the residues
+    e - e[cls] of the edges e through S, and counted over all of G's
+    vertices, each outside N(S) doubles the count."""
     nb = {v: G.neighborhood([v]) for v in G.class_vertices(cls)}
-    return sorted(Polymer(tuple(sorted(s)), frozenset().union(*map(nb.get, s)))
-                  for s in sets)
-
-
-def dyadic_weights(G: Hypergraph, cls: int, polymers: Iterable) -> list:
-    """Each polymer's weight as a reduced (m, e), w(S) = m / 2^e: its link
-    graph's edges are the residues e - e[cls] of the edges e through S, and
-    counted over all of G's vertices, each outside N(S) doubles the count."""
     own = exact.class_mask(G, cls)
-    residues = {v: [] for v in G.class_vertices(cls)}
+    residues = {v: [] for v in nb}
     for e, mask in zip(G.edges, exact.edge_masks(G)):
         residues[e[cls]].append(mask & ~own)
     n = G.num_vertices
     out = []
-    for p in polymers:
-        D = len(p.neighborhood)
-        masks = [m for v in p.vertices for m in residues[v]]
+    for verts in sorted(tuple(sorted(s)) for s in sets):
+        neighborhood = frozenset().union(*map(nb.get, verts))
+        D = len(neighborhood)
+        masks = [m for v in verts for m in residues[v]]
         count = exact.count_subsets_avoiding(n, masks) >> (n - D)
         z = min((count & -count).bit_length() - 1, D)
-        out.append((count >> z, D - z))
+        out.append(Polymer(verts, neighborhood, (count >> z, D - z)))
     return out
 
 
 def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
-    """Exact weight: independent sets of the link graph over 2^|N(S)|."""
-    return weight_map(G, S.cls, [S])[S]
-
-
-def weight_map(G: Hypergraph, cls: int, polymers: Collection[Polymer]) -> dict:
-    return {p: Fraction(m, 1 << e)
-            for p, (m, e) in zip(polymers, dyadic_weights(G, cls, polymers))}
-
-
-def dyadic(w: Fraction) -> tuple:
-    """(m, e) with w = m / 2^e, for a weight whose denominator is a power
-    of two, as every polymer weight's is."""
-    e = w.denominator.bit_length() - 1
-    if w.denominator != 1 << e:
-        raise InputError(f"weight {w} is not an integer over a power of two")
-    return w.numerator, e
+    """The weight that S carries, as a Fraction."""
+    return S.weight
 
 
 # ----- exact partition function ------------------------------------------------
 
 
-def compatibility_sum(weights: Sequence[Fraction],
+def compatibility_sum(weights: Sequence[tuple],
                       neighborhoods: Sequence[frozenset]) -> Fraction:
     """Sum over all families of pairwise-compatible indices of the product
-    of their weights (empty family contributes 1); indices i and j are
-    incompatible when they are equal or their neighbourhoods meet.
+    of their weights (empty family contributes 1); the weights are (m, e)
+    pairs, w = m / 2^e with e >= 0, and indices i and j are incompatible
+    when they are equal or their neighbourhoods meet.
 
     One frontier sweep visits the indices once each, every component of
     the incompatibility graph in breadth-first order from its lowest index.
     A state is the set of later positions that some chosen index blocks;
-    each state maps to its integer count.  Each weight is an integer m_i
-    over 2^e_i, rewritten over the common 2^E, E the largest e_i, so after
-    p positions every count is an integer over 2^(E p) and one Fraction is
-    built at the end.  Refuses with BudgetExceeded when more than
-    exact.STATE_CAP states are live.
+    each state maps to its integer count.  Each weight m_i / 2^e_i is
+    rewritten over the common 2^E, E the largest e_i, so after p positions
+    every count is an integer over 2^(E p) and one Fraction is built at the
+    end.  Refuses with BudgetExceeded when more than exact.STATE_CAP states
+    are live.
     """
     n = len(weights)
-    pairs = [dyadic(w) for w in weights]
-    E = max((e for _, e in pairs), default=0)
+    E = max((e for _, e in weights), default=0)
     through = {}  # outer vertex -> the indices whose neighbourhood holds it
     for i, nb in enumerate(neighborhoods):
         for v in nb:
@@ -245,7 +237,7 @@ def compatibility_sum(weights: Sequence[Fraction],
     for p, i in enumerate(order):
         bit = 1 << p
         blocks = sum(1 << pos[j] for j in near[i] if pos[j] > p)
-        m, e = pairs[i]
+        m, e = weights[i]
         num = m << (E - e)
         nxt = {}
         for key, count in states.items():
@@ -268,8 +260,8 @@ def partition_function(G: Hypergraph, cls: int, b: int,
                        max_polymers: int = DEFAULT_MAX_POLYMERS) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class."""
     polymers = enumerate_polymers(G, cls, b, max_polymers=max_polymers)
-    weights = list(weight_map(G, cls, polymers).values())
-    return compatibility_sum(weights, [p.neighborhood for p in polymers])
+    return compatibility_sum([p.dyadic_weight for p in polymers],
+                             [p.neighborhood for p in polymers])
 
 
 # ----- convergence-condition sums ----------------------------------------------
@@ -320,7 +312,7 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
     roots = _checked_roots(G, cls, b, roots, max_polymers)
-    through = {u: [] for u in roots}  # root -> its (polymer, weight, m, e)
+    through = {u: [] for u in roots}  # root -> its (polymer, weight)
     sets = []
     if b > 0:
         count = dict.fromkeys(through, 0)
@@ -329,11 +321,11 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
                 if u in count:
                     count[u] += 1
                     if count[u] > max_polymers:
-                        raise _refuse_cap(max_polymers)
+                        raise refuse_cap(max_polymers)
             sets.append(S)
-    polymers = _sorted_polymers(G, cls, sets)
-    for p, (m, e) in zip(polymers, dyadic_weights(G, cls, polymers)):
-        entry = (p, Fraction(m, 1 << e), m, e)
+    polymers = _weighed(G, cls, sets)
+    for p in polymers:
+        entry = (p, p.weight)
         for u in p.vertices:
             if u in through:
                 through[u].append(entry)
@@ -351,15 +343,15 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
     results = {}
     for u, entries in through.items():
         by_order = {}
-        for p, _, m, e in entries:
-            by_order.setdefault(p.order, []).append((m, e))
+        for p, _ in entries:
+            by_order.setdefault(p.order, []).append(p.dyadic_weight)
         lhs = iv.mpf(0)
         for s, pairs in sorted(by_order.items()):
             # num / 2^e is the exact sum W_s of the order-s weights
             e = max(d for _, d in pairs)
             num = sum(m << (e - d) for m, d in pairs)
             lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
-        terms = tuple((p, w) + fg[p.order] for p, w, _, _ in entries)
+        terms = tuple((p, w) + fg[p.order] for p, w in entries)
         # report float endpoints rounded outward so they stay true bounds
         results[u] = KpTerms(root=u, b=b, r=r,
                              lhs_lower=math.nextafter(float(lhs.a), -math.inf),

@@ -389,6 +389,16 @@ class TestExitCodes:
                                "--class", "0", "--b", b, "--root", "0:99")
         assert code == 2 and "error=input" in err
 
+    @pytest.mark.parametrize("prop, flag", [("exp1", "--alpha"),
+                                            ("exp2", "--beta")])
+    @pytest.mark.parametrize("value", ["foo", "x", "1/0"])
+    def test_bad_expansion_parameter(self, capsys, single_path, prop, flag,
+                                     value):
+        code, out, err = run_cli(capsys, "check", prop, "-i", single_path,
+                                 flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error=input") and repr(value) in err
+
     def test_generation_failure(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--k", "4", "--n", "2",
                                "--r", "2", "--seed", "0")

@@ -222,6 +222,18 @@ class TestClusterEnumeration:
         with pytest.raises(InputError):
             enumerate_clusters(edge3, 0, 0)
 
+    def test_cluster_cap_on_a_star(self):
+        # ten class-0 vertices share the one class-1 vertex, so every subset
+        # of them is a polymer and the clusters outgrow the polymers: 385
+        # polymers of order <= 4 make 6,535 clusters of size <= 4, and size
+        # 5 (637 polymers) would list 43,139
+        G = Hypergraph.build(3, [10, 1, 10],
+                             [[(0, i), (1, 0), (2, i)] for i in range(10)])
+        assert len(enumerate_clusters(G, 0, 4)) == 6535
+        with pytest.raises(BudgetExceeded, match=(
+                "^at least 20001 clusters exceed the cap of 20000; refusing")):
+            enumerate_clusters(G, 0, 5)
+
 
 class TestClusterWeights:
     def test_singleton_cluster(self):
@@ -344,17 +356,27 @@ class TestTruncatedSums:
 
     def test_polymer_cap(self):
         # the cap counts the class's polymers of order <= t, and each
-        # class of the estimate is capped on its own
+        # class of the estimate is capped on its own; the cluster listing
+        # also caps the clusters, which outnumber the polymers
         G = gen_linear_regular(3, 6, 2, seed=0)
         count = len(enumerate_polymers(G, 0, 3))
         most = max(len(enumerate_polymers(G, c, 3)) for c in range(3))
+        clusters = len(enumerate_clusters(G, 0, 3))
+        assert clusters > count
         assert truncated_log_xi(G, 0, 3, count) == truncated_log_xi(G, 0, 3)
-        assert len(enumerate_clusters(G, 0, 3, count)) > 0
+        assert len(enumerate_clusters(G, 0, 3, clusters)) == clusters
         assert estimate_count(G, 3, most) == estimate_count(G, 3)
-        for run in (lambda: truncated_log_xi(G, 0, 3, count - 1),
-                    lambda: enumerate_clusters(G, 0, 3, count - 1),
-                    lambda: estimate_count(G, 3, most - 1)):
-            with pytest.raises(BudgetExceeded, match="exceed the cap"):
+        for run, found, cap in (
+                (lambda: truncated_log_xi(G, 0, 3, count - 1),
+                 f"{count} polymers", count - 1),
+                (lambda: enumerate_clusters(G, 0, 3, count - 1),
+                 f"{count} polymers", count - 1),
+                (lambda: enumerate_clusters(G, 0, 3, clusters - 1),
+                 f"{clusters} clusters", clusters - 1),
+                (lambda: estimate_count(G, 3, most - 1),
+                 f"{most} polymers", most - 1)):
+            with pytest.raises(BudgetExceeded, match=(
+                    f"at least {found} exceed the cap of {cap};")):
                 run()
 
     def test_convergence_trend_on_tiny_instance(self, edge3, capsys):

@@ -15,7 +15,6 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         count_independent_sets, enumerate_polymers, gamma_k,
                         gen_linear_regular, kp_terms, make_polymer,
                         partition_function, polymer_weight)
-from hypercount.polymers import dyadic_weights
 
 from conftest import (girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
@@ -27,14 +26,13 @@ V = Vertex
 
 @st.composite
 def dyadic_items(draw):
-    """Up to 14 (weight, neighbourhood) pairs: weights m / 2^e with mixed
-    exponents, neighbourhoods drawn from a pool of at most 8 small sets, so
-    repeated and empty ones are common."""
+    """Up to 14 (weight, neighbourhood) pairs: weights (m, e), w = m / 2^e,
+    with mixed exponents, neighbourhoods drawn from a pool of at most 8
+    small sets, so repeated and empty ones are common."""
     pool = draw(st.lists(st.frozensets(st.integers(0, 9), max_size=3),
                          min_size=1, max_size=8))
     return draw(st.lists(st.tuples(
-        st.builds(Fraction, st.integers(0, 40),
-                  st.integers(0, 6).map(lambda e: 1 << e)),
+        st.tuples(st.integers(0, 40), st.integers(0, 6)),
         st.sampled_from(pool)), max_size=14))
 
 
@@ -108,19 +106,23 @@ def weigher_instances(draw):
 
 
 def assert_weights_match_link_graphs(G):
-    """Every polymer of order <= 3 weighs, on the residue bitmasks, what
-    its link graph gives through the exact counter, as a reduced (m, e),
-    and carries G's neighbourhood of it."""
+    """Every polymer of order <= 3 carries, as a reduced (m, e), what its
+    link graph gives through the exact counter, and G's neighbourhood of
+    it; make_polymer on the same vertices carries the same."""
     for cls in range(G.k):
-        polys = enumerate_polymers(G, cls, 3)
-        for p, (m, e) in zip(polys, dyadic_weights(G, cls, polys)):
+        for p in enumerate_polymers(G, cls, 3):
+            m, e = p.dyadic_weight
             nb = G.neighborhood(p.vertices)
             want = Fraction(count_independent_sets(G.link_graph(p.vertices)),
                             2 ** len(nb))
             assert Fraction(m, 1 << e) == want
             assert m % 2 == 1 or e == 0
             assert p.neighborhood == nb
-            assert polymer_weight(G, p) == want
+            assert p.weight == polymer_weight(G, p) == want
+            made = make_polymer(G, p.vertices)
+            assert made == p
+            assert made.neighborhood == nb
+            assert made.dyadic_weight == (m, e)
 
 
 class TestWeights:
@@ -141,11 +143,10 @@ class TestWeights:
         pair = make_polymer(G, [V(0, 0), V(0, 1)])
         assert len(G.link_graph(pair.vertices).edges) == 2
         # two disjoint (k-1)-edges on the 2(k-1) vertices of N(pair)
-        assert dyadic_weights(G, 0, [pair]) == [
-            (((1 << k - 1) - 1) ** 2, 2 * (k - 1))]
+        assert pair.dyadic_weight == (((1 << k - 1) - 1) ** 2, 2 * (k - 1))
         alone = make_polymer(G, [V(0, 2)])
         assert alone.neighborhood == frozenset()
-        assert dyadic_weights(G, 0, [alone]) == [(1, 0)]
+        assert alone.dyadic_weight == (1, 0)
 
     def test_single_edge_weight(self, edge3):
         p = make_polymer(edge3, [V(0, 0)])
@@ -266,14 +267,14 @@ class TestPartitionFunction:
     @settings(max_examples=150, deadline=None)
     def test_compatibility_sum_matches_brute_force(self, items):
         # every family of pairwise-disjoint neighbourhoods, listed one by one
-        weights = [w for w, _ in items]
+        weights = [Fraction(m, 1 << e) for (m, e), _ in items]
         sets = [nb for _, nb in items]
         families = [((), Fraction(1))]
         for i, nb in enumerate(sets):
             families += [(fam + (i,), prod * weights[i])
                          for fam, prod in families
                          if all(not sets[j] & nb for j in fam)]
-        assert compatibility_sum(weights, sets) == \
+        assert compatibility_sum([w for w, _ in items], sets) == \
             sum(prod for _, prod in families)
 
     @given(dyadic_items(), st.data())
@@ -289,9 +290,10 @@ class TestPartitionFunction:
         for k, n, r, G in girth5_instances():
             for cls in range(k):
                 polys = enumerate_polymers(G, cls, 3)
-                w = [polymer_weight(G, p) for p in polys]
+                w = [p.weight for p in polys]
                 nb = [p.neighborhood for p in polys]
-                assert compatibility_sum(w, nb) == compatibility_sum_fraction(w, nb)
+                assert compatibility_sum([p.dyadic_weight for p in polys],
+                                         nb) == compatibility_sum_fraction(w, nb)
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("index", range(len(kp_instances())))
@@ -300,9 +302,10 @@ class TestPartitionFunction:
         G = kp_instances()[index]
         for cls in range(G.k):
             polys = enumerate_polymers(G, cls, b)
-            w = [polymer_weight(G, p) for p in polys]
+            w = [p.weight for p in polys]
             nb = [p.neighborhood for p in polys]
-            assert compatibility_sum(w, nb) == compatibility_sum_fraction(w, nb)
+            assert compatibility_sum([p.dyadic_weight for p in polys],
+                                     nb) == compatibility_sum_fraction(w, nb)
 
     def test_state_cap_refusal(self, monkeypatch):
         G = kp_instances()[1]
@@ -314,10 +317,6 @@ class TestPartitionFunction:
                 r"^the compatibility sum swept 7 of 20 polymers and held 8 "
                 r"live states, over the cap of 7; refusing")):
             partition_function(G, 0, 2)
-
-    def test_compatibility_sum_needs_dyadic_weights(self):
-        with pytest.raises(InputError):
-            compatibility_sum([Fraction(1, 3)], [frozenset()])
 
 
 class TestKpTerms:
