@@ -100,9 +100,14 @@ def _vertex(text: str) -> Vertex:
 
 def _fraction(name: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"bad --{name} {text!r}, expected a rational")
+    try:
+        float(value)  # the check's report name prints it as a float
+    except OverflowError:
+        raise InputError(f"bad --{name} {text!r}, too large for a float")
+    return value
 
 
 def _load(args) -> Hypergraph:

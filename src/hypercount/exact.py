@@ -5,9 +5,10 @@ against, so everything here is exact integer arithmetic.  The main counter
 works on bitmask set systems.  A vertex in exactly one edge is private to
 it, so an edge with p private vertices contributes a factor 2^p, or
 2^p - 1 when all of its shared vertices are chosen.  One frontier sweep
-visits the shared vertices, those in two or more edges, once each, and
-keeps a table from partial states to integer counts; more than STATE_CAP
-live states refuse with BudgetExceeded.  A vectorized 2^|V| filter is
+visits the shared vertices, those in two or more edges, once each, in a
+greedy order that keeps few edges open, and keeps a table from partial
+states to integer counts; more than STATE_CAP live states refuse with
+BudgetExceeded.  A vectorized 2^|V| filter is
 retained as an independent cross-check for small vertex counts; it is the
 one place that enumerates vertex subsets.  Callers reach it through a small
 public seam: `independent_masks(G)` lists the independent sets of G as
@@ -50,58 +51,78 @@ def _sweep(parts: list, private: list) -> int:
     over the choices of shared vertices of the product over the edges of
     2^p, or 2^p - 1 when all of the edge's shared vertices are chosen.
 
-    The shared vertices are visited once each, every component in
-    breadth-first order over its edges from its lowest one.  A state is the
-    set of edges that are started, unfinished and fully chosen so far, as a
-    bitmask over slots that an edge holds from its first shared vertex to
-    its last; each state maps to its integer count.  Refuses with
-    BudgetExceeded when more than STATE_CAP states are live."""
+    The shared vertices are visited once each in a greedy order: next
+    comes the one that opens the fewest edges minus the edges it closes,
+    ties going first to a vertex on an already-started edge, then to the
+    lowest bit.  So the order depends on the set of edges, not on their
+    order.  A state is the set of edges that are started, unfinished and
+    fully chosen so far, as a bitmask over slots that an edge holds from
+    its first shared vertex to its last; each state maps to its integer
+    count.  Refuses with BudgetExceeded when more than STATE_CAP states are
+    live."""
     through = {}  # shared vertex (as its bit) -> the edges through it
+    # rank: twice (edges a vertex would open - edges it would close), plus
+    # one while no started edge passes through it; an edge with a single
+    # shared vertex opens and closes there, so it adds nothing
+    rank = {}
     for j, rest in enumerate(parts):
+        opens = 2 if rest & (rest - 1) else 0
         while rest:
             v = rest & -rest
             rest ^= v
             if v in through:
                 through[v].append(j)
+                rank[v] += opens
             else:
                 through[v] = [j]
-    order = []
-    queued = [False] * len(parts)
-    visited = 0
-    for lowest in range(len(parts)):
-        if queued[lowest]:
-            continue
-        queued[lowest] = True
-        queue = [lowest]
-        for j in queue:
-            fresh = parts[j] & ~visited
-            visited |= fresh
-            while fresh:
-                v = fresh & -fresh
-                fresh ^= v
-                order.append(v)
-                for i in through[v]:
-                    if not queued[i]:
-                        queued[i] = True
-                        queue.append(i)
-    left = [rest.bit_count() for rest in parts]
+                rank[v] = 1 + opens
+    bucket = {}  # rank -> the unvisited vertices of that rank, as one mask
+    for v, r in rank.items():
+        bucket[r] = bucket.get(r, 0) | v
+    total = len(rank)
+    rest = list(parts)  # each edge's unvisited shared vertices
     slot = [0] * len(parts)  # a started, unfinished edge's bit in the state
     used = 0
     states = {0: 1}
-    for swept, v in enumerate(order, 1):
+    for swept in range(1, total + 1):
+        r = min(bucket)
+        group = bucket[r]
+        v = group & -group  # the lowest bit of the lowest rank
+        if group == v:
+            del bucket[r]
+        else:
+            bucket[r] = group ^ v
         seen = ends = begins = shift = 0
         finishing = []  # (slot bit, or 0 for an edge started here, p)
         for j in through[v]:
-            left[j] -= 1
+            others = rest[j] = rest[j] ^ v
             bit = slot[j]
-            if left[j]:
+            if others:
+                closes = 0 if others & (others - 1) else 2  # in rank units
                 if bit:
                     seen |= bit
+                    if not closes:
+                        continue
+                    touch = 0  # its last vertex now closes it
                 else:  # the edge starts here: take the lowest free slot
                     bit = ~used & (used + 1)
                     used |= bit
                     slot[j] = bit
                     begins |= bit
+                    touch = 1  # its other vertices no longer open it,
+                    # and now lie on a started edge
+                drop = closes + 2 * touch
+                while others:
+                    u = others & -others
+                    others ^= u
+                    r = rank[u]
+                    group = bucket[r] ^ u
+                    if group:
+                        bucket[r] = group
+                    else:
+                        del bucket[r]
+                    r = rank[u] = r - drop - (r & touch)
+                    bucket[r] = bucket.get(r, 0) | u
                 continue
             p = private[j]
             finishing.append((bit, p))
@@ -126,7 +147,7 @@ def _sweep(parts: list, private: list) -> int:
                 nxt[key] = nxt.get(key, 0) + count
         if len(nxt) > STATE_CAP:
             raise BudgetExceeded(
-                f"the exact count swept {swept} of {len(order)} shared "
+                f"the exact count swept {swept} of {total} shared "
                 f"vertices and held {len(nxt)} live states, over the cap of "
                 f"{STATE_CAP}; refusing rather than estimating")
         states = nxt
@@ -142,7 +163,7 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     than STATE_CAP partial states are live."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
-    dedup = set(map(int, edge_masks))
+    dedup = dict.fromkeys(map(int, edge_masks))  # in the caller's order
     forced = covered = 0
     for e in dedup:
         covered |= e
@@ -152,7 +173,7 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
         raise InputError("edge mask uses vertices outside the ground set")
     if 0 in dedup:
         return 0
-    edges = sorted(e for e in dedup if not e & forced)
+    edges = [e for e in dedup if not e & forced]
     covered = shared = 0
     for e in edges:
         shared |= covered & e

@@ -306,12 +306,12 @@ class TestExitCodes:
 
     def test_state_cap_refusal(self, capsys, tmp_path, monkeypatch):
         from hypercount import exact
-        monkeypatch.setattr(exact, "STATE_CAP", 16)
+        monkeypatch.setattr(exact, "STATE_CAP", 12)
         path = tmp_path / "circulant.hg"
         path.write_text(serialize_text(circulant(5, 2)))
         code, out, err = run_cli(capsys, "exact-count", "-i", str(path))
         assert code == 3 and out == "" and "error=budget" in err
-        assert "swept 6 of 15 shared vertices" in err
+        assert "swept 5 of 15 shared vertices and held 16" in err
 
     @pytest.mark.parametrize("command", sorted(CAPPED_BY_MAX_POLYMERS))
     def test_polymer_cap_refusal(self, capsys, tmp_path, monkeypatch,
@@ -391,7 +391,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("prop, flag", [("exp1", "--alpha"),
                                             ("exp2", "--beta")])
-    @pytest.mark.parametrize("value", ["foo", "x", "1/0"])
+    @pytest.mark.parametrize("value", ["foo", "x", "1/0", "1e400"])
     def test_bad_expansion_parameter(self, capsys, single_path, prop, flag,
                                      value):
         code, out, err = run_cli(capsys, "check", prop, "-i", single_path,

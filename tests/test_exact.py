@@ -2,6 +2,7 @@
 completion formula, and defect-restricted counts."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -135,17 +136,48 @@ class TestLoosePath:
 
 class TestStateCap:
     def test_refusal_names_how_far_the_sweep_got(self, monkeypatch):
-        monkeypatch.setattr(exact, "STATE_CAP", 16)
+        monkeypatch.setattr(exact, "STATE_CAP", 12)
         with pytest.raises(BudgetExceeded, match=(
-                r"^the exact count swept 6 of 15 shared vertices and held 24 "
-                r"live states, over the cap of 16; refusing")):
+                r"^the exact count swept 5 of 15 shared vertices and held 16 "
+                r"live states, over the cap of 12; refusing")):
             count_independent_sets(circulant(5, 2))
 
     def test_count_under_the_cap_is_exact(self, monkeypatch):
         G = circulant(5, 2)
         expected = count_independent_sets(G)
-        monkeypatch.setattr(exact, "STATE_CAP", 24)
+        monkeypatch.setattr(exact, "STATE_CAP", 16)
         assert count_independent_sets(G) == expected
+
+    def test_greedy_order_reaches_a_30_vertex_class(self, monkeypatch):
+        # the sweep holds at most 2,048 states on this instance
+        from hypercount import gen_linear_regular
+        G = gen_linear_regular(3, 30, 2, seed=0)
+        expected = count_independent_sets(G)
+        monkeypatch.setattr(exact, "STATE_CAP", 2048)
+        assert count_independent_sets(G) == expected
+
+
+def outcome(n, masks, cap):
+    """The count of count_subsets_avoiding under the given STATE_CAP, or
+    the message of its refusal."""
+    saved = exact.STATE_CAP
+    exact.STATE_CAP = cap
+    try:
+        return count_subsets_avoiding(n, masks)
+    except BudgetExceeded as e:
+        return str(e)
+    finally:
+        exact.STATE_CAP = saved
+
+
+@given(st.one_of(linked_systems(), mixed_systems()), st.randoms())
+@example((15, edge_masks(circulant(5, 2))), random.Random(0))
+@settings(max_examples=80, deadline=None)
+def test_shuffled_edges_count_and_refuse_alike(system, rnd):
+    n, masks = system
+    shuffled = rnd.sample(masks, len(masks))
+    for cap in (1, 2, 4, 8, 12, exact.STATE_CAP):
+        assert outcome(n, shuffled, cap) == outcome(n, masks, cap)
 
 
 @given(partite_hypergraphs())
