@@ -125,9 +125,8 @@ def _cmd_exact_count(args):
 def _cmd_defect_count(args):
     G = _load(args)
     budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.FILTER_VERTEX_CAP)
-    res = exact.count_with_defect_class(G, args.cls, args.b, budget=budget)
-    return (G, {"class": args.cls, "b": args.b},
-            {"count": res.count}, [])
+    count = exact.count_with_defect_class(G, args.cls, args.b, budget=budget)
+    return G, {"class": args.cls, "b": args.b}, {"count": count}, []
 
 
 def _cmd_polymers(args):
@@ -164,7 +163,7 @@ def _cmd_kp_check(args):
         "lhs_upper": res.lhs_upper,
         "rhs": res.rhs,
         "holds": res.holds,
-        "polymers": len(res.terms),
+        "polymers": len(res.polymers),
     }) for res in found]
     return (G, {"class": args.cls, "b": args.b},
             {"all_hold": all(res.holds for res in found),
@@ -181,7 +180,7 @@ def _cmd_clusters(args):
             "length": c.length,
             "size": c.size,
             "orderings": c.ordering_count,
-            "weight": cl.cluster_weight(c, lambda p: p.weight),
+            "weight": cl.cluster_weight(c),
         }))
     return (G, {"class": args.cls, "t": args.t},
             {"count": len(found)}, rows)
@@ -308,7 +307,8 @@ def _cmd_compare(args):
     rows = [("class_exponent", {"class": c, "exponent": x})
             for c, x in est.class_exponents]
     r = G.regular_degree()
-    if r is not None and len(set(G.sizes)) == 1 and G.is_linear():
+    # the closed forms hold for linear r-regular instances with r >= 1
+    if r and len(set(G.sizes)) == 1 and G.is_linear():
         n = G.sizes[0]
         t1 = formulas.closed_form_t1(G.k, n, r)
         results["closed_form_t1_log"] = t1.log_value

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph
@@ -57,8 +57,9 @@ def _graph_components(n: int, edges) -> int:
     return len({find(i) for i in range(n)})
 
 
-def ursell(n: int, edges: Iterable, cap: int = URSELL_VERTEX_CAP) -> Fraction:
-    """Ursell function of a connected graph on vertices 0..n-1.
+def ursell(n: int, edges: Iterable) -> Fraction:
+    """Ursell function of a connected graph on vertices 0..n-1, for at most
+    URSELL_VERTEX_CAP vertices.
 
     Defined as 1/n! times the signed count, by parity of edge count, of
     spanning connected subgraphs.  Computed exactly by a subset convolution
@@ -70,8 +71,9 @@ def ursell(n: int, edges: Iterable, cap: int = URSELL_VERTEX_CAP) -> Fraction:
     for a, b in edges:
         if a == b or not (0 <= a < n and 0 <= b < n):
             raise InputError(f"bad edge ({a},{b}) for {n} vertices")
-    if n > cap:
-        raise BudgetExceeded(f"Ursell cap is {cap} vertices, got {n}")
+    if n > URSELL_VERTEX_CAP:
+        raise BudgetExceeded(
+            f"Ursell cap is {URSELL_VERTEX_CAP} vertices, got {n}")
     if _graph_components(n, edges) != 1:
         raise InputError("Ursell function is defined for connected graphs")
 
@@ -158,15 +160,15 @@ def _connected_multiset(entries_expanded: Sequence[Polymer]) -> bool:
     return _graph_components(n, edges) == 1
 
 
-def cluster_weight(cluster: Cluster, weight_of: Callable) -> Fraction:
-    """phi(incompatibility graph) times the product of entry weights, for
-    one ordered representative of the multiset."""
+def cluster_weight(cluster: Cluster) -> Fraction:
+    """phi(incompatibility graph) times the product of the polymers' own
+    weights, for one ordered representative of the multiset."""
     expanded = cluster.expanded()
     n, edges = incompatibility_graph(expanded)
     phi = ursell(n, edges)
     prod = Fraction(1)
     for p, m in cluster.entries:
-        prod *= weight_of(p) ** m
+        prod *= p.weight ** m
     return phi * prod
 
 
@@ -307,10 +309,6 @@ class CountEstimate:
     """Log-domain estimate of the number of independent sets, together with
     the exact per-class exponents."""
 
-    t: int
-    k: int
-    n: int
-    r: int
     class_exponents: tuple  # (cls, Fraction) pairs
     log_value: float
 
@@ -332,8 +330,7 @@ def estimate_count(G: Hypergraph, t: int,
         raise InputError("truncation size t must be at least 1")
     if G.k < 3:
         raise InputError("the estimator requires uniformity k >= 3")
-    r = G.regular_degree()
-    if r is None:
+    if G.regular_degree() is None:
         raise InputError("the estimator requires a regular hypergraph")
     if len(set(G.sizes)) != 1:
         raise InputError("the estimator requires equal class sizes")
@@ -342,6 +339,5 @@ def estimate_count(G: Hypergraph, t: int,
                  for cls in range(G.k)]
     log_value = (G.k - 1) * n * math.log(2) + log_sum_exp(
         [float(x) for _, x in exponents])
-    return CountEstimate(t=t, k=G.k, n=n, r=r,
-                         class_exponents=tuple(exponents),
+    return CountEstimate(class_exponents=tuple(exponents),
                          log_value=log_value)

@@ -19,7 +19,6 @@ one class."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -30,16 +29,6 @@ from .hypergraph import Hypergraph, LinkGraph
 STATE_CAP = 1 << 18  # live states of the frontier sweep before it refuses
 
 FILTER_VERTEX_CAP = 24  # vertex cap of the 2^|V| filter
-
-
-@dataclass(frozen=True)
-class DefectClassCount:
-    """Exact count of independent sets whose trace on one class splits into
-    2-linked pieces of order at most `bound`."""
-
-    cls: int
-    bound: int
-    count: int
 
 
 # ----- frontier sweep ---------------------------------------------------------
@@ -285,8 +274,7 @@ def defect_profile(G: Hypergraph, cls: int,
 
 
 def count_with_defect_class(G: Hypergraph, cls: int, b: int,
-                            budget: int = FILTER_VERTEX_CAP
-                            ) -> DefectClassCount:
+                            budget: int = FILTER_VERTEX_CAP) -> int:
     """Exact number of independent sets I for which every 2-linked piece of
     the trace of I on the given class has order at most b.
 
@@ -297,5 +285,4 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int,
     if b < 0:
         raise InputError("defect bound b must be non-negative")
     profile = defect_profile(G, cls, budget)
-    bound = min(b, G.sizes[cls])
-    return DefectClassCount(cls=cls, bound=b, count=profile[bound])
+    return profile[min(b, G.sizes[cls])]

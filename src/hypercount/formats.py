@@ -75,6 +75,13 @@ def parse_text(text: str) -> Hypergraph:
         raise InputError(f"invalid hypergraph: {exc}")
 
 
+def _json_int(value) -> int:
+    # int() would truncate floats and parse strings, and bool is an int
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def parse_json(text: str) -> Hypergraph:
     try:
         obj = json.loads(text)
@@ -84,9 +91,9 @@ def parse_json(text: str) -> Hypergraph:
         if key not in obj:
             raise InputError(f"JSON input missing key {key!r}")
     try:
-        return Hypergraph.build(int(obj["k"]),
-                                [int(s) for s in obj["sizes"]],
-                                [[(int(c), int(i)) for c, i in e]
+        return Hypergraph.build(_json_int(obj["k"]),
+                                [_json_int(s) for s in obj["sizes"]],
+                                [[(_json_int(c), _json_int(i)) for c, i in e]
                                  for e in obj["edges"]])
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad JSON hypergraph: {exc}")

@@ -29,10 +29,6 @@ class ClosedFormEstimate:
     """log_value = log(k) + (k-1) n log(2) + exponent, carried exactly in the
     exponent and as a float at the log boundary."""
 
-    k: int
-    n: int
-    r: int
-    t: int
     exponent: Fraction
     log_value: float
     corrected_exponent: Optional[Fraction] = None
@@ -65,7 +61,7 @@ def closed_form_t1(k: int, n: int, r: int) -> ClosedFormEstimate:
     """Size-1 truncation for linear r-regular instances."""
     _check_args(k, n, r)
     exponent = singleton_sum(k, n, r)
-    return ClosedFormEstimate(k=k, n=n, r=r, t=1, exponent=exponent,
+    return ClosedFormEstimate(exponent=exponent,
                               log_value=_assemble_log(k, n, exponent))
 
 
@@ -111,7 +107,6 @@ def closed_form_t2(k: int, n: int, r: int) -> ClosedFormEstimate:
                  + pair_polymer_sum(k, n, r))
     delta = corrected - exponent
     return ClosedFormEstimate(
-        k=k, n=n, r=r, t=2,
         exponent=exponent,
         log_value=_assemble_log(k, n, exponent),
         corrected_exponent=corrected,

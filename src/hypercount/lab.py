@@ -30,6 +30,8 @@ from .hypergraph import (GIRTH_NODE_CAP, Hypergraph, Vertex,
                          find_loose_cycle, find_loose_cycle_through,
                          girth_at_most)
 
+EDGE_TRIES = 80  # candidate edges drawn per edge slot before a restart
+
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -49,8 +51,7 @@ class PropertyReport:
 
 def gen_linear_regular(k: int, n: int, r: int, seed: int,
                        min_girth: Optional[int] = None,
-                       max_restarts: int = 400,
-                       max_edge_tries: int = 80) -> Hypergraph:
+                       max_restarts: int = 400) -> Hypergraph:
     """Random linear r-regular k-partite k-graph with all class sizes n,
     deterministic per seed; optionally with no loose cycle shorter than
     min_girth.  Raises GenerationError with diagnostics when the retry
@@ -76,7 +77,7 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
         ok = True
         for j in range(total_edges):
             placed = False
-            for _ in range(max_edge_tries):
+            for _ in range(EDGE_TRIES):
                 try:
                     pick = [rng.choice(avail[c]) for c in range(k)]
                 except IndexError:
@@ -223,7 +224,8 @@ def check_exp2(G: Hypergraph, beta, size_cap: int = 3,
     |S| <= beta n / r."""
     r, n = _regular_equal(G)
     beta = Fraction(beta)
-    max_size = int(beta * n / r)
+    # at r = 0 every set meets the bound (k-2+beta) r |S| = 0
+    max_size = int(beta * n / r) if r else 0
     if max_size < 1:
         return PropertyReport(name=f"Exp2({float(beta):g})", verdict="holds",
                               params={"r": r, "n": n, "max_size": 0,

@@ -25,7 +25,7 @@ def log_sum_exp(values: Iterable[float]) -> float:
     return peak + math.log(sum(math.exp(v - peak) for v in vals))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LogValue:
     """A non-negative real stored as its natural logarithm."""
 
@@ -47,15 +47,6 @@ class LogValue:
     @classmethod
     def from_log(cls, log: float) -> "LogValue":
         return cls(float(log))
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.log + other.log)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.log - other.log)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return LogValue(log_sum_exp([self.log, other.log]))
 
     @property
     def log10(self) -> float:

@@ -52,10 +52,6 @@ class Polymer:
     def order(self) -> int:
         return len(self.vertices)
 
-    @property
-    def cls(self) -> int:
-        return self.vertices[0].cls
-
     def __lt__(self, other: "Polymer"):
         return self.vertices < other.vertices
 
@@ -279,13 +275,11 @@ class KpTerms:
     """
 
     root: Vertex
-    b: int
-    r: int
     lhs_lower: float
     lhs_upper: float
     rhs: Fraction
     holds: bool
-    terms: tuple  # (polymer, weight, f, g) per contributing polymer
+    polymers: tuple  # the polymers containing the root, in canonical order
 
 
 def _iv_fraction(q: Fraction):
@@ -312,7 +306,7 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
     roots = _checked_roots(G, cls, b, roots, max_polymers)
-    through = {u: [] for u in roots}  # root -> its (polymer, weight)
+    through = {u: [] for u in roots}  # root -> the polymers containing it
     sets = []
     if b > 0:
         count = dict.fromkeys(through, 0)
@@ -325,25 +319,22 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
             sets.append(S)
     polymers = _weighed(G, cls, sets)
     for p in polymers:
-        entry = (p, p.weight)
         for u in p.vertices:
             if u in through:
-                through[u].append(entry)
+                through[u].append(p)
     k = G.k
     log_gamma = iv.log(iv.mpf(2) ** (k - 1)) - iv.log(iv.mpf(2) ** (k - 1) - 1)
-    fg = {}  # order s -> (f_s, g_s)
     boost = {}  # order s -> exp(f_s + g_s) as an interval
     for s in {p.order for p in polymers}:
         f = Fraction(k - 1, r) * s
         g = log_gamma * r * iv.log(iv.mpf(2 * s))
-        fg[s] = (float(f), float(g.mid))
         boost[s] = iv.exp(_iv_fraction(f) + g)
     rhs = Fraction(1, r ** 3)
     rhs_iv = _iv_fraction(rhs)
     results = {}
-    for u, entries in through.items():
+    for u, found in through.items():
         by_order = {}
-        for p, _ in entries:
+        for p in found:
             by_order.setdefault(p.order, []).append(p.dyadic_weight)
         lhs = iv.mpf(0)
         for s, pairs in sorted(by_order.items()):
@@ -351,12 +342,11 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
             e = max(d for _, d in pairs)
             num = sum(m << (e - d) for m, d in pairs)
             lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
-        terms = tuple((p, w) + fg[p.order] for p, w in entries)
         # report float endpoints rounded outward so they stay true bounds
-        results[u] = KpTerms(root=u, b=b, r=r,
+        results[u] = KpTerms(root=u,
                              lhs_lower=math.nextafter(float(lhs.a), -math.inf),
                              lhs_upper=math.nextafter(float(lhs.b), math.inf),
                              rhs=rhs, holds=bool(lhs.b <= rhs_iv.a),
-                             terms=terms)
+                             polymers=tuple(found))
     return [results[u] for u in roots]
 

@@ -43,6 +43,15 @@ def single_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def edgeless_path(tmp_path):
+    """A 0-regular instance: it has an exact count and an estimate, but the
+    closed forms need r >= 1."""
+    path = tmp_path / "edgeless.hg"
+    path.write_text("k=3 sizes=2,2,2\n")
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -277,6 +286,20 @@ class TestCommands:
                                                                rel=1e-9)
         assert "closed_form_t1_log" in pairs
 
+    @pytest.mark.parametrize("t", ["1", "2"])
+    def test_compare_on_an_edgeless_instance(self, capsys, edgeless_path, t):
+        code, out, err = run_cli(capsys, "compare", "-i", edgeless_path,
+                                 "--t", t)
+        assert code == 0 and err == ""
+        pairs = kv(out)
+        assert pairs["exact"] == "64"
+        assert not any(key.startswith("closed_form") for key in pairs)
+
+    def test_check_exp2_on_an_edgeless_instance(self, capsys, edgeless_path):
+        code, out, err = run_cli(capsys, "check", "exp2", "-i", edgeless_path)
+        assert code == 0 and err == ""
+        assert kv(out)["verdict"] == "holds"
+
 
 class TestJsonMode:
     def test_payload_shape(self, capsys, single_path):
@@ -295,6 +318,14 @@ class TestExitCodes:
         path.write_text("k=3 sizes=1,1,1\ne 0:0 1:0\n")
         code, _, err = run_cli(capsys, "exact-count", "-i", str(path))
         assert code == 2 and "error=input" in err
+
+    @pytest.mark.parametrize("k", ["3.7", "1e999"])  # 1e999 is a float inf
+    def test_json_number_that_is_not_an_integer(self, capsys, tmp_path, k):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"k": {k}, "sizes": [1, 1, 1], "edges": []}}')
+        code, out, err = run_cli(capsys, "exact-count", "-i", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error=input") and "not an integer" in err
 
     def test_budget_refusal(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERCOUNT_DEFECT_BUDGET", "2")

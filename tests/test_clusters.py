@@ -23,8 +23,7 @@ V = Vertex
 
 def _cluster_sum(G, cls, t):
     """The size-t truncation as the sum of ordered-cluster weights."""
-    w = {p: polymer_weight(G, p) for p in enumerate_polymers(G, cls, t)}
-    return sum((c.ordering_count * cluster_weight(c, w.__getitem__)
+    return sum((c.ordering_count * cluster_weight(c)
                 for c in enumerate_clusters(G, cls, t)), Fraction(0))
 
 
@@ -242,13 +241,13 @@ class TestClusterWeights:
         found = enumerate_clusters(G, 0, 1)
         w = {}
         for c in found:
-            w[c] = cluster_weight(c, lambda p: polymer_weight(G, p))
+            w[c] = cluster_weight(c)
         assert all(val == gamma_k(k) ** (-r) for val in w.values())
 
     def test_repeated_singleton(self, edge3):
         found = enumerate_clusters(edge3, 0, 2)
         repeated = [c for c in found if c.length == 2][0]
-        w = cluster_weight(repeated, lambda p: polymer_weight(edge3, p))
+        w = cluster_weight(repeated)
         assert w == Fraction(-1, 2) * Fraction(3, 4) ** 2
 
     def test_distinct_singleton_pair(self):
@@ -256,7 +255,7 @@ class TestClusterWeights:
         G = gen_linear_regular(k, n, r, seed=4, min_girth=5)
         found = enumerate_clusters(G, 0, 2)
         pair = [c for c in found if c.length == 2 and len(c.entries) == 2][0]
-        w = cluster_weight(pair, lambda p: polymer_weight(G, p))
+        w = cluster_weight(pair)
         assert w == Fraction(-1, 2) * gamma_k(k) ** (-2 * r)
 
 

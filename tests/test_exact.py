@@ -263,7 +263,7 @@ class TestCompletions:
 
 class TestDefectCounts:
     def test_single_edge_all_small(self, edge3):
-        assert count_with_defect_class(edge3, 0, 1).count == 7
+        assert count_with_defect_class(edge3, 0, 1) == 7
 
     def test_large_bound_counts_everything(self):
         for seed in (0, 1, 2):
@@ -271,14 +271,14 @@ class TestDefectCounts:
             total = count_independent_sets(G)
             for cls in range(3):
                 b = G.sizes[cls]
-                assert count_with_defect_class(G, cls, b).count == total
+                assert count_with_defect_class(G, cls, b) == total
 
     def test_zero_bound_counts_empty_trace(self):
         for seed in (3, 4):
             G = random_partite(3, (3, 2, 2), 0.5, seed)
             for cls in range(3):
                 expect = 2 ** (G.num_vertices - G.sizes[cls])
-                assert count_with_defect_class(G, cls, 0).count == expect
+                assert count_with_defect_class(G, cls, 0) == expect
 
     def test_profile_monotone_and_consistent(self):
         G = random_partite(3, (3, 3, 2), 0.3, 11)
@@ -287,7 +287,7 @@ class TestDefectCounts:
             assert all(a <= b for a, b in zip(prof, prof[1:]))
             assert prof[-1] == count_independent_sets(G)
             for b in range(G.sizes[cls] + 1):
-                assert count_with_defect_class(G, cls, b).count == prof[b]
+                assert count_with_defect_class(G, cls, b) == prof[b]
 
     def test_summation_identity(self):
         # defect-restricted count equals the sum of completions over defect
@@ -303,7 +303,7 @@ class TestDefectCounts:
                             pieces = G.two_linked_components(T)
                             if all(len(p) <= b for p in pieces):
                                 total += count_completions(G, cls, T)
-                    assert total == count_with_defect_class(G, cls, b).count
+                    assert total == count_with_defect_class(G, cls, b)
 
     def test_budget_refusal(self):
         G = matching(3, 9)  # 27 vertices
@@ -322,7 +322,7 @@ def test_defect_count_equals_scaled_partition_function(G):
         for b in range(G.sizes[cls] + 1):
             rhs = scale * partition_function(G, cls, b)
             assert rhs.denominator == 1
-            assert count_with_defect_class(G, cls, b).count == rhs
+            assert count_with_defect_class(G, cls, b) == rhs
 
 
 def test_filter_at_cap_boundary():

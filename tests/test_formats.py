@@ -46,6 +46,28 @@ class TestParseText:
             parse_text("k=3 sizes=1,1,1\ne 0:0 1:0 2:4\n")
 
 
+class TestParseJson:
+    @pytest.mark.parametrize("k, sizes, vertex", [
+        ("3.7", "[1.9, 1, 1]", "[2, 0.5]"),  # truncated by int() before
+        ("3.0", "[1, 1, 1]", "[2, 0]"),
+        ("true", "[1, 1, 1]", "[2, 0]"),
+        ('"3"', "[1, 1, 1]", "[2, 0]"),
+        ("3", "[1, 1, 1]", '[2, "0"]'),
+        ("3", "[1, 1, 1]", "[2, false]"),
+        ("1e999", "[1, 1, 1]", "[2, 0]"),  # overflowed int() before
+        ("null", "[1, 1, 1]", "[2, 0]"),
+    ])
+    def test_only_json_integers(self, k, sizes, vertex):
+        text = (f'{{"k": {k}, "sizes": {sizes}, '
+                f'"edges": [[[0, 0], [1, 0], {vertex}]]}}')
+        with pytest.raises(InputError, match="is not an integer"):
+            loads(text)
+
+    def test_integers_load(self):
+        text = '{"k": 3, "sizes": [1, 1, 1], "edges": [[[0, 0], [1, 0], [2, 0]]]}'
+        assert parse_json(text) == single_edge(3)
+
+
 class TestRoundTrips:
     def test_text_idempotent(self):
         G = two_shared(3)

@@ -262,6 +262,13 @@ class TestExpansionChecks:
         vac = check_exp2(G, Fraction(1, 100))
         assert vac.holds  # threshold below one vertex
 
+    @pytest.mark.parametrize("check", [check_exp1, check_exp2])
+    def test_edgeless_instance_holds(self, check):
+        # at r = 0 both bounds are 0, which every set meets
+        G = Hypergraph.build(3, [2, 2, 2], [])
+        rep = check(G, Fraction(1, 4))
+        assert rep.verdict == "holds" and rep.worst_ratio is None
+
     def test_requires_regular(self, edge3):
         from conftest import two_shared
         with pytest.raises(InputError):
