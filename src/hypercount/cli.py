@@ -10,6 +10,7 @@ determinism contract.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -54,6 +55,22 @@ def _fmt(v):
     if isinstance(v, (list, tuple)):
         return ",".join(_fmt(x) for x in v)
     return str(v)
+
+
+@contextlib.contextmanager
+def _all_digits():
+    """Let str() and json print ints of any length while output is written
+    (Python caps int-to-decimal conversion at 4300 digits by default)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # a Python without the cap
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(args, command, digest, params, results, rows, elapsed):
@@ -213,6 +230,11 @@ def _cmd_closed_form(args):
     if r is None or len(set(G.sizes)) != 1:
         raise InputError("closed forms require a regular hypergraph with "
                          "equal class sizes")
+    if not G.is_linear():
+        raise InputError("closed forms require a linear hypergraph")
+    if args.t == 2 and girth_at_most(G, 4):
+        raise InputError("the size-2 closed form requires no loose cycle "
+                         "shorter than 5")
     n = G.sizes[0]
     if args.t == 1:
         est = formulas.closed_form_t1(G.k, n, r)
@@ -425,7 +447,8 @@ def main(argv: Optional[list] = None) -> int:
     elapsed = time.perf_counter() - start
     if G is not None or params or results or rows:
         dig = formats.digest(G) if G is not None else None
-        _emit(args, args.command, dig, params, results, rows, elapsed)
+        with _all_digits():
+            _emit(args, args.command, dig, params, results, rows, elapsed)
     return 0
 
 

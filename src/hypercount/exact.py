@@ -7,12 +7,13 @@ it, so an edge with p private vertices contributes a factor 2^p, or
 2^p - 1 when all of its shared vertices are chosen.  One frontier sweep
 visits the shared vertices, those in two or more edges, once each, in a
 greedy order that keeps few edges open, and keeps a table from partial
-states to integer counts; more than STATE_CAP live states refuse with
-BudgetExceeded.  A vectorized 2^|V| filter is
-retained as an independent cross-check for small vertex counts; it is the
-one place that enumerates vertex subsets.  Callers reach it through a small
-public seam: `independent_masks(G)` lists the independent sets of G as
-bitmasks, `edge_masks(G)` gives the edges in the same bit order (bit i is
+states to integer counts; more than STATE_CAP live states, or more than
+COUNT_VERTEX_CAP vertices, refuse with BudgetExceeded.  A vectorized 2^|V|
+filter is retained as an independent cross-check for small vertex counts;
+it is the one place that enumerates vertex subsets, and the only code here
+that loads numpy.  Callers reach it through a small public seam:
+`independent_masks(G)` lists the independent sets of G as bitmasks,
+`edge_masks(G)` gives the edges in the same bit order (bit i is
 `list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
 one class."""
 
@@ -21,12 +22,14 @@ from __future__ import annotations
 import itertools
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph, LinkGraph
 
 STATE_CAP = 1 << 18  # live states of the frontier sweep before it refuses
+
+# vertices of an exact count before it refuses: the count has at most this
+# many bits (about 316,000 decimal digits at the cap)
+COUNT_VERTEX_CAP = 1 << 20
 
 FILTER_VERTEX_CAP = 24  # vertex cap of the 2^|V| filter
 
@@ -152,6 +155,7 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     than STATE_CAP partial states are live."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
+    _check_vertex_cap(num_vertices)
     dedup = dict.fromkeys(map(int, edge_masks))  # in the caller's order
     forced = covered = 0
     for e in dedup:
@@ -179,6 +183,14 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     return result * _sweep(parts, private) if parts else result
 
 
+def _check_vertex_cap(num_vertices: int) -> None:
+    if num_vertices > COUNT_VERTEX_CAP:
+        raise BudgetExceeded(
+            f"the exact count has {num_vertices} vertices, over the cap of "
+            f"{COUNT_VERTEX_CAP}, and could need as many bits; refusing "
+            f"rather than estimating")
+
+
 def edge_masks(G: Hypergraph) -> list:
     """The edges of G as bitmasks over its vertices: bit i stands for
     list(G.vertices())[i].  That order is class-major, so each class is a
@@ -196,6 +208,7 @@ def class_mask(G: Hypergraph, cls: int) -> int:
 def count_independent_sets(H: Union[Hypergraph, LinkGraph]) -> int:
     """Exact number of vertex subsets of H containing no edge as a subset."""
     if isinstance(H, Hypergraph):
+        _check_vertex_cap(H.num_vertices)  # before edge_masks builds bits
         return count_subsets_avoiding(H.num_vertices, edge_masks(H))
     if isinstance(H, LinkGraph):
         pos = {v: i for i, v in enumerate(H.vertices)}
@@ -220,6 +233,8 @@ def _filter_chunks(num_vertices: int, edge_masks: Sequence[int], cap: int):
     """Yield, one chunk of 2^20 candidates at a time, the subsets of
     {0..num_vertices-1} (as uint64 masks, ascending) that contain no edge
     mask.  Refuses when num_vertices exceeds min(cap, 30)."""
+    import numpy as np
+
     cap = min(cap, _HARD_MASK_CAP)
     if num_vertices > cap:
         raise BudgetExceeded(
@@ -245,6 +260,8 @@ def count_by_filter(num_vertices: int, edge_masks: Sequence[int]) -> int:
 def independent_masks(G: Hypergraph, cap: int = FILTER_VERTEX_CAP):
     """All independent sets of G as an ascending uint64 array of masks in
     edge_masks' vertex order; refuses beyond `cap` vertices (at most 30)."""
+    import numpy as np
+
     chunks = _filter_chunks(G.num_vertices, edge_masks(G), cap)
     return np.concatenate(list(chunks))
 
@@ -254,6 +271,8 @@ def defect_profile(G: Hypergraph, cls: int,
     """profile[b] = number of independent sets I such that every 2-linked
     piece of I restricted to the class has order at most b, for b in
     0..|class|.  Computed by direct enumeration of independent sets."""
+    import numpy as np
+
     zmask = class_mask(G, cls)
     traces = np.bitwise_and(independent_masks(G, budget), np.uint64(zmask))
     values, counts = np.unique(traces, return_counts=True)

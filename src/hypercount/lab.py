@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import BudgetExceeded, GenerationError, InputError
 from .exact import FILTER_VERTEX_CAP, class_mask, edge_masks, independent_masks
 from .formulas import gamma_k
@@ -251,6 +249,8 @@ def check_def(G: Hypergraph, b: int, budget: int = FILTER_VERTEX_CAP,
     order = list(G.vertices())
     class_masks = [class_mask(G, cls) for cls in range(G.k)]
     if G.num_vertices <= budget:
+        import numpy as np
+
         ind = independent_masks(G, budget)
         good = np.zeros(ind.shape, dtype=bool)
         for cmask in class_masks:

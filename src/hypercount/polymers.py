@@ -17,16 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from mpmath import iv
-
 from . import exact
 from .errors import BudgetExceeded, InputError
 from .exact import count_independent_sets  # noqa: F401 (bench/tracing.py)
 from .hypergraph import Hypergraph, Vertex
 
 DEFAULT_MAX_POLYMERS = 20_000
-
-iv.prec = 160  # ample for the conservative interval comparisons below
 
 
 @dataclass(frozen=True)
@@ -282,10 +278,6 @@ class KpTerms:
     polymers: tuple  # the polymers containing the root, in canonical order
 
 
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
-
-
 def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
              max_polymers: int = DEFAULT_MAX_POLYMERS) -> list:
     """Evaluate the summability inequality at each root vertex: one KpTerms
@@ -322,31 +314,42 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
         for u in p.vertices:
             if u in through:
                 through[u].append(p)
-    k = G.k
-    log_gamma = iv.log(iv.mpf(2) ** (k - 1)) - iv.log(iv.mpf(2) ** (k - 1) - 1)
-    boost = {}  # order s -> exp(f_s + g_s) as an interval
-    for s in {p.order for p in polymers}:
-        f = Fraction(k - 1, r) * s
-        g = log_gamma * r * iv.log(iv.mpf(2 * s))
-        boost[s] = iv.exp(_iv_fraction(f) + g)
-    rhs = Fraction(1, r ** 3)
-    rhs_iv = _iv_fraction(rhs)
-    results = {}
-    for u, found in through.items():
-        by_order = {}
-        for p in found:
-            by_order.setdefault(p.order, []).append(p.dyadic_weight)
-        lhs = iv.mpf(0)
-        for s, pairs in sorted(by_order.items()):
-            # num / 2^e is the exact sum W_s of the order-s weights
-            e = max(d for _, d in pairs)
-            num = sum(m << (e - d) for m, d in pairs)
-            lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
-        # report float endpoints rounded outward so they stay true bounds
-        results[u] = KpTerms(root=u,
-                             lhs_lower=math.nextafter(float(lhs.a), -math.inf),
-                             lhs_upper=math.nextafter(float(lhs.b), math.inf),
-                             rhs=rhs, holds=bool(lhs.b <= rhs_iv.a),
-                             polymers=tuple(found))
+    from mpmath import iv
+
+    def interval(q: Fraction):
+        return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+    # 160 bits are ample for the conservative comparisons below; the
+    # caller's precision comes back afterwards
+    prec, iv.prec = iv.prec, 160
+    try:
+        k = G.k
+        top = iv.mpf(2) ** (k - 1)
+        log_gamma = iv.log(top) - iv.log(top - 1)
+        boost = {}  # order s -> exp(f_s + g_s) as an interval
+        for s in {p.order for p in polymers}:
+            f = Fraction(k - 1, r) * s
+            g = log_gamma * r * iv.log(iv.mpf(2 * s))
+            boost[s] = iv.exp(interval(f) + g)
+        rhs = Fraction(1, r ** 3)
+        rhs_iv = interval(rhs)
+        results = {}
+        for u, found in through.items():
+            by_order = {}
+            for p in found:
+                by_order.setdefault(p.order, []).append(p.dyadic_weight)
+            lhs = iv.mpf(0)
+            for s, pairs in sorted(by_order.items()):
+                # num / 2^e is the exact sum W_s of the order-s weights
+                e = max(d for _, d in pairs)
+                num = sum(m << (e - d) for m, d in pairs)
+                lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
+            # report float endpoints rounded outward so they stay true bounds
+            results[u] = KpTerms(
+                root=u, lhs_lower=math.nextafter(float(lhs.a), -math.inf),
+                lhs_upper=math.nextafter(float(lhs.b), math.inf), rhs=rhs,
+                holds=bool(lhs.b <= rhs_iv.a), polymers=tuple(found))
+    finally:
+        iv.prec = prec
     return [results[u] for u in roots]
 

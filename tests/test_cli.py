@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,16 @@ def kv(out):
     return pairs
 
 
+def long_int(text):
+    """int(text) for decimals of any length, in chunks under Python's
+    int-to-str digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def stable(out):
     return "\n".join(line for line in out.splitlines()
                      if not line.startswith("elapsed=")
@@ -183,6 +194,50 @@ class TestCommands:
         assert pairs["printed_exponent"] == "3/16"
         assert pairs["corrected_exponent"] == "15/32"
         assert pairs["delta"] == "9/32"
+
+    @pytest.mark.parametrize("t", ["1", "2"])
+    def test_closed_form_refuses_a_non_linear_instance(self, capsys,
+                                                       tmp_path, t):
+        # 2-regular with equal class sizes, but edges 0 and 1 share two
+        # vertices
+        path = tmp_path / "nonlinear.hg"
+        path.write_text("k=3 sizes=2,2,2\ne 0:0 1:0 2:0\ne 0:0 1:0 2:1\n"
+                        "e 0:1 1:1 2:0\ne 0:1 1:1 2:1\n")
+        code, out, err = run_cli(capsys, "closed-form", "-i", str(path),
+                                 "--t", t)
+        assert code == 2 and out == ""
+        assert err == "error=input closed forms require a linear hypergraph\n"
+
+    def test_closed_form_t2_refuses_a_short_loose_cycle(self, capsys,
+                                                         tmp_path):
+        from hypercount import gen_linear_regular, girth_at_most
+        G = gen_linear_regular(3, 4, 2, seed=1)
+        assert G.is_linear() and girth_at_most(G, 4)
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(G))
+        code, _, _ = run_cli(capsys, "closed-form", "-i", str(path),
+                             "--t", "1")
+        assert code == 0
+        code, out, err = run_cli(capsys, "closed-form", "-i", str(path),
+                                 "--t", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error=input the size-2 closed form requires "
+                              "no loose cycle shorter than 5")
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_exact_count_prints_every_digit(self, capsys, tmp_path,
+                                            json_mode):
+        # 2^20002 has 6,022 digits, over the default int-to-str limit
+        path = tmp_path / "wide.hg"
+        path.write_text("k=3 sizes=20000,1,1\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, *(["--json"] if json_mode else []),
+                                 "exact-count", "-i", str(path))
+        assert code == 0 and err == ""
+        count = (json.loads(out, parse_int=long_int)["results"]["count"]
+                 if json_mode else long_int(kv(out)["count"]))
+        assert count == 2 ** 20002
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_check_linear(self, capsys, single_path):
         code, out, _ = run_cli(capsys, "check", "linear", "-i", single_path)
@@ -334,6 +389,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "defect-count", "-i", str(path),
                                "--class", "0", "--b", "1")
         assert code == 3 and "error=budget" in err
+
+    def test_vertex_cap_refusal(self, capsys, tmp_path):
+        # counting would build 2^(10^12): refuse instead of a MemoryError
+        path = tmp_path / "huge.json"
+        path.write_text('{"k": 3, "sizes": [1000000000000, 1, 1], '
+                        '"edges": []}')
+        code, out, err = run_cli(capsys, "exact-count", "-i", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error=budget the exact count has "
+                              "1000000000002 vertices, over the cap")
 
     def test_state_cap_refusal(self, capsys, tmp_path, monkeypatch):
         from hypercount import exact

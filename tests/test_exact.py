@@ -157,6 +157,26 @@ class TestStateCap:
         assert count_independent_sets(G) == expected
 
 
+class TestVertexCap:
+    def test_count_at_the_cap(self):
+        cap = exact.COUNT_VERTEX_CAP
+        assert count_subsets_avoiding(cap, [0b111]) == 7 << (cap - 3)
+
+    def test_refuses_above_the_cap_before_building_the_count(self):
+        # 2^(10^12) would not fit in memory
+        for n in (exact.COUNT_VERTEX_CAP + 1, 10 ** 12):
+            with pytest.raises(BudgetExceeded, match=(
+                    rf"^the exact count has {n} vertices, over the cap of "
+                    rf"{exact.COUNT_VERTEX_CAP}")):
+                count_subsets_avoiding(n, [0b111])
+
+    def test_hypergraph_refuses_before_building_edge_masks(self):
+        # the edge's class-1 vertex would be bit 10^12
+        G = Hypergraph.build(3, [10 ** 12, 1, 1], [[(0, 0), (1, 0), (2, 0)]])
+        with pytest.raises(BudgetExceeded):
+            count_independent_sets(G)
+
+
 def outcome(n, masks, cap):
     """The count of count_subsets_avoiding under the given STATE_CAP, or
     the message of its refusal."""

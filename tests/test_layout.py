@@ -1,9 +1,37 @@
-"""Package layout: modules talk to each other through public names only."""
+"""Package layout: modules talk to each other through public names only,
+and numpy and mpmath load only with the commands that use them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from hypercount import gen_linear_regular, serialize_text
+from hypercount.cli import main
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercount"
+
+HEAVY = ("numpy", "mpmath")
+
+# runs the CLI on argv, then prints the heavy modules it loaded
+CHILD = ("import sys\n"
+         "from hypercount.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         f"print('loaded=' + ','.join(m for m in {HEAVY!r} "
+         "if m in sys.modules))\n"
+         "sys.exit(code)\n")
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter that imports hypercount from this checkout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_no_private_imports_across_modules():
@@ -19,3 +47,32 @@ def test_no_private_imports_across_modules():
             offenders += [f"{path.name}: {alias.name}" for alias in node.names
                           if package and alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    child = fresh_python("-c", "import sys, hypercount.cli, hypercount; "
+                         f"print([m for m in {HEAVY!r} if m in sys.modules])")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("defect-count", "--class", "0", "--b", "1"), "numpy"),
+    (("check", "def", "--b", "1"), "numpy"),
+    (("kp-check", "--class", "0", "--b", "2"), "mpmath"),
+])
+def test_commands_load_what_they_use_from_a_cold_start(capsys, tmp_path,
+                                                       argv, loaded):
+    # a fresh process prints what the command prints in this one, and
+    # loads only the module the command uses
+    path = tmp_path / "inst.hg"
+    path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=1)))
+    argv = (*argv, "-i", str(path))
+    assert main(list(argv)) == 0
+    warm = capsys.readouterr().out.splitlines()
+    child = fresh_python("-c", CHILD, *argv)
+    assert child.returncode == 0, child.stderr
+    cold = child.stdout.splitlines()
+    assert cold[-1] == f"loaded={loaded}"
+    assert cold[-2].startswith("elapsed=") and warm[-1].startswith("elapsed=")
+    assert cold[:-2] == warm[:-1]

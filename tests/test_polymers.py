@@ -24,6 +24,14 @@ from oracles import (compatibility_sum_fraction, max_matching_size,
 V = Vertex
 
 
+@pytest.fixture
+def iv_prec_160():
+    """Interval arithmetic at 160 bits for the test, restored afterwards."""
+    prec, iv.prec = iv.prec, 160
+    yield
+    iv.prec = prec
+
+
 @st.composite
 def dyadic_items(draw):
     """Up to 14 (weight, neighbourhood) pairs: weights (m, e), w = m / 2^e,
@@ -338,7 +346,7 @@ class TestKpTerms:
         res = kp_terms(edge3, 0, [V(0, 0)], 0)[0]
         assert res.lhs_upper < 1e-300 and res.holds
 
-    def test_term_by_term_recomputation(self):
+    def test_term_by_term_recomputation(self, iv_prec_160):
         G = gen_linear_regular(3, 4, 2, seed=5)
         res = kp_terms(G, 0, [V(0, 0)], 2)[0]
         k, r = 3, 2
@@ -354,7 +362,7 @@ class TestKpTerms:
             recomputed += term
         assert recomputed.a <= res.lhs_upper and res.lhs_lower <= recomputed.b
 
-    def test_per_order_interval_contains_term_by_term_sum(self):
+    def test_per_order_interval_contains_term_by_term_sum(self, iv_prec_160):
         # one interval product per order encloses the interval sum taken
         # polymer by polymer
         for seed, b in ((5, 2), (5, 3), (0, 3)):
@@ -377,6 +385,18 @@ class TestKpTerms:
     def test_requires_regular(self):
         with pytest.raises(InputError):
             kp_terms(two_shared(3), 0, [V(0, 0)], 1)
+
+    def test_leaves_the_callers_precision(self, edge3):
+        # kp_terms computes at 160 bits whatever the caller's precision
+        expected = kp_terms(edge3, 0, [V(0, 0)], 1)
+        prec = iv.prec
+        try:
+            for bits in (20, 53, 300):
+                iv.prec = bits
+                assert kp_terms(edge3, 0, [V(0, 0)], 1) == expected
+                assert iv.prec == bits
+        finally:
+            iv.prec = prec
 
     def test_shared_pass_matches_single_roots(self):
         # one pass over every root gives each root what a pass over that
