@@ -9,7 +9,7 @@ from .errors import (BudgetExceeded, GenerationError, HypercountError,
                      InputError)
 from .exact import (class_mask, count_by_filter, count_independent_sets,
                     count_subsets_avoiding, count_with_defect_class,
-                    defect_profile, edge_masks, independent_masks)
+                    edge_masks, independent_masks)
 from .formats import (digest, load, loads, parse_json, parse_text,
                       serialize_json, serialize_text)
 from .formulas import (ClosedFormEstimate, closed_form_t1, closed_form_t2,

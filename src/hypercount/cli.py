@@ -141,8 +141,7 @@ def _cmd_exact_count(args):
 
 def _cmd_defect_count(args):
     G = _load(args)
-    budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.FILTER_VERTEX_CAP)
-    count = exact.count_with_defect_class(G, args.cls, args.b, budget=budget)
+    count = exact.count_with_defect_class(G, args.cls, args.b)
     return G, {"class": args.cls, "b": args.b}, {"count": count}, []
 
 
@@ -277,8 +276,7 @@ def _cmd_check(args):
         rep = check(G, _fraction(name, getattr(args, name)),
                     size_cap=args.size_cap, samples=args.samples, seed=args.seed)
     elif kind == "def":
-        budget = _env_int("HYPERCOUNT_DEFECT_BUDGET", exact.FILTER_VERTEX_CAP)
-        rep = lab.check_def(G, args.b, budget=budget, seed=args.seed)
+        rep = lab.check_def(G, args.b, seed=args.seed)
     elif kind == "linear":
         rep = lab.check_linear(G)
     elif kind == "girth":

@@ -7,12 +7,15 @@ it, so an edge with p private vertices contributes a factor 2^p, or
 2^p - 1 when all of its shared vertices are chosen.  One frontier sweep
 visits the shared vertices, those in two or more edges, once each, in a
 greedy order that keeps few edges open, and keeps a table from partial
-states to integer counts; more than STATE_CAP live states, or more than
-COUNT_VERTEX_CAP vertices, refuse with BudgetExceeded.  A vectorized 2^|V|
-filter is retained as an independent cross-check for small vertex counts;
-it is the one place that enumerates vertex subsets, and the only code here
-that loads numpy.  Callers reach it through a small public seam:
-`independent_masks(G)` lists the independent sets of G as bitmasks,
+states to integer counts; more than STATE_CAP live states refuse with
+BudgetExceeded.  A Hypergraph of more than COUNT_VERTEX_CAP vertices
+refuses at construction, and `count_subsets_avoiding` applies the same cap
+to its raw vertex count.  A vectorized 2^|V| filter is retained as an
+independent cross-check for at most FILTER_VERTEX_CAP vertices, refusing
+above it before any mask is built; it is the one place that enumerates
+vertex subsets, and the only code here that loads numpy.  All three caps
+are module constants.  Callers reach the filter through a small public
+seam: `independent_masks(G)` lists the independent sets of G as bitmasks,
 `edge_masks(G)` gives the edges in the same bit order (bit i is
 `list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
 one class."""
@@ -20,16 +23,12 @@ one class."""
 from __future__ import annotations
 
 import itertools
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import BudgetExceeded, InputError
-from .hypergraph import Hypergraph, LinkGraph
+from .hypergraph import COUNT_VERTEX_CAP, Hypergraph
 
 STATE_CAP = 1 << 18  # live states of the frontier sweep before it refuses
-
-# vertices of an exact count before it refuses: the count has at most this
-# many bits (about 316,000 decimal digits at the cap)
-COUNT_VERTEX_CAP = 1 << 20
 
 FILTER_VERTEX_CAP = 24  # vertex cap of the 2^|V| filter
 
@@ -155,7 +154,11 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     than STATE_CAP partial states are live."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
-    _check_vertex_cap(num_vertices)
+    if num_vertices > COUNT_VERTEX_CAP:
+        raise BudgetExceeded(
+            f"the exact count has {num_vertices} vertices, over the cap of "
+            f"{COUNT_VERTEX_CAP}, and could need as many bits; refusing "
+            f"rather than estimating")
     dedup = dict.fromkeys(map(int, edge_masks))  # in the caller's order
     forced = covered = 0
     for e in dedup:
@@ -183,14 +186,6 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     return result * _sweep(parts, private) if parts else result
 
 
-def _check_vertex_cap(num_vertices: int) -> None:
-    if num_vertices > COUNT_VERTEX_CAP:
-        raise BudgetExceeded(
-            f"the exact count has {num_vertices} vertices, over the cap of "
-            f"{COUNT_VERTEX_CAP}, and could need as many bits; refusing "
-            f"rather than estimating")
-
-
 def edge_masks(G: Hypergraph) -> list:
     """The edges of G as bitmasks over its vertices: bit i stands for
     list(G.vertices())[i].  That order is class-major, so each class is a
@@ -205,41 +200,30 @@ def class_mask(G: Hypergraph, cls: int) -> int:
     return ((1 << G.sizes[cls]) - 1) << sum(G.sizes[:cls])
 
 
-def count_independent_sets(H: Union[Hypergraph, LinkGraph]) -> int:
-    """Exact number of vertex subsets of H containing no edge as a subset."""
-    if isinstance(H, Hypergraph):
-        _check_vertex_cap(H.num_vertices)  # before edge_masks builds bits
-        return count_subsets_avoiding(H.num_vertices, edge_masks(H))
-    if isinstance(H, LinkGraph):
-        pos = {v: i for i, v in enumerate(H.vertices)}
-        masks = []
-        for e in H.edges:
-            m = 0
-            for v in e:
-                m |= 1 << pos[v]
-            masks.append(m)
-        return count_subsets_avoiding(len(pos), masks)
-    raise InputError(f"cannot count structures of type {type(H).__name__}")
+def count_independent_sets(G: Hypergraph) -> int:
+    """Exact number of vertex subsets of G containing no edge as a subset."""
+    return count_subsets_avoiding(G.num_vertices, edge_masks(G))
 
 
 # ----- independent 2^V filter oracle ------------------------------------------
 
 
-_HARD_MASK_CAP = 30  # uint64 mask arrays; beyond this the memory cost is silly
 _FILTER_CHUNK = 1 << 20
 
 
-def _filter_chunks(num_vertices: int, edge_masks: Sequence[int], cap: int):
+def _check_filter_cap(num_vertices: int) -> None:
+    if num_vertices > FILTER_VERTEX_CAP:
+        raise BudgetExceeded(
+            f"2^|V| filter limited to {FILTER_VERTEX_CAP} vertices, got "
+            f"{num_vertices}; refusing rather than estimating")
+
+
+def _filter_chunks(num_vertices: int, edge_masks: Sequence[int]):
     """Yield, one chunk of 2^20 candidates at a time, the subsets of
     {0..num_vertices-1} (as uint64 masks, ascending) that contain no edge
-    mask.  Refuses when num_vertices exceeds min(cap, 30)."""
+    mask.  The caller checks the filter cap first."""
     import numpy as np
 
-    cap = min(cap, _HARD_MASK_CAP)
-    if num_vertices > cap:
-        raise BudgetExceeded(
-            f"2^|V| filter limited to {cap} vertices, got {num_vertices}; "
-            f"refusing rather than estimating")
     dedup = np.array(sorted(set(int(e) for e in edge_masks)), dtype=np.uint64)
     top = 1 << num_vertices
     for lo in range(0, top, _FILTER_CHUNK):
@@ -253,55 +237,40 @@ def _filter_chunks(num_vertices: int, edge_masks: Sequence[int], cap: int):
 def count_by_filter(num_vertices: int, edge_masks: Sequence[int]) -> int:
     """Count by testing every subset mask; independent of the frontier
     sweep, usable for cross-checks up to FILTER_VERTEX_CAP vertices."""
+    _check_filter_cap(num_vertices)
     return sum(int(kept.size) for kept in
-               _filter_chunks(num_vertices, edge_masks, FILTER_VERTEX_CAP))
+               _filter_chunks(num_vertices, edge_masks))
 
 
-def independent_masks(G: Hypergraph, cap: int = FILTER_VERTEX_CAP):
+def independent_masks(G: Hypergraph):
     """All independent sets of G as an ascending uint64 array of masks in
-    edge_masks' vertex order; refuses beyond `cap` vertices (at most 30)."""
+    edge_masks' vertex order; refuses beyond FILTER_VERTEX_CAP vertices
+    before building any mask."""
     import numpy as np
 
-    chunks = _filter_chunks(G.num_vertices, edge_masks(G), cap)
-    return np.concatenate(list(chunks))
+    _check_filter_cap(G.num_vertices)
+    return np.concatenate(list(_filter_chunks(G.num_vertices, edge_masks(G))))
 
 
-def defect_profile(G: Hypergraph, cls: int,
-                   budget: int = FILTER_VERTEX_CAP) -> list:
-    """profile[b] = number of independent sets I such that every 2-linked
-    piece of I restricted to the class has order at most b, for b in
-    0..|class|.  Computed by direct enumeration of independent sets."""
-    import numpy as np
-
-    zmask = class_mask(G, cls)
-    traces = np.bitwise_and(independent_masks(G, budget), np.uint64(zmask))
-    values, counts = np.unique(traces, return_counts=True)
-    order = list(G.vertices())
-    size = G.sizes[cls]
-    profile = [0] * (size + 1)
-    for t, c in zip(values.tolist(), counts.tolist()):
-        trace = [v for i, v in enumerate(order) if t >> i & 1]
-        pieces = G.two_linked_components(trace)
-        worst = max((len(p) for p in pieces), default=0)
-        profile[worst] += int(c)
-    out = []
-    acc = 0
-    for b in range(size + 1):
-        acc += profile[b]
-        out.append(acc)
-    return out
-
-
-def count_with_defect_class(G: Hypergraph, cls: int, b: int,
-                            budget: int = FILTER_VERTEX_CAP) -> int:
+def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     """Exact number of independent sets I for which every 2-linked piece of
     the trace of I on the given class has order at most b.
 
-    Enumerates independent sets directly (budget-guarded); this keeps the
-    count independent of the completion formula and the polymer machinery
-    it is tested against.
+    Enumerates independent sets directly (refusing above FILTER_VERTEX_CAP
+    vertices); this keeps the count independent of the completion formula
+    and the polymer machinery it is tested against.
     """
+    import numpy as np
+
     if b < 0:
         raise InputError("defect bound b must be non-negative")
-    profile = defect_profile(G, cls, budget)
-    return profile[min(b, G.sizes[cls])]
+    zmask = class_mask(G, cls)  # at most COUNT_VERTEX_CAP bits
+    traces = np.bitwise_and(independent_masks(G), np.uint64(zmask))
+    values, counts = np.unique(traces, return_counts=True)
+    order = list(G.vertices())
+    total = 0
+    for t, c in zip(values.tolist(), counts.tolist()):
+        trace = [v for i, v in enumerate(order) if t >> i & 1]
+        if all(len(p) <= b for p in G.two_linked_components(trace)):
+            total += c
+    return total

@@ -15,6 +15,19 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, InputError
 
+# vertices of an instance before construction refuses: an exact count has at
+# most this many bits (about 316,000 decimal digits at the cap), and every
+# per-vertex table stays small
+COUNT_VERTEX_CAP = 1 << 20
+
+
+def check_vertex_cap(num_vertices: int) -> None:
+    """Refuse an instance of more than COUNT_VERTEX_CAP vertices."""
+    if num_vertices > COUNT_VERTEX_CAP:
+        raise BudgetExceeded(
+            f"the instance has {num_vertices} vertices, over the cap of "
+            f"{COUNT_VERTEX_CAP}; refusing rather than estimating")
+
 
 class Vertex(NamedTuple):
     """Vertex of a partite hypergraph: partition class and index within it."""
@@ -61,7 +74,8 @@ class Hypergraph:
     Invariants (checked at construction):
       * every edge has exactly one vertex in each of the k classes;
       * all vertex indices are within their class size;
-      * edges are pairwise distinct.
+      * edges are pairwise distinct;
+      * there are at most COUNT_VERTEX_CAP vertices (else BudgetExceeded).
     """
 
     k: int
@@ -75,6 +89,7 @@ class Hypergraph:
             raise InputError(f"expected {self.k} class sizes, got {len(self.sizes)}")
         if any(s < 1 for s in self.sizes):
             raise InputError("class sizes must be positive")
+        check_vertex_cap(sum(self.sizes))
         canon = []
         for e in self.edges:
             ce = tuple(sorted(Vertex(*v) for v in e))

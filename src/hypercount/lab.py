@@ -22,13 +22,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetExceeded, GenerationError, InputError
-from .exact import FILTER_VERTEX_CAP, class_mask, edge_masks, independent_masks
+from .exact import class_mask, edge_masks, independent_masks
 from .formulas import gamma_k
 from .hypergraph import (GIRTH_NODE_CAP, Hypergraph, Vertex,
-                         find_loose_cycle, find_loose_cycle_through,
-                         girth_at_most)
+                         check_vertex_cap, find_loose_cycle,
+                         find_loose_cycle_through, girth_at_most)
 
 EDGE_TRIES = 80  # candidate edges drawn per edge slot before a restart
+SEARCH_ROUNDS = 2_000  # greedy random independent sets tried by check_def
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
         raise InputError(
             f"r={r} > n={n} is infeasible: a vertex needs {r} distinct "
             f"partners per class to stay linear")
+    check_vertex_cap(k * n)  # before the per-vertex capacity tables
     rng = random.Random(seed)
     total_edges = n * r
     girth_bounded = min_girth is not None and min_girth > 3
@@ -76,10 +78,9 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
         for j in range(total_edges):
             placed = False
             for _ in range(EDGE_TRIES):
-                try:
-                    pick = [rng.choice(avail[c]) for c in range(k)]
-                except IndexError:
-                    break
+                # at slot j each class has n*r - j >= 1 capacity left, so
+                # no avail list is empty
+                pick = [rng.choice(avail[c]) for c in range(k)]
                 cand = tuple(Vertex(c, i) for c, i in enumerate(pick))
                 pairs = list(itertools.combinations(cand, 2))
                 # sharing a pair with an accepted edge breaks linearity; this
@@ -232,26 +233,28 @@ def check_exp2(G: Hypergraph, beta, size_cap: int = 3,
                             G.k - 2 + beta, max_size, size_cap, samples, seed)
 
 
-def check_def(G: Hypergraph, b: int, budget: int = FILTER_VERTEX_CAP,
-              search_rounds: int = 2_000, seed: int = 0) -> PropertyReport:
+def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
     """Every independent set must trace at most b vertices into some class.
 
-    Exhaustive when the vertex count fits the budget; otherwise a randomized
-    search looks for a violating independent set and the verdict degrades
-    to `unknown` when none is found.
+    Exhaustive when the 2^|V| filter takes the instance; when it refuses, a
+    randomized search looks for a violating independent set and the verdict
+    degrades to `unknown` when none is found.
     """
     if b < 0:
         raise InputError("b must be non-negative")
-    params = {"b": b, "budget": budget}
+    params = {"b": b}
     if min(G.sizes) <= b:
         return PropertyReport(name=f"Def({b})", verdict="holds",
                               params=params | {"vacuous": True})
     order = list(G.vertices())
     class_masks = [class_mask(G, cls) for cls in range(G.k)]
-    if G.num_vertices <= budget:
+    try:
+        ind = independent_masks(G)
+    except BudgetExceeded:
+        pass  # too many vertices to enumerate: search below
+    else:
         import numpy as np
 
-        ind = independent_masks(G, budget)
         good = np.zeros(ind.shape, dtype=bool)
         for cmask in class_masks:
             good |= np.bitwise_count(ind & np.uint64(cmask)) <= b
@@ -262,10 +265,10 @@ def check_def(G: Hypergraph, b: int, budget: int = FILTER_VERTEX_CAP,
         witness = [str(v) for i, v in enumerate(order) if bad >> i & 1]
         return PropertyReport(name=f"Def({b})", verdict="violated",
                               params=params, witness=witness)
-    # best-effort local search beyond the exhaustive budget
+    # best-effort local search where the filter refuses
     rng = random.Random(seed)
     masks = edge_masks(G)
-    for _ in range(search_rounds):
+    for _ in range(SEARCH_ROUNDS):
         chosen = 0
         for i in rng.sample(range(len(order)), len(order)):
             trial = chosen | (1 << i)

@@ -38,10 +38,9 @@ class LogValue:
         if x == 0:
             return cls(float("-inf"))
         if isinstance(x, Fraction):
-            # split into numerator/denominator to survive huge integers
-            return cls(_log_int(x.numerator) - _log_int(x.denominator))
-        if isinstance(x, int):
-            return cls(_log_int(x))
+            # math.log takes ints of any size, but not a Fraction over
+            # the float range
+            return cls(math.log(x.numerator) - math.log(x.denominator))
         return cls(math.log(x))
 
     @classmethod
@@ -59,12 +58,3 @@ class LogValue:
         mantissa = 10 ** (exp10 - math.floor(exp10))
         return f"{mantissa:.6f}e{math.floor(exp10):+d}"
 
-
-def _log_int(n: int) -> float:
-    try:
-        return math.log(n)
-    except OverflowError:
-        # n >= 2^1024: go through the bit length
-        bits = n.bit_length() - 1
-        scaled = n >> max(0, bits - 53)
-        return math.log(scaled) + max(0, bits - 53) * math.log(2)

@@ -6,8 +6,9 @@ abstract polymer model), a transfer matrix along a loose path, the
 independence polynomial of a path, a memoised recursion for the
 compatibility sum, and the term-by-term `Fraction` form of
 `truncated_log_xi`.  It also holds helpers that only the tests read: the
-completion formula for a defect set, maximum matchings in link graphs, the
-polymer-count bound and the expansion parameter alpha(k, t).
+completion formula for a defect set, independent-set counts and maximum
+matchings of link graphs, the polymer-count bound and the expansion
+parameter alpha(k, t).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 from mpmath import iv, mp, mpf
 
 from hypercount import (Hypergraph, InputError, LinkGraph,
-                        count_independent_sets, enumerate_polymers,
+                        count_subsets_avoiding, enumerate_polymers,
                         polymer_weight, ursell)
 
 
@@ -240,7 +241,14 @@ def count_completions(G: Hypergraph, cls: int, T: Iterable) -> int:
     if not T:
         return 1 << outside
     L = G.link_graph(T)
-    return count_independent_sets(L) << (outside - len(L.vertices))
+    return count_link_graph(L) << (outside - len(L.vertices))
+
+
+def count_link_graph(L: LinkGraph) -> int:
+    """Exact number of subsets of L's vertices containing no edge of L."""
+    pos = {v: i for i, v in enumerate(L.vertices)}
+    masks = [sum(1 << pos[v] for v in e) for e in L.edges]
+    return count_subsets_avoiding(len(pos), masks)
 
 
 def max_matching_size(L: LinkGraph) -> int:

@@ -20,9 +20,18 @@ SINGLE = serialize_text(single_edge(3))
 # each budget variable with one command that reads it
 BUDGET_READERS = {
     "HYPERCOUNT_MAX_POLYMERS": ("xi", "--class", "0", "--b", "2"),
-    "HYPERCOUNT_DEFECT_BUDGET": ("defect-count", "--class", "0", "--b", "1"),
     "HYPERCOUNT_GIRTH_NODE_CAP": ("check", "girth"),
 }
+
+# commands besides exact-count that would build per-vertex tables, masks
+# or counts on an instance, with their arguments past the input
+VERTEX_CAP_COMMANDS = [
+    ("estimate", "--t", "1"),
+    ("xi", "--class", "1", "--b", "1"),
+    ("closed-form", "--t", "1"),
+    ("defect-count", "--class", "1", "--b", "1"),
+    ("check", "def", "--b", "0"),
+]
 
 # each command that enumerates polymers under HYPERCOUNT_MAX_POLYMERS, with
 # its arguments past the input
@@ -208,6 +217,18 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err == "error=input closed forms require a linear hypergraph\n"
 
+    @pytest.mark.parametrize("t", ["1", "2"])
+    def test_closed_form_refuses_a_non_regular_instance(self, capsys,
+                                                        tmp_path, t):
+        # vertex 0:1 lies in no edge, the others in one
+        path = tmp_path / "irregular.hg"
+        path.write_text("k=3 sizes=2,1,1\ne 0:0 1:0 2:0\n")
+        code, out, err = run_cli(capsys, "closed-form", "-i", str(path),
+                                 "--t", t)
+        assert code == 2 and out == ""
+        assert err == ("error=input closed forms require a regular "
+                       "hypergraph with equal class sizes\n")
+
     def test_closed_form_t2_refuses_a_short_loose_cycle(self, capsys,
                                                          tmp_path):
         from hypercount import gen_linear_regular, girth_at_most
@@ -293,6 +314,18 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "check", "def", "-i", single_path,
                                "--b", "0")
         assert code == 0 and kv(out)["verdict"] == "holds"
+
+    def test_check_def_unknown_where_the_filter_refuses(self, capsys,
+                                                        single_path,
+                                                        monkeypatch):
+        # Def(0) holds on a single edge, so the local search that replaces
+        # the refused enumeration finds no violation
+        from hypercount import exact
+        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 2)
+        code, out, err = run_cli(capsys, "check", "def", "-i", single_path,
+                                 "--b", "0")
+        assert code == 0 and err == ""
+        assert kv(out)["verdict"] == "unknown"
 
     def test_check_exp1(self, capsys, single_path):
         code, out, _ = run_cli(capsys, "check", "exp1", "-i", single_path,
@@ -382,13 +415,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error=input") and "not an integer" in err
 
-    def test_budget_refusal(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPERCOUNT_DEFECT_BUDGET", "2")
-        path = tmp_path / "big.hg"
-        path.write_text(SINGLE)
-        code, _, err = run_cli(capsys, "defect-count", "-i", str(path),
-                               "--class", "0", "--b", "1")
-        assert code == 3 and "error=budget" in err
+    def test_budget_refusal(self, capsys, single_path, monkeypatch):
+        from hypercount import exact
+        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 2)
+        code, out, err = run_cli(capsys, "defect-count", "-i", single_path,
+                                 "--class", "0", "--b", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("error=budget 2^|V| filter limited to 2 "
+                              "vertices, got 3")
 
     def test_vertex_cap_refusal(self, capsys, tmp_path):
         # counting would build 2^(10^12): refuse instead of a MemoryError
@@ -397,8 +431,19 @@ class TestExitCodes:
                         '"edges": []}')
         code, out, err = run_cli(capsys, "exact-count", "-i", str(path))
         assert code == 3 and out == ""
-        assert err.startswith("error=budget the exact count has "
+        assert err.startswith("error=budget the instance has "
                               "1000000000002 vertices, over the cap")
+
+    @pytest.mark.parametrize("argv", VERTEX_CAP_COMMANDS,
+                             ids=" ".join)
+    def test_vertex_cap_gates_every_command(self, capsys, tmp_path, argv):
+        # the instance refuses as it is built, before any per-vertex work
+        path = tmp_path / "huge.json"
+        path.write_text('{"k": 3, "sizes": [1000000000000, 1, 1], '
+                        '"edges": []}')
+        code, out, err = run_cli(capsys, *argv, "-i", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error=budget the instance has ")
 
     def test_state_cap_refusal(self, capsys, tmp_path, monkeypatch):
         from hypercount import exact

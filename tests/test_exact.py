@@ -13,11 +13,11 @@ from hypercount import exact
 from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
                         count_by_filter, count_independent_sets,
                         count_subsets_avoiding, count_with_defect_class,
-                        defect_profile, edge_masks, independent_masks)
+                        edge_masks, independent_masks)
 
 from conftest import (circulant, loose_path, matching, partite_hypergraphs,
                       random_partite, random_uniform_system, two_shared)
-from oracles import count_completions, loose_path_count
+from oracles import count_completions, count_link_graph, loose_path_count
 
 V = Vertex
 
@@ -69,7 +69,7 @@ class TestCountExamples:
             for r in (1, 2, 3):
                 G = matching(k, r)
                 L = G.link_graph([V(0, i) for i in range(r)])
-                assert count_independent_sets(L) == (2 ** (k - 1) - 1) ** r
+                assert count_link_graph(L) == (2 ** (k - 1) - 1) ** r
 
     def test_two_sharing_edges_k3(self):
         # two 2-edges meeting in one vertex: (2^1)^2 + (2^1 - 1)^2 = 5
@@ -79,7 +79,7 @@ class TestCountExamples:
         # residues of edges through the shared vertex are disjoint: 3 * 3
         G = two_shared(3)
         L = G.link_graph([V(0, 0)])
-        assert count_independent_sets(L) == 9
+        assert count_link_graph(L) == 9
 
     def test_whole_two_shared(self):
         # by hand: 2^5 subsets, minus those containing either 3-edge
@@ -121,6 +121,18 @@ class TestFilterAgreement:
     def test_filter_budget(self):
         with pytest.raises(BudgetExceeded):
             count_by_filter(30, [3])
+
+    def test_filter_refuses_before_building_masks(self, monkeypatch):
+        def masks():
+            raise AssertionError("edge masks read before the refusal")
+            yield
+
+        message = r"^2\^\|V\| filter limited to 24 vertices, got 27;"
+        with pytest.raises(BudgetExceeded, match=message):
+            count_by_filter(27, masks())
+        monkeypatch.setattr(exact, "edge_masks", None)  # not callable
+        with pytest.raises(BudgetExceeded, match=message):
+            independent_masks(matching(3, 9))
 
 
 class TestLoosePath:
@@ -171,10 +183,17 @@ class TestVertexCap:
                 count_subsets_avoiding(n, [0b111])
 
     def test_hypergraph_refuses_before_building_edge_masks(self):
-        # the edge's class-1 vertex would be bit 10^12
-        G = Hypergraph.build(3, [10 ** 12, 1, 1], [[(0, 0), (1, 0), (2, 0)]])
+        # the edge's class-1 vertex would be bit 10^12: construction refuses
+        with pytest.raises(BudgetExceeded, match=(
+                r"^the instance has 1000000000002 vertices, over the cap of "
+                rf"{exact.COUNT_VERTEX_CAP};")):
+            Hypergraph.build(3, [10 ** 12, 1, 1], [[(0, 0), (1, 0), (2, 0)]])
+
+    def test_hypergraph_at_the_cap(self):
+        cap = exact.COUNT_VERTEX_CAP
+        assert Hypergraph.build(3, [cap - 2, 1, 1], []).num_vertices == cap
         with pytest.raises(BudgetExceeded):
-            count_independent_sets(G)
+            Hypergraph.build(3, [cap - 1, 1, 1], [])
 
 
 def outcome(n, masks, cap):
@@ -301,13 +320,13 @@ class TestDefectCounts:
                 assert count_with_defect_class(G, cls, 0) == expect
 
     def test_profile_monotone_and_consistent(self):
+        # the counts over b = 0..|class|+1 rise to every independent set
         G = random_partite(3, (3, 3, 2), 0.3, 11)
         for cls in range(3):
-            prof = defect_profile(G, cls)
+            prof = [count_with_defect_class(G, cls, b)
+                    for b in range(G.sizes[cls] + 2)]
             assert all(a <= b for a, b in zip(prof, prof[1:]))
-            assert prof[-1] == count_independent_sets(G)
-            for b in range(G.sizes[cls] + 1):
-                assert count_with_defect_class(G, cls, b) == prof[b]
+            assert prof[-1] == prof[-2] == count_independent_sets(G)
 
     def test_summation_identity(self):
         # defect-restricted count equals the sum of completions over defect

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from hypercount import (GenerationError, Hypergraph, InputError, Vertex,
-                        check_common_neighbor, check_def, check_exp1,
-                        check_exp2, check_girth, check_linear, check_reg,
-                        digest, gen_linear_regular, girth_at_most,
+from hypercount import (BudgetExceeded, GenerationError, Hypergraph,
+                        InputError, Vertex, check_common_neighbor, check_def,
+                        check_exp1, check_exp2, check_girth, check_linear,
+                        check_reg, digest, gen_linear_regular, girth_at_most,
                         loose_cycle_gadget)
 
 V = Vertex
@@ -161,6 +161,12 @@ class TestGenerator:
         with pytest.raises(InputError):
             gen_linear_regular(3, 2, 3, seed=0)
 
+    def test_refuses_over_the_vertex_cap_before_building(self):
+        # the capacity tables alone would hold 3 * 10^12 entries
+        with pytest.raises(BudgetExceeded,
+                           match="^the instance has 3000000000000 vertices"):
+            gen_linear_regular(3, 10 ** 12, 1, seed=0)
+
     def test_impossible_combination_fails_loudly(self):
         # k(r-1) > nr-1 makes linear regularity impossible
         with pytest.raises(GenerationError):
@@ -290,9 +296,11 @@ class TestCheckDef:
         witness = {eval_vertex(s) for s in rep.witness}
         assert all(any(v.cls == c for v in witness) for c in range(3))
 
-    def test_local_search_beyond_budget(self):
+    def test_local_search_beyond_budget(self, monkeypatch):
+        from hypercount import exact
+        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 3)
         G = Hypergraph.build(3, [2, 2, 2], [[(0, 0), (1, 0), (2, 0)]])
-        rep = check_def(G, 0, budget=3, search_rounds=200, seed=1)
+        rep = check_def(G, 0, seed=1)
         assert rep.verdict == "violated"
 
 
