@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -22,25 +21,8 @@ from typing import Optional
 from . import clusters as cl
 from . import exact, formats, formulas, lab, polymers
 from .errors import BudgetExceeded, GenerationError, InputError
-from .hypergraph import GIRTH_NODE_CAP, Hypergraph, Vertex, girth_at_most
+from .hypergraph import Hypergraph, Vertex, girth_at_most
 from .logdomain import LogValue
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"environment variable {name}={raw!r} is not an integer")
-    if value < 0:
-        raise InputError(f"environment variable {name}={raw!r} is negative")
-    return value
-
-
-def _polymer_cap() -> int:
-    return _env_int("HYPERCOUNT_MAX_POLYMERS", polymers.DEFAULT_MAX_POLYMERS)
 
 
 def _fmt(v):
@@ -148,8 +130,7 @@ def _cmd_defect_count(args):
 def _cmd_polymers(args):
     G = _load(args)
     root = _vertex(args.root) if args.root else None
-    polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root,
-                                        max_polymers=_polymer_cap())
+    polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root)
     rows = [("polymer", {
         "vertices": [str(v) for v in p.vertices],
         "order": p.order,
@@ -164,7 +145,7 @@ def _cmd_polymers(args):
 
 def _cmd_xi(args):
     G = _load(args)
-    value = polymers.partition_function(G, args.cls, args.b, _polymer_cap())
+    value = polymers.partition_function(G, args.cls, args.b)
     return (G, {"class": args.cls, "b": args.b},
             {"xi": value, "log_xi": LogValue.of(value).log}, [])
 
@@ -173,7 +154,7 @@ def _cmd_kp_check(args):
     G = _load(args)
     roots = ([_vertex(args.root)] if args.root
              else list(G.class_vertices(args.cls)))
-    found = polymers.kp_terms(G, args.cls, roots, args.b, _polymer_cap())
+    found = polymers.kp_terms(G, args.cls, roots, args.b)
     rows = [("root", {
         "vertex": res.root,
         "lhs_upper": res.lhs_upper,
@@ -188,7 +169,7 @@ def _cmd_kp_check(args):
 
 def _cmd_clusters(args):
     G = _load(args)
-    found = cl.enumerate_clusters(G, args.cls, args.t, _polymer_cap())
+    found = cl.enumerate_clusters(G, args.cls, args.t)
     rows = []
     for c in found:
         rows.append(("cluster", {
@@ -204,7 +185,7 @@ def _cmd_clusters(args):
 
 def _cmd_log_xi_trunc(args):
     G = _load(args)
-    value = cl.truncated_log_xi(G, args.cls, args.t, _polymer_cap())
+    value = cl.truncated_log_xi(G, args.cls, args.t)
     return (G, {"class": args.cls, "t": args.t},
             {"log_xi_truncated": value,
              "log_xi_truncated_float": float(value)}, [])
@@ -212,7 +193,7 @@ def _cmd_log_xi_trunc(args):
 
 def _cmd_estimate(args):
     G = _load(args)
-    est = cl.estimate_count(G, args.t, _polymer_cap())
+    est = cl.estimate_count(G, args.t)
     results = {
         "log_value": est.log_value,
         "log10_value": est.value.log10,
@@ -280,8 +261,7 @@ def _cmd_check(args):
     elif kind == "linear":
         rep = lab.check_linear(G)
     elif kind == "girth":
-        cap = _env_int("HYPERCOUNT_GIRTH_NODE_CAP", GIRTH_NODE_CAP)
-        rep = lab.check_girth(G, args.min_girth, node_cap=cap)
+        rep = lab.check_girth(G, args.min_girth)
     elif kind == "common-neighbor":
         rep = lab.check_common_neighbor(G)
     else:  # pragma: no cover - argparse restricts choices
@@ -314,7 +294,7 @@ def _cmd_generate(args):
 def _cmd_compare(args):
     G = _load(args)
     count = exact.count_independent_sets(G)
-    est = cl.estimate_count(G, args.t, _polymer_cap())
+    est = cl.estimate_count(G, args.t)
     log_exact = LogValue.of(count).log
     rel_error = math.exp(est.log_value - log_exact) - 1
     results = {

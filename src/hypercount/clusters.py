@@ -16,8 +16,8 @@ serves the `clusters` command and tests the truncation.  Clusters are
 canonical multisets of polymers together with the number of orderings they
 represent, so sums over ordered polymer vectors are computed without
 factorial blowup.  The listing refuses, as the polymer enumeration does,
-above max_polymers clusters.  Cluster weights are exact rationals; floats
-appear only at the log-domain boundary of the estimator.
+above polymers.MAX_POLYMERS clusters.  Cluster weights are exact
+rationals; floats appear only at the log-domain boundary of the estimator.
 """
 
 from __future__ import annotations
@@ -28,14 +28,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from . import polymers as pm
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph
 from .logdomain import LogValue, log_sum_exp
-from .polymers import (DEFAULT_MAX_POLYMERS, Polymer, compatible,
-                       enumerate_polymers, refuse_cap)
+from .polymers import Polymer, compatible, enumerate_polymers, refuse_cap
 from .polymers import polymer_weight  # noqa: F401 (bench/tracing.py)
 
 URSELL_VERTEX_CAP = 9
+# steps truncated_log_xi may take, estimated as the sum over its polymers C
+# of 2^|C| subsets plus t^2 series terms, before it refuses
+TRUNCATION_WORK_CAP = 1 << 20
 
 
 # ----- Ursell function ---------------------------------------------------------
@@ -172,12 +175,11 @@ def cluster_weight(cluster: Cluster) -> Fraction:
     return phi * prod
 
 
-def enumerate_clusters(G: Hypergraph, cls: int, t: int,
-                       max_polymers: int = DEFAULT_MAX_POLYMERS) -> list:
+def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
     """Every cluster of total size at most t over the class's polymer model
     with polymer orders capped at t, as canonical multisets, each once;
-    refuses above max_polymers polymers, as enumerate_polymers does, and
-    stops at max_polymers + 1 clusters and refuses the same way.
+    refuses above polymers.MAX_POLYMERS polymers, as enumerate_polymers
+    does, and stops at MAX_POLYMERS + 1 clusters and refuses the same way.
 
     The union of a cluster's polymers is 2-linked (connected entries over a
     connected incompatibility graph), so enumeration runs per candidate
@@ -187,8 +189,8 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int,
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    by_vertices = {p.vertices: p for p in
-                   enumerate_polymers(G, cls, t, max_polymers=max_polymers)}
+    by_vertices = {p.vertices: p for p in enumerate_polymers(G, cls, t)}
+    cap = pm.MAX_POLYMERS
     clusters = []
     for sup in by_vertices:
         support = frozenset(sup)
@@ -205,9 +207,8 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int,
                     cluster = Cluster(tuple(chosen))
                     if _connected_multiset(cluster.expanded()):
                         clusters.append(cluster)
-                        if (max_polymers is not None
-                                and len(clusters) > max_polymers):
-                            raise refuse_cap(max_polymers, "clusters")
+                        if len(clusters) > cap:
+                            raise refuse_cap(cap, "clusters")
                 return
             if not (support - covered) <= suffix_cover[i]:
                 return
@@ -227,8 +228,7 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int,
 # ----- the truncated log partition sum -----------------------------------------
 
 
-def truncated_log_xi(G: Hypergraph, cls: int, t: int,
-                     max_polymers: int = DEFAULT_MAX_POLYMERS) -> Fraction:
+def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     """Exact [z^1..z^t] of log Xi(z) for the class, at z = 1: the sum of
     ordered-cluster weights over all clusters of size <= t.
 
@@ -244,12 +244,19 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int,
     support U holds [z^s] only for s >= |U|; within it, [z^s] log Xi_C
     enters through every W in U that has C as a 2-linked component, and
     those cancel unless U - C lies in the d_C shared-neighbour vertices,
-    leaving the sign (-1)^|U - C|.  Refuses above max_polymers polymers.
+    leaving the sign (-1)^|U - C|.  Refuses above polymers.MAX_POLYMERS
+    polymers, and above TRUNCATION_WORK_CAP estimated steps before the loop.
     """
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    polymers = enumerate_polymers(G, cls, t, max_polymers=max_polymers)
+    polymers = enumerate_polymers(G, cls, t)
+    work = sum(1 << p.order for p in polymers) + len(polymers) * t * t
+    if work > TRUNCATION_WORK_CAP:
+        raise BudgetExceeded(
+            f"the truncation at t={t} over {len(polymers)} polymers needs "
+            f"about {work} steps, over the cap of {TRUNCATION_WORK_CAP}; "
+            f"refusing rather than estimating")
     weights = {p.vertices: p.dyadic_weight for p in polymers}
     adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
     lcm = math.lcm(*range(1, t + 1))
@@ -317,14 +324,14 @@ class CountEstimate:
         return LogValue.from_log(self.log_value)
 
 
-def estimate_count(G: Hypergraph, t: int,
-                   max_polymers: int = DEFAULT_MAX_POLYMERS) -> CountEstimate:
+def estimate_count(G: Hypergraph, t: int) -> CountEstimate:
     """2^((k-1)n) times the sum over classes of exp(truncated class sum),
     assembled in the log domain.
 
     Requires uniformity at least 3, regularity, and equal class sizes;
     those are the hypotheses under which the truncation is meaningful.
-    Each class refuses above max_polymers polymers, as enumerate_polymers.
+    Each class refuses above polymers.MAX_POLYMERS polymers, as
+    enumerate_polymers does.
     """
     if t < 1:
         raise InputError("truncation size t must be at least 1")
@@ -335,8 +342,7 @@ def estimate_count(G: Hypergraph, t: int,
     if len(set(G.sizes)) != 1:
         raise InputError("the estimator requires equal class sizes")
     n = G.sizes[0]
-    exponents = [(cls, truncated_log_xi(G, cls, t, max_polymers))
-                 for cls in range(G.k)]
+    exponents = [(cls, truncated_log_xi(G, cls, t)) for cls in range(G.k)]
     log_value = (G.k - 1) * n * math.log(2) + log_sum_exp(
         [float(x) for _, x in exponents])
     return CountEstimate(class_exponents=tuple(exponents),

@@ -278,26 +278,24 @@ class Hypergraph:
 # ----- loose cycles and girth -----------------------------------------------
 
 
-GIRTH_NODE_CAP = 2_000_000  # default DFS node budget of loose-cycle searches
+GIRTH_NODE_CAP = 2_000_000  # DFS nodes one loose-cycle search may visit
 
 
-def _node_ticker(node_cap: Optional[int]):
+def _node_ticker():
     """Counter for DFS nodes: each call counts one, and the call after
-    node_cap of them raises BudgetExceeded (None means no cap)."""
-    budget = [node_cap if node_cap is not None else -1]
+    GIRTH_NODE_CAP of them raises BudgetExceeded."""
+    cap = GIRTH_NODE_CAP
+    budget = [cap]
 
     def tick():
         if budget[0] == 0:
-            raise BudgetExceeded(
-                f"loose-cycle search exceeded node cap {node_cap}")
+            raise BudgetExceeded(f"loose-cycle search exceeded node cap {cap}")
         budget[0] -= 1
 
     return tick
 
 
-def find_loose_cycle(G: Hypergraph, max_length: int,
-                     node_cap: Optional[int] = GIRTH_NODE_CAP
-                     ) -> Optional[list]:
+def find_loose_cycle(G: Hypergraph, max_length: int) -> Optional[list]:
     """Search for a loose cycle of length between 3 and max_length.
 
     A loose l-cycle is a cyclic sequence of l distinct edges in which
@@ -314,9 +312,9 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
     cycle through an edge needs a path in the prefix between two of its
     vertices, so a union-find over the prefix skips the search for every
     edge whose vertices lie in distinct components: on a loose path none is
-    searched.  Raises BudgetExceeded when node_cap DFS nodes are visited over
-    the whole replay, so an indeterminate outcome is never reported as
-    absence.
+    searched.  Raises BudgetExceeded when GIRTH_NODE_CAP DFS nodes are
+    visited over the whole replay, so an indeterminate outcome is never
+    reported as absence.
     """
     if max_length < 3:
         raise InputError("loose cycles have length at least 3")
@@ -331,7 +329,7 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
             x = parent[x]
         return x
 
-    tick = _node_ticker(node_cap)
+    tick = _node_ticker()
     for i, cand in enumerate(edge_sets):
         roots = {find(v) for v in cand}
         if len(roots) < len(cand):
@@ -348,8 +346,7 @@ def find_loose_cycle(G: Hypergraph, max_length: int,
 
 def find_loose_cycle_through(edge_sets: Sequence[frozenset],
                              incidence: Mapping[Vertex, Sequence[int]],
-                             cand: frozenset, max_length: int,
-                             node_cap: Optional[int] = GIRTH_NODE_CAP
+                             cand: frozenset, max_length: int
                              ) -> Optional[list]:
     """Search for a loose cycle of length between 3 and max_length that uses
     the edge `cand`, in the hypergraph of the edges `incidence` names plus
@@ -368,13 +365,13 @@ def find_loose_cycle_through(edge_sets: Sequence[frozenset],
     The DFS grows the path from u on an explicit stack, so its depth is not
     bounded by the interpreter's recursion limit, and takes each cycle in
     the orientation with u < v.  Returns the witness in find_loose_cycle's
-    format, `cand` first, or None.  Raises BudgetExceeded when node_cap DFS
-    nodes are visited.
+    format, `cand` first, or None.  Raises BudgetExceeded when GIRTH_NODE_CAP
+    DFS nodes are visited.
     """
     if max_length < 3:
         raise InputError("loose cycles have length at least 3")
     return _cycle_through(edge_sets, incidence, cand, max_length,
-                          _node_ticker(node_cap))
+                          _node_ticker())
 
 
 def _cycle_through(edge_sets, incidence, cand, max_length, tick):
@@ -421,10 +418,9 @@ def _cycle_through(edge_sets, incidence, cand, max_length, tick):
     return None
 
 
-def girth_at_most(G: Hypergraph, limit: int,
-                  node_cap: Optional[int] = GIRTH_NODE_CAP) -> bool:
+def girth_at_most(G: Hypergraph, limit: int) -> bool:
     """True iff G contains a loose cycle of length between 3 and limit."""
-    return find_loose_cycle(G, limit, node_cap) is not None
+    return find_loose_cycle(G, limit) is not None
 
 
 def is_loose_cycle(G: Hypergraph, seq: Sequence) -> bool:

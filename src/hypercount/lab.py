@@ -24,12 +24,14 @@ from typing import Optional
 from .errors import BudgetExceeded, GenerationError, InputError
 from .exact import class_mask, edge_masks, independent_masks
 from .formulas import gamma_k
-from .hypergraph import (GIRTH_NODE_CAP, Hypergraph, Vertex,
-                         check_vertex_cap, find_loose_cycle,
-                         find_loose_cycle_through, girth_at_most)
+from .hypergraph import (Hypergraph, Vertex, check_vertex_cap,
+                         find_loose_cycle, find_loose_cycle_through,
+                         girth_at_most)
 
 EDGE_TRIES = 80  # candidate edges drawn per edge slot before a restart
-SEARCH_ROUNDS = 2_000  # greedy random independent sets tried by check_def
+MAX_RESTARTS = 400  # attempts gen_linear_regular makes before it fails
+# vertex tries plus vertex-edge tests check_def's local search may make
+SEARCH_TESTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,12 @@ class PropertyReport:
 
 
 def gen_linear_regular(k: int, n: int, r: int, seed: int,
-                       min_girth: Optional[int] = None,
-                       max_restarts: int = 400) -> Hypergraph:
+                       min_girth: Optional[int] = None) -> Hypergraph:
     """Random linear r-regular k-partite k-graph with all class sizes n,
     deterministic per seed; optionally with no loose cycle shorter than
-    min_girth.  Raises GenerationError with diagnostics when the retry
-    budget runs out."""
+    min_girth.  Raises GenerationError with diagnostics after MAX_RESTARTS
+    failed attempts, each of at most EDGE_TRIES draws per edge slot; each
+    girth check is one loose-cycle search under hypergraph.GIRTH_NODE_CAP."""
     if k < 2 or n < 1 or r < 1:
         raise InputError("generation requires k >= 2, n >= 1, r >= 1")
     if r > n:
@@ -66,7 +68,7 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
     total_edges = n * r
     girth_bounded = min_girth is not None and min_girth > 3
     stuck_at = 0
-    for restart in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         capacity = [[r] * n for _ in range(k)]
         # ascending indices with capacity left, so rng.choice draws exactly
         # as it would from a fresh scan of `capacity`
@@ -118,7 +120,7 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
     raise GenerationError(
         f"could not assemble a linear {r}-regular instance with k={k}, n={n}"
         + (f", girth >= {min_girth}" if min_girth else "")
-        + f" after {max_restarts} restarts (best attempt stalled at edge "
+        + f" after {MAX_RESTARTS} restarts (best attempt stalled at edge "
         f"{stuck_at + 1}/{total_edges}); try another seed or larger n")
 
 
@@ -238,7 +240,9 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
 
     Exhaustive when the 2^|V| filter takes the instance; when it refuses, a
     randomized search looks for a violating independent set and the verdict
-    degrades to `unknown` when none is found.
+    degrades to `unknown` when none is found.  Each round of that search
+    tries every vertex once against the edges through it, and the rounds
+    stop before SEARCH_TESTS tries and tests in all.
     """
     if b < 0:
         raise InputError("b must be non-negative")
@@ -265,14 +269,20 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
         witness = [str(v) for i, v in enumerate(order) if bad >> i & 1]
         return PropertyReport(name=f"Def({b})", verdict="violated",
                               params=params, witness=witness)
-    # best-effort local search where the filter refuses
+    # best-effort local search where the filter refuses; `chosen` stays
+    # independent, so only an edge through the tried vertex can fill up
+    index = {v: i for i, v in enumerate(order)}
+    through = [[] for _ in order]
+    for e, m in zip(G.edges, edge_masks(G)):
+        for v in e:
+            through[index[v]].append(m)
+    per_round = len(order) + sum(map(len, through))
     rng = random.Random(seed)
-    masks = edge_masks(G)
-    for _ in range(SEARCH_ROUNDS):
+    for _ in range(SEARCH_TESTS // per_round):
         chosen = 0
         for i in rng.sample(range(len(order)), len(order)):
             trial = chosen | (1 << i)
-            if all((trial & m) != m for m in masks):
+            if all((trial & m) != m for m in through[i]):
                 chosen = trial
         if min((chosen & cmask).bit_count() for cmask in class_masks) > b:
             witness = [str(v) for i, v in enumerate(order) if chosen >> i & 1]
@@ -310,16 +320,15 @@ def check_linear(G: Hypergraph) -> PropertyReport:
                           witness=[[str(v) for v in e] for e in bad])
 
 
-def check_girth(G: Hypergraph, min_girth: int,
-                node_cap: Optional[int] = GIRTH_NODE_CAP) -> PropertyReport:
-    """Holds iff G has no loose cycle shorter than min_girth."""
+def check_girth(G: Hypergraph, min_girth: int) -> PropertyReport:
+    """Holds iff G has no loose cycle shorter than min_girth; unknown when
+    the search visits more than hypergraph.GIRTH_NODE_CAP DFS nodes."""
     if min_girth < 4:
         raise InputError("min_girth below 4 is vacuous")
     try:
-        cycle = find_loose_cycle(G, min_girth - 1, node_cap)
+        cycle = find_loose_cycle(G, min_girth - 1)
     except BudgetExceeded:
-        return PropertyReport(name=f"girth>={min_girth}", verdict="unknown",
-                              params={"node_cap": node_cap})
+        return PropertyReport(name=f"girth>={min_girth}", verdict="unknown")
     if cycle is None:
         return PropertyReport(name=f"girth>={min_girth}", verdict="holds")
     return PropertyReport(name=f"girth>={min_girth}", verdict="violated",

@@ -22,7 +22,8 @@ from .errors import BudgetExceeded, InputError
 from .exact import count_independent_sets  # noqa: F401 (bench/tracing.py)
 from .hypergraph import Hypergraph, Vertex
 
-DEFAULT_MAX_POLYMERS = 20_000
+# polymers one enumeration may list (per root in kp_terms) before it refuses
+MAX_POLYMERS = 20_000
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,12 @@ def _connected_sets(adj, start, max_size, barred):
         stack.append((grown, pool + fresh, closed | set(fresh) | {w}))
 
 
-def _checked_roots(G: Hypergraph, cls: int, b: int, roots: Iterable,
-                   cap: Optional[int]) -> list:
-    """The roots as vertices, after checking the class, the order bound, the
-    polymer cap and that every root lies in the class."""
+def _checked_roots(G: Hypergraph, cls: int, b: int, roots: Iterable) -> list:
+    """The roots as vertices, after checking the class, the order bound and
+    that every root lies in the class."""
     G._check_class(cls)
     if b < 0:
         raise InputError("polymer order bound b must be non-negative")
-    if cap is not None and cap < 0:
-        raise InputError(f"polymer cap must be non-negative, got {cap}")
     checked = []
     for u in roots:
         u = G._check_vertex(u)
@@ -138,21 +136,19 @@ def refuse_cap(cap: int, items: str = "polymers") -> BudgetExceeded:
 
 
 def enumerate_polymers(G: Hypergraph, cls: int, b: int,
-                       root: Optional[Vertex] = None,
-                       max_polymers: Optional[int] = None) -> list:
+                       root: Optional[Vertex] = None) -> list:
     """All 2-linked S within the class with 1 <= |S| <= b (and root in S when
     given), each exactly once, sorted lexicographically.  b = 0 denotes the
-    empty model.  With max_polymers set, generation stops at max_polymers + 1
-    sets and refuses with BudgetExceeded rather than truncating."""
+    empty model.  Generation stops at MAX_POLYMERS + 1 sets and refuses with
+    BudgetExceeded rather than truncating."""
     roots = _checked_roots(G, cls, b, G.class_vertices(cls) if root is None
-                           else [root], max_polymers)
+                           else [root])
     if b == 0:
         return []
-    sets = _sets_meeting(G, cls, b, roots)
-    if max_polymers is not None:
-        sets = list(itertools.islice(sets, max_polymers + 1))
-        if len(sets) > max_polymers:
-            raise refuse_cap(max_polymers)
+    cap = MAX_POLYMERS
+    sets = list(itertools.islice(_sets_meeting(G, cls, b, roots), cap + 1))
+    if len(sets) > cap:
+        raise refuse_cap(cap)
     return _weighed(G, cls, sets)
 
 
@@ -248,10 +244,9 @@ def compatibility_sum(weights: Sequence[tuple],
     return Fraction(states[0], 1 << E * n)
 
 
-def partition_function(G: Hypergraph, cls: int, b: int,
-                       max_polymers: int = DEFAULT_MAX_POLYMERS) -> Fraction:
+def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class."""
-    polymers = enumerate_polymers(G, cls, b, max_polymers=max_polymers)
+    polymers = enumerate_polymers(G, cls, b)
     return compatibility_sum([p.dyadic_weight for p in polymers],
                              [p.neighborhood for p in polymers])
 
@@ -278,8 +273,7 @@ class KpTerms:
     polymers: tuple  # the polymers containing the root, in canonical order
 
 
-def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
-             max_polymers: int = DEFAULT_MAX_POLYMERS) -> list:
+def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int) -> list:
     """Evaluate the summability inequality at each root vertex: one KpTerms
     per root, in the order of `roots`.
 
@@ -290,24 +284,25 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int,
     (as integers over a power of two) and each order takes one interval
     product W_s * exp(f_s + g_s), rounded outward, so `holds` is
     conservative.  Refuses with BudgetExceeded as soon as some root lies in
-    more than max_polymers polymers.
+    more than MAX_POLYMERS polymers.
     """
     r = G.regular_degree()
     if r is None:
         raise InputError("summability sums require a regular hypergraph")
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
-    roots = _checked_roots(G, cls, b, roots, max_polymers)
+    roots = _checked_roots(G, cls, b, roots)
     through = {u: [] for u in roots}  # root -> the polymers containing it
     sets = []
     if b > 0:
+        cap = MAX_POLYMERS
         count = dict.fromkeys(through, 0)
         for S in _sets_meeting(G, cls, b, roots):
             for u in S:
                 if u in count:
                     count[u] += 1
-                    if count[u] > max_polymers:
-                        raise refuse_cap(max_polymers)
+                    if count[u] > cap:
+                        raise refuse_cap(cap)
             sets.append(S)
     polymers = _weighed(G, cls, sets)
     for p in polymers:

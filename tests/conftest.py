@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from hypercount import Hypergraph, gen_linear_regular
+from hypercount import Hypergraph, gen_linear_regular, lab
 from hypercount.errors import GenerationError
 
 
@@ -69,30 +69,34 @@ def girth5_instances() -> tuple:
     required range to exercise the pair formulas more broadly.  Built once
     per test run."""
     out = []
-    for k in (3, 4):
-        for n in range(1, 7):
-            for r in (1, 2):
-                if r > n:
-                    continue
-                # for r = 2 each edge of a linear instance meets exactly k
-                # others, so a loose 3- or 4-cycle is a 3- or 4-cycle of the
-                # k-regular edge-intersection graph on 2n vertices; girth 5
-                # needs 2n >= 1 + k^2 (Moore bound), so smaller shapes
-                # cannot be built
-                if r == 2 and 2 * n < 1 + k * k:
-                    continue
-                # (3, 5, 2) meets that bound but has no girth-5 instance: its
-                # edge-intersection graph would be the Petersen graph, which
-                # has no proper 3-edge-colouring by class
-                if (k, n, r) == (3, 5, 2):
-                    continue
-                for seed in (0, 1):
-                    try:
-                        G = gen_linear_regular(k, n, r, seed=seed,
-                                               min_girth=5, max_restarts=80)
-                    except GenerationError:
+    # a shape that cannot be built replays every restart: allow 80, not 400
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lab, "MAX_RESTARTS", 80)
+        for k in (3, 4):
+            for n in range(1, 7):
+                for r in (1, 2):
+                    if r > n:
                         continue
-                    out.append((k, n, r, G))
+                    # for r = 2 each edge of a linear instance meets exactly
+                    # k others, so a loose 3- or 4-cycle is a 3- or 4-cycle
+                    # of the k-regular edge-intersection graph on 2n
+                    # vertices; girth 5 needs 2n >= 1 + k^2 (Moore bound),
+                    # so smaller shapes cannot be built
+                    if r == 2 and 2 * n < 1 + k * k:
+                        continue
+                    # (3, 5, 2) meets that bound but has no girth-5
+                    # instance: its edge-intersection graph would be the
+                    # Petersen graph, which has no proper 3-edge-colouring by
+                    # class
+                    if (k, n, r) == (3, 5, 2):
+                        continue
+                    for seed in (0, 1):
+                        try:
+                            G = gen_linear_regular(k, n, r, seed=seed,
+                                                   min_girth=5)
+                        except GenerationError:
+                            continue
+                        out.append((k, n, r, G))
     for n in (7, 8):
         for seed in (0, 1):
             out.append((3, n, 2, gen_linear_regular(3, n, 2, seed=seed,

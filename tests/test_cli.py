@@ -17,11 +17,20 @@ from oracles import path_independence_polynomial
 
 SINGLE = serialize_text(single_edge(3))
 
-# each budget variable with one command that reads it
-BUDGET_READERS = {
+# each environment variable that once set a budget, with one command that
+# read it; no command reads the environment now
+FORMER_BUDGET_VARIABLES = {
     "HYPERCOUNT_MAX_POLYMERS": ("xi", "--class", "0", "--b", "2"),
     "HYPERCOUNT_GIRTH_NODE_CAP": ("check", "girth"),
 }
+
+# each command that runs a loose-cycle search, with its arguments past the
+# input
+GIRTH_SEARCHERS = [
+    ("check", "girth"),
+    ("closed-form", "--t", "2"),
+    ("compare", "--t", "2"),
+]
 
 # commands besides exact-count that would build per-vertex tables, masks
 # or counts on an instance, with their arguments past the input
@@ -33,7 +42,7 @@ VERTEX_CAP_COMMANDS = [
     ("check", "def", "--b", "0"),
 ]
 
-# each command that enumerates polymers under HYPERCOUNT_MAX_POLYMERS, with
+# each command that enumerates polymers under polymers.MAX_POLYMERS, with
 # its arguments past the input
 CAPPED_BY_MAX_POLYMERS = {
     "polymers": ("--class", "0", "--b", "2"),
@@ -457,8 +466,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", sorted(CAPPED_BY_MAX_POLYMERS))
     def test_polymer_cap_refusal(self, capsys, tmp_path, monkeypatch,
                                  command):
-        from hypercount import gen_linear_regular
-        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", "1")
+        from hypercount import gen_linear_regular, polymers
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", 1)
         path = tmp_path / "inst.hg"
         path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=1)))
         code, out, err = run_cli(capsys, command, "-i", str(path),
@@ -471,7 +480,7 @@ class TestExitCodes:
                                              monkeypatch):
         # the class holds more polymers than any one root lies in, and the
         # cap bounds the polymers through each root
-        from hypercount import enumerate_polymers
+        from hypercount import enumerate_polymers, polymers
         G = kp_instances()[0]
         most = max(len(enumerate_polymers(G, 0, 2, root=u))
                    for u in G.class_vertices(0))
@@ -479,23 +488,50 @@ class TestExitCodes:
         path = tmp_path / "inst.hg"
         path.write_text(serialize_text(G))
         args = ("kp-check", "-i", str(path), "--class", "0", "--b", "2")
-        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", str(most))
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", most)
         assert run_cli(capsys, *args)[0] == 0
-        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", str(most - 1))
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", most - 1)
         code, _, err = run_cli(capsys, *args)
         assert code == 3
         assert (f"at least {most} polymers exceed the cap of {most - 1};"
                 in err)
 
-    @pytest.mark.parametrize("name", sorted(BUDGET_READERS))
+    @pytest.mark.parametrize("name", sorted(FORMER_BUDGET_VARIABLES))
     @pytest.mark.parametrize("value", ["-1", "-5"])
     def test_negative_budget_variable(self, capsys, single_path, monkeypatch,
                                       name, value):
+        # the variable is ignored: the command answers as without it
+        command, *rest = FORMER_BUDGET_VARIABLES[name]
+        argv = (command, "-i", single_path, *rest)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
         monkeypatch.setenv(name, value)
-        command, *rest = BUDGET_READERS[name]
-        code, out, err = run_cli(capsys, command, "-i", single_path, *rest)
-        assert code == 2 and out == ""
-        assert err.startswith("error=input") and name in err
+        code, again, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and stable(again) == stable(out)
+
+    @pytest.mark.parametrize("argv", GIRTH_SEARCHERS, ids=" ".join)
+    def test_girth_cap_reaches_every_search(self, capsys, tmp_path,
+                                            monkeypatch, argv):
+        from hypercount import gen_linear_regular, hypergraph
+        monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", 0)
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 8, 2, seed=2)))
+        command, *rest = argv
+        code, out, err = run_cli(capsys, command, "-i", str(path), *rest)
+        if command == "check":  # answers unknown instead of refusing
+            assert code == 0 and kv(out)["verdict"] == "unknown"
+        else:
+            assert code == 3 and out == ""
+            assert err.startswith("error=budget loose-cycle search exceeded "
+                                  "node cap 0")
+
+    def test_generation_under_the_girth_cap(self, capsys, monkeypatch):
+        from hypercount import hypergraph
+        monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", 0)
+        code, out, err = run_cli(capsys, "generate", "--k", "3", "--n", "8",
+                                 "--r", "2", "--seed", "0", "--min-girth", "5")
+        assert code == 3 and out == ""
+        assert "exceeded node cap 0" in err
 
     def test_compatibility_sum_state_cap_refusal(self, capsys, tmp_path,
                                                  monkeypatch):
@@ -512,8 +548,8 @@ class TestExitCodes:
                                                     monkeypatch):
         # growing a polymer towards order 990 goes deeper than the default
         # recursion limit before the cap is reached
-        from hypercount import gen_linear_regular
-        monkeypatch.setenv("HYPERCOUNT_MAX_POLYMERS", "2000")
+        from hypercount import gen_linear_regular, polymers
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", 2000)
         path = tmp_path / "inst.hg"
         path.write_text(serialize_text(gen_linear_regular(3, 1500, 2, seed=0)))
         code, _, err = run_cli(capsys, "polymers", "-i", str(path),

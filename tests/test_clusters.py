@@ -13,8 +13,10 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         gen_linear_regular, partition_function,
                         polymer_weight, singleton_sum, truncated_log_xi,
                         ursell)
+from hypercount import clusters as cl, polymers
 
-from conftest import girth5_instances, partite_hypergraphs, random_partite
+from conftest import (girth5_instances, loose_path, partite_hypergraphs,
+                      random_partite, single_edge)
 from oracles import (truncated_log_generic, truncated_log_xi_fraction,
                      ursell_by_subgraphs)
 
@@ -353,7 +355,7 @@ class TestTruncatedSums:
             G = gen_linear_regular(k, n, r, seed=seed)
             assert truncated_log_xi(G, 0, t) == _cluster_sum(G, 0, t)
 
-    def test_polymer_cap(self):
+    def test_polymer_cap(self, monkeypatch):
         # the cap counts the class's polymers of order <= t, and each
         # class of the estimate is capped on its own; the cluster listing
         # also caps the clusters, which outnumber the polymers
@@ -362,21 +364,48 @@ class TestTruncatedSums:
         most = max(len(enumerate_polymers(G, c, 3)) for c in range(3))
         clusters = len(enumerate_clusters(G, 0, 3))
         assert clusters > count
-        assert truncated_log_xi(G, 0, 3, count) == truncated_log_xi(G, 0, 3)
-        assert len(enumerate_clusters(G, 0, 3, clusters)) == clusters
-        assert estimate_count(G, 3, most) == estimate_count(G, 3)
+        log_xi, estimate = truncated_log_xi(G, 0, 3), estimate_count(G, 3)
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", count)
+        assert truncated_log_xi(G, 0, 3) == log_xi
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", clusters)
+        assert len(enumerate_clusters(G, 0, 3)) == clusters
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", most)
+        assert estimate_count(G, 3) == estimate
         for run, found, cap in (
-                (lambda: truncated_log_xi(G, 0, 3, count - 1),
+                (lambda: truncated_log_xi(G, 0, 3),
                  f"{count} polymers", count - 1),
-                (lambda: enumerate_clusters(G, 0, 3, count - 1),
+                (lambda: enumerate_clusters(G, 0, 3),
                  f"{count} polymers", count - 1),
-                (lambda: enumerate_clusters(G, 0, 3, clusters - 1),
+                (lambda: enumerate_clusters(G, 0, 3),
                  f"{clusters} clusters", clusters - 1),
-                (lambda: estimate_count(G, 3, most - 1),
+                (lambda: estimate_count(G, 3),
                  f"{most} polymers", most - 1)):
+            monkeypatch.setattr(polymers, "MAX_POLYMERS", cap)
             with pytest.raises(BudgetExceeded, match=(
                     f"at least {found} exceed the cap of {cap};")):
                 run()
+
+    def test_work_cap(self, monkeypatch):
+        # one polymer of order 1 at t = 3: 2 subsets plus 9 series terms
+        G = single_edge(3)
+        expected = truncated_log_xi(G, 0, 3)
+        monkeypatch.setattr(cl, "TRUNCATION_WORK_CAP", 11)
+        assert truncated_log_xi(G, 0, 3) == expected
+        monkeypatch.setattr(cl, "TRUNCATION_WORK_CAP", 10)
+        with pytest.raises(BudgetExceeded, match=(
+                r"^the truncation at t=3 over 1 polymers needs about 11 "
+                r"steps, over the cap of 10; refusing")):
+            truncated_log_xi(G, 0, 3)
+
+    @pytest.mark.parametrize("G, cls, t", [
+        (loose_path(40), 1, 20),  # 210 polymers of up to 20 vertices
+        (single_edge(3), 0, 10_000),  # a series of 10,000 terms
+    ], ids=["long-polymers", "long-series"])
+    def test_work_cap_refuses_before_the_loop(self, G, cls, t):
+        with pytest.raises(BudgetExceeded, match=(
+                f"^the truncation at t={t} over .* over the cap of "
+                f"{cl.TRUNCATION_WORK_CAP};")):
+            truncated_log_xi(G, cls, t)
 
     def test_convergence_trend_on_tiny_instance(self, edge3, capsys):
         # reported, not asserted: the truncation error against the exact

@@ -10,6 +10,7 @@ from hypercount import (Hypergraph, InputError, Vertex, check_girth,
                         check_linear, find_loose_cycle,
                         find_loose_cycle_through, gen_linear_regular,
                         girth_at_most, is_loose_cycle, loose_cycle_gadget)
+from hypercount import hypergraph
 from hypercount.errors import BudgetExceeded
 
 from conftest import matching, partite_hypergraphs, two_shared
@@ -195,18 +196,20 @@ class TestGirth:
             w = find_loose_cycle(G, 4)
             assert is_loose_cycle(G, w) and len(w) == 4 * (k - 1)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         # the replay finds this instance's first cycle after 3 DFS nodes
         G = gen_linear_regular(3, 8, 2, seed=2)
-        with pytest.raises(BudgetExceeded):
-            find_loose_cycle(G, 8, node_cap=2)
-        assert is_loose_cycle(G, find_loose_cycle(G, 8, node_cap=3))
+        monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", 2)
+        with pytest.raises(BudgetExceeded, match="exceeded node cap 2$"):
+            find_loose_cycle(G, 8)
+        monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", 3)
+        assert is_loose_cycle(G, find_loose_cycle(G, 8))
 
     def test_bad_limit(self, edge3):
         with pytest.raises(InputError):
             girth_at_most(edge3, 2)
 
-    def test_budget_spans_the_whole_replay(self):
+    def test_budget_spans_the_whole_replay(self, monkeypatch):
         # the replay searches through every edge two of whose vertices the
         # edges before it already connect; each of those searches fits in
         # `cap` nodes on its own, but their sum does not, so the budget must
@@ -220,8 +223,8 @@ class TestGirth:
             labels = {label.get(v, v) for v in cand}
             if len(labels) < len(cand):
                 counts.append(_least_node_cap(
-                    lambda cap: find_loose_cycle_through(
-                        sets, incidence, cand, 4, node_cap=cap)))
+                    monkeypatch, lambda: find_loose_cycle_through(
+                        sets, incidence, cand, 4)))
             for x in list(label) + list(cand):
                 if label.get(x, x) in labels:
                     label[x] = min(labels)
@@ -229,28 +232,31 @@ class TestGirth:
                 incidence.setdefault(v, []).append(i)
         cap, total = max(counts), sum(counts)
         assert len(counts) < len(sets) and cap < total
+        monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", cap)
         with pytest.raises(BudgetExceeded):
-            find_loose_cycle(G, 4, node_cap=cap)
-        assert check_girth(G, 5, node_cap=cap).verdict == "unknown"
-        assert _least_node_cap(lambda c: find_loose_cycle(G, 4, c)) == total
-        assert check_girth(G, 5, node_cap=total).holds
+            find_loose_cycle(G, 4)
+        assert check_girth(G, 5).verdict == "unknown"
+        assert _least_node_cap(monkeypatch,
+                               lambda: find_loose_cycle(G, 4)) == total
+        assert check_girth(G, 5).holds
 
 
-def _least_node_cap(search):
-    """The fewest DFS nodes with which `search(node_cap)` completes."""
+def _least_node_cap(monkeypatch, search):
+    """The fewest DFS nodes with which `search()` completes, found by
+    raising hypergraph.GIRTH_NODE_CAP from 0; the cap is left there."""
     cap = 0
     while True:
+        monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", cap)
         try:
-            search(cap)
+            search()
             return cap
         except BudgetExceeded:
             cap += 1
 
 
-def _through_search(G, cand, max_length, node_cap=2_000_000):
+def _through_search(G, cand, max_length):
     return find_loose_cycle_through([frozenset(e) for e in G.edges],
-                                    G.incidence, frozenset(cand), max_length,
-                                    node_cap)
+                                    G.incidence, frozenset(cand), max_length)
 
 
 class TestGirthThroughEdge:
@@ -266,11 +272,12 @@ class TestGirthThroughEdge:
                 assert is_loose_cycle(G, w) and len(w) == 4 * (k - 1)
                 assert frozenset(w[:k]) == frozenset(cand)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         G = loose_cycle_gadget(3)
         rest = Hypergraph(3, G.sizes, G.edges[1:])
+        monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", 1)
         with pytest.raises(BudgetExceeded):
-            _through_search(rest, G.edges[0], 4, node_cap=1)
+            _through_search(rest, G.edges[0], 4)
 
     def test_bad_limit(self, edge3):
         with pytest.raises(InputError):

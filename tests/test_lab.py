@@ -10,12 +10,12 @@ from hypercount import (BudgetExceeded, GenerationError, Hypergraph,
                         InputError, Vertex, check_common_neighbor, check_def,
                         check_exp1, check_exp2, check_girth, check_linear,
                         check_reg, digest, gen_linear_regular, girth_at_most,
-                        loose_cycle_gadget)
+                        lab, loose_cycle_gadget)
 
 V = Vertex
 
 # Generator outcomes pinned per (k, n, r, min_girth, seed) at
-# max_restarts=6: the first 16 hex digits of the instance digest, or where
+# lab.MAX_RESTARTS = 6: the first 16 hex digits of the instance digest, or where
 # the best attempt stalled before GenerationError.  Seeds must keep naming
 # the same instances whatever the generator's checks cost.
 PINNED_OUTCOMES = {
@@ -112,10 +112,9 @@ PINNED_K4_GIRTH5 = {
 }
 
 
-def _outcome(k, n, r, min_girth, seed, max_restarts):
+def _outcome(k, n, r, min_girth, seed):
     try:
-        G = gen_linear_regular(k, n, r, seed, min_girth=min_girth,
-                               max_restarts=max_restarts)
+        G = gen_linear_regular(k, n, r, seed, min_girth=min_girth)
     except GenerationError as exc:
         return "stall " + re.search(r"edge (\d+/\d+)", str(exc)).group(1)
     return digest(G)[:16]
@@ -151,11 +150,13 @@ class TestGenerator:
         c = gen_linear_regular(3, 5, 2, seed=43)
         assert a != c
 
-    def test_pinned_outcomes(self):
+    def test_pinned_outcomes(self, monkeypatch):
+        monkeypatch.setattr(lab, "MAX_RESTARTS", 6)
         for (k, n, r, g, seed), expect in PINNED_OUTCOMES.items():
-            assert _outcome(k, n, r, g, seed, 6) == expect, (k, n, r, g, seed)
+            assert _outcome(k, n, r, g, seed) == expect, (k, n, r, g, seed)
+        monkeypatch.setattr(lab, "MAX_RESTARTS", 30)
         for (k, n, r, g, seed), expect in PINNED_K4_GIRTH5.items():
-            assert _outcome(k, n, r, g, seed, 30) == expect, (k, n, r, g, seed)
+            assert _outcome(k, n, r, g, seed) == expect, (k, n, r, g, seed)
 
     def test_infeasible_r_rejected(self):
         with pytest.raises(InputError):
@@ -167,10 +168,11 @@ class TestGenerator:
                            match="^the instance has 3000000000000 vertices"):
             gen_linear_regular(3, 10 ** 12, 1, seed=0)
 
-    def test_impossible_combination_fails_loudly(self):
+    def test_impossible_combination_fails_loudly(self, monkeypatch):
         # k(r-1) > nr-1 makes linear regularity impossible
-        with pytest.raises(GenerationError):
-            gen_linear_regular(4, 2, 2, seed=0, max_restarts=25)
+        monkeypatch.setattr(lab, "MAX_RESTARTS", 25)
+        with pytest.raises(GenerationError, match="after 25 restarts"):
+            gen_linear_regular(4, 2, 2, seed=0)
 
 
 class TestGadget:
@@ -302,6 +304,22 @@ class TestCheckDef:
         G = Hypergraph.build(3, [2, 2, 2], [[(0, 0), (1, 0), (2, 0)]])
         rep = check_def(G, 0, seed=1)
         assert rep.verdict == "violated"
+
+    def test_local_search_stops_at_its_budget(self, monkeypatch):
+        # a round tries the 6 vertices and tests 3 of them against the edge
+        from hypercount import exact
+        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 3)
+        G = Hypergraph.build(3, [2, 2, 2], [[(0, 0), (1, 0), (2, 0)]])
+        monkeypatch.setattr(lab, "SEARCH_TESTS", 8)
+        assert check_def(G, 0, seed=1).verdict == "unknown"
+        monkeypatch.setattr(lab, "SEARCH_TESTS", 9)
+        assert check_def(G, 0, seed=1).verdict == "violated"
+
+    def test_local_search_on_a_large_instance(self):
+        # 600 vertices: a few rounds fit the budget, and none finds a set
+        # with more than 150 vertices in every class
+        G = gen_linear_regular(3, 200, 2, seed=0)
+        assert check_def(G, 150).verdict == "unknown"
 
 
 def eval_vertex(s):

@@ -1,5 +1,6 @@
 """Package layout: modules talk to each other through public names only,
-and numpy and mpmath load only with the commands that use them."""
+read nothing from the environment, and load numpy and mpmath only with the
+commands that use them."""
 
 import ast
 import os
@@ -46,6 +47,24 @@ def test_no_private_imports_across_modules():
             package = node.level > 0 or node.module.startswith("hypercount")
             offenders += [f"{path.name}: {alias.name}" for alias in node.names
                           if package and alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_module_reads_the_environment():
+    # every budget is a module constant: no variable changes what a
+    # command computes
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in reads
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                offenders.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                offenders += [f"{path.name}:{node.lineno} {alias.name}"
+                              for alias in node.names if alias.name in reads]
     assert offenders == []
 
 
