@@ -254,8 +254,7 @@ def _cmd_check(args):
     elif kind in ("exp1", "exp2"):
         check, name = ((lab.check_exp1, "alpha") if kind == "exp1"
                        else (lab.check_exp2, "beta"))
-        rep = check(G, _fraction(name, getattr(args, name)),
-                    size_cap=args.size_cap, samples=args.samples, seed=args.seed)
+        rep = check(G, _fraction(name, getattr(args, name)), seed=args.seed)
     elif kind == "def":
         rep = lab.check_def(G, args.b, seed=args.seed)
     elif kind == "linear":
@@ -354,8 +353,6 @@ _COMMANDS = {
         _arg("--beta", default="1/4"),
         _arg("--b", type=int, default=1),
         _arg("--min-girth", dest="min_girth", type=int, default=5),
-        _arg("--size-cap", dest="size_cap", type=int, default=3),
-        _arg("--samples", type=int, default=10_000),
         _arg("--seed", type=int, default=0))),
     "generate": (_cmd_generate, False, (
         _arg("--k", type=int, required=True),

@@ -32,7 +32,7 @@ from . import polymers as pm
 from .errors import BudgetExceeded, InputError
 from .hypergraph import Hypergraph
 from .logdomain import LogValue, log_sum_exp
-from .polymers import Polymer, compatible, enumerate_polymers, refuse_cap
+from .polymers import Polymer, compatible, refuse_cap
 from .polymers import polymer_weight  # noqa: F401 (bench/tracing.py)
 
 URSELL_VERTEX_CAP = 9
@@ -189,7 +189,7 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    by_vertices = {p.vertices: p for p in enumerate_polymers(G, cls, t)}
+    by_vertices = {p.vertices: p for p in pm.enumerate_polymers(G, cls, t)}
     cap = pm.MAX_POLYMERS
     clusters = []
     for sup in by_vertices:
@@ -250,7 +250,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    polymers = enumerate_polymers(G, cls, t)
+    polymers = pm.enumerate_polymers(G, cls, t)
     work = sum(1 << p.order for p in polymers) + len(polymers) * t * t
     if work > TRUNCATION_WORK_CAP:
         raise BudgetExceeded(
@@ -300,7 +300,8 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
         # l_s = M[s] / (s 2^(D s)) = M[s] (lcm / s) 2^(D (t-s)) / (lcm 2^(D t))
         term = 0
         for s in range(c, t + 1):
-            sign_sum = sum((-1) ** j * math.comb(d, j) for j in range(s - c + 1))
+            # sum_{j<=m} (-1)^j binom(d, j) = (-1)^m binom(d-1, m), m = s - c
+            sign_sum = (-1) ** (s - c) * math.comb(d - 1, s - c) if d else 1
             term += (M[s] * (lcm // s) << D * (t - s)) * sign_sum
         totals[D] = totals.get(D, 0) + term
     top = max(totals, default=0)

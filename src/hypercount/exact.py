@@ -8,17 +8,17 @@ it, so an edge with p private vertices contributes a factor 2^p, or
 visits the shared vertices, those in two or more edges, once each, in a
 greedy order that keeps few edges open, and keeps a table from partial
 states to integer counts; more than STATE_CAP live states refuse with
-BudgetExceeded.  A Hypergraph of more than COUNT_VERTEX_CAP vertices
-refuses at construction, and `count_subsets_avoiding` applies the same cap
-to its raw vertex count.  A vectorized 2^|V| filter is retained as an
-independent cross-check for at most FILTER_VERTEX_CAP vertices, refusing
-above it before any mask is built; it is the one place that enumerates
-vertex subsets, and the only code here that loads numpy.  All three caps
-are module constants.  Callers reach the filter through a small public
-seam: `independent_masks(G)` lists the independent sets of G as bitmasks,
-`edge_masks(G)` gives the edges in the same bit order (bit i is
-`list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
-one class."""
+BudgetExceeded.  A Hypergraph of more than hypergraph.COUNT_VERTEX_CAP
+vertices refuses at construction, and `count_subsets_avoiding` reads the
+same cap at call time for its raw vertex count.  A vectorized 2^|V| filter
+is retained as an independent cross-check for at most FILTER_VERTEX_CAP
+vertices, refusing above it before any mask is built; it is the one place
+that enumerates vertex subsets, and the only code here that loads numpy.
+All three caps are module constants.  Callers reach the filter through a
+small public seam: `independent_masks(G)` lists the independent sets of G
+as bitmasks, `edge_masks(G)` gives the edges in the same bit order (bit i
+is `list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits
+of one class."""
 
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ import itertools
 from typing import Sequence
 
 from .errors import BudgetExceeded, InputError
-from .hypergraph import COUNT_VERTEX_CAP, Hypergraph
+from . import hypergraph
+from .hypergraph import Hypergraph
 
 STATE_CAP = 1 << 18  # live states of the frontier sweep before it refuses
 
@@ -154,11 +155,11 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     than STATE_CAP partial states are live."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
-    if num_vertices > COUNT_VERTEX_CAP:
+    if num_vertices > hypergraph.COUNT_VERTEX_CAP:
         raise BudgetExceeded(
             f"the exact count has {num_vertices} vertices, over the cap of "
-            f"{COUNT_VERTEX_CAP}, and could need as many bits; refusing "
-            f"rather than estimating")
+            f"{hypergraph.COUNT_VERTEX_CAP}, and could need as many bits; "
+            f"refusing rather than estimating")
     dedup = dict.fromkeys(map(int, edge_masks))  # in the caller's order
     forced = covered = 0
     for e in dedup:

@@ -10,15 +10,18 @@ instance or fails loudly; it never hands back a non-conforming graph.
 Property checks measure, they never assume: a verdict is `holds` only when
 the checked range was covered exhaustively (or sampling found no violation
 and the range was complete), `violated` always carries a witness, and
-partial coverage yields `unknown`.
+partial coverage yields `unknown`, also where the EXPANSION_* budgets
+below cut an expansion check short.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .errors import BudgetExceeded, GenerationError, InputError
@@ -32,6 +35,9 @@ EDGE_TRIES = 80  # candidate edges drawn per edge slot before a restart
 MAX_RESTARTS = 400  # attempts gen_linear_regular makes before it fails
 # vertex tries plus vertex-edge tests check_def's local search may make
 SEARCH_TESTS = 200_000
+EXPANSION_EXHAUSTIVE_SIZE = 3  # expansion set sizes tested exhaustively
+EXPANSION_SAMPLES = 10_000  # seeded random sets per larger expansion set size
+EXPANSION_WORK = 1_000_000  # set sizes summed over all tested expansion sets
 
 
 @dataclass(frozen=True)
@@ -174,35 +180,45 @@ def check_reg(G: Hypergraph, t: int) -> PropertyReport:
         worst_ratio=Fraction(lhs) / n if n else None)
 
 
-def _expansion_check(G, name, factor, max_size, size_cap, samples, seed):
+def _expansion_check(G, name, factor, max_size, seed):
     """Shared engine: |N(S)| >= factor * r * |S| over single-class sets up to
-    max_size, exhaustively to size_cap and sampled beyond."""
+    max_size, within the EXPANSION_* budgets.  A set of size s costs s; a
+    (class, size) block that does not fit is skipped without drawing.  An
+    edge meets a class once, so N(S) ORs S's neighbourhoods."""
     r, n = _regular_equal(G)
     factor = Fraction(factor)
     worst = None
-    witness = None
     rng = random.Random(seed)
-    exhaustive = min(max_size, n) <= size_cap  # sizes beyond n are vacuous
+    top = min(max_size, n)  # sizes beyond n are vacuous
+    exhaustive = top <= EXPANSION_EXHAUSTIVE_SIZE
+    masks, left = edge_masks(G), EXPANSION_WORK
     for cls in range(G.k):
-        verts = G.class_vertices(cls)
-        for s in range(1, min(max_size, n) + 1):
-            if s <= size_cap:
-                pool = itertools.combinations(verts, s)
-            else:
-                pool = (tuple(rng.sample(verts, s)) for _ in range(samples))
+        verts, outside = G.class_vertices(cls), ~class_mask(G, cls)
+        nbs = [reduce(int.__or__, (masks[j] for j in G.incidence[v]), 0)
+               & outside for v in verts]
+        for s in range(1, top + 1):
+            sampled = s > EXPANSION_EXHAUSTIVE_SIZE
+            cost = s * (EXPANSION_SAMPLES if sampled else math.comb(n, s))
+            if cost > left:
+                exhaustive = False
+                continue
+            left -= cost
+            pool = ((rng.sample(range(n), s) for _ in range(EXPANSION_SAMPLES))
+                    if sampled else itertools.combinations(range(n), s))
+            low = G.num_vertices + 1  # a violating set is a new low
             for S in pool:
-                nb = len(G.neighborhood(S))
-                ratio = Fraction(nb, r * len(S))
-                if worst is None or ratio < worst:
-                    worst = ratio
-                if ratio < factor:
-                    witness = {"S": [str(v) for v in sorted(S)],
-                               "neighborhood_size": nb,
-                               "required": factor * r * len(S)}
-                    return PropertyReport(
-                        name=name, verdict="violated",
-                        params={"r": r, "n": n, "max_size": max_size},
-                        witness=witness, worst_ratio=worst)
+                nb = reduce(int.__or__, map(nbs.__getitem__, S)).bit_count()
+                if nb < low:
+                    low, ratio = nb, Fraction(nb, r * s)
+                    worst = ratio if worst is None else min(worst, ratio)
+                    if ratio < factor:
+                        witness = {"S": [str(verts[i]) for i in sorted(S)],
+                                   "neighborhood_size": nb,
+                                   "required": factor * r * s}
+                        return PropertyReport(
+                            name=name, verdict="violated",
+                            params={"r": r, "n": n, "max_size": max_size},
+                            witness=witness, worst_ratio=worst)
     verdict = "holds" if exhaustive else "unknown"
     return PropertyReport(name=name, verdict=verdict,
                           params={"r": r, "n": n, "max_size": max_size,
@@ -210,29 +226,24 @@ def _expansion_check(G, name, factor, max_size, size_cap, samples, seed):
                           worst_ratio=worst)
 
 
-def check_exp1(G: Hypergraph, alpha, size_cap: int = 3,
-               samples: int = 10_000, seed: int = 0) -> PropertyReport:
-    """Expansion of small sets: |N(S)| >= (k-1-alpha) r |S| for |S| <= r."""
+def check_exp1(G: Hypergraph, alpha, seed: int = 0) -> PropertyReport:
+    """Expansion of small sets: |N(S)| >= (k-1-alpha) r |S| for |S| <= r,
+    within the expansion budgets (see _expansion_check)."""
     r, _ = _regular_equal(G)
     alpha = Fraction(alpha)
     return _expansion_check(G, f"Exp1({float(alpha):g})",
-                            G.k - 1 - alpha, r, size_cap, samples, seed)
+                            G.k - 1 - alpha, r, seed)
 
 
-def check_exp2(G: Hypergraph, beta, size_cap: int = 3,
-               samples: int = 10_000, seed: int = 0) -> PropertyReport:
+def check_exp2(G: Hypergraph, beta, seed: int = 0) -> PropertyReport:
     """Expansion of mid-scale sets: |N(S)| >= (k-2+beta) r |S| for
-    |S| <= beta n / r."""
+    |S| <= beta n / r, within the expansion budgets (see _expansion_check)."""
     r, n = _regular_equal(G)
     beta = Fraction(beta)
     # at r = 0 every set meets the bound (k-2+beta) r |S| = 0
-    max_size = int(beta * n / r) if r else 0
-    if max_size < 1:
-        return PropertyReport(name=f"Exp2({float(beta):g})", verdict="holds",
-                              params={"r": r, "n": n, "max_size": 0,
-                                      "exhaustive": True})
+    max_size = max(int(beta * n / r), 0) if r else 0
     return _expansion_check(G, f"Exp2({float(beta):g})",
-                            G.k - 2 + beta, max_size, size_cap, samples, seed)
+                            G.k - 2 + beta, max_size, seed)
 
 
 def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:

@@ -342,6 +342,14 @@ class TestCommands:
         assert code == 0 and kv(out)["verdict"] == "holds"
         assert kv(out)["worst_ratio"] == "2"
 
+    @pytest.mark.parametrize("flag", ["--size-cap", "--samples"])
+    def test_expansion_budgets_are_not_options(self, capsys, single_path,
+                                               flag):
+        code, out, err = parse_outcome(
+            capsys, main, ["check", "exp1", "-i", single_path, flag, "5"])
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 5" in err
+
     def test_kp_check_single_root(self, capsys, single_path):
         code, out, _ = run_cli(capsys, "kp-check", "-i", single_path,
                                "--class", "0", "--b", "1", "--root", "0:0")

@@ -279,6 +279,32 @@ class TestTruncatedSums:
                          for m in range(1, t + 1))
             assert value == taylor
 
+    def test_closed_form_sign_sum(self):
+        # the truncation's sign factor: sum_{j <= m} (-1)^j binom(d, j)
+        for d in range(30):
+            for m in range(30):
+                direct = sum((-1) ** j * math.comb(d, j) for j in range(m + 1))
+                closed = (-1) ** m * math.comb(d - 1, m) if d else 1
+                assert direct == closed, (d, m)
+
+    def test_enumerates_through_the_polymers_module(self, monkeypatch):
+        # a caller that rebinds polymers.enumerate_polymers, as the tracer
+        # does, sees the truncation's and the cluster listing's enumeration
+        calls = []
+        real = polymers.enumerate_polymers
+
+        def spy(G, cls, t, **kwargs):
+            calls.append((cls, t))
+            return real(G, cls, t, **kwargs)
+
+        monkeypatch.setattr(polymers, "enumerate_polymers", spy)
+        G = gen_linear_regular(3, 4, 2, seed=1)
+        expected = truncated_log_xi(G, 1, 3)
+        enumerate_clusters(G, 0, 2)
+        assert calls == [(1, 3), (0, 2)]
+        monkeypatch.undo()
+        assert truncated_log_xi(G, 1, 3) == expected
+
     def test_engine_t1_equality(self):
         for k, n, r, seed in [(3, 4, 1, 0), (3, 4, 2, 1), (4, 5, 2, 2)]:
             G = gen_linear_regular(k, n, r, seed=seed)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercount import exact
+from hypercount import exact, hypergraph
 from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
                         count_by_filter, count_independent_sets,
                         count_subsets_avoiding, count_with_defect_class,
@@ -171,29 +171,40 @@ class TestStateCap:
 
 class TestVertexCap:
     def test_count_at_the_cap(self):
-        cap = exact.COUNT_VERTEX_CAP
+        cap = hypergraph.COUNT_VERTEX_CAP
         assert count_subsets_avoiding(cap, [0b111]) == 7 << (cap - 3)
 
     def test_refuses_above_the_cap_before_building_the_count(self):
         # 2^(10^12) would not fit in memory
-        for n in (exact.COUNT_VERTEX_CAP + 1, 10 ** 12):
+        for n in (hypergraph.COUNT_VERTEX_CAP + 1, 10 ** 12):
             with pytest.raises(BudgetExceeded, match=(
                     rf"^the exact count has {n} vertices, over the cap of "
-                    rf"{exact.COUNT_VERTEX_CAP}")):
+                    rf"{hypergraph.COUNT_VERTEX_CAP}")):
                 count_subsets_avoiding(n, [0b111])
 
     def test_hypergraph_refuses_before_building_edge_masks(self):
         # the edge's class-1 vertex would be bit 10^12: construction refuses
         with pytest.raises(BudgetExceeded, match=(
                 r"^the instance has 1000000000002 vertices, over the cap of "
-                rf"{exact.COUNT_VERTEX_CAP};")):
+                rf"{hypergraph.COUNT_VERTEX_CAP};")):
             Hypergraph.build(3, [10 ** 12, 1, 1], [[(0, 0), (1, 0), (2, 0)]])
 
     def test_hypergraph_at_the_cap(self):
-        cap = exact.COUNT_VERTEX_CAP
+        cap = hypergraph.COUNT_VERTEX_CAP
         assert Hypergraph.build(3, [cap - 2, 1, 1], []).num_vertices == cap
         with pytest.raises(BudgetExceeded):
             Hypergraph.build(3, [cap - 1, 1, 1], [])
+
+
+    def test_one_cap_gates_the_instance_and_the_raw_count(self, monkeypatch):
+        monkeypatch.setattr(hypergraph, "COUNT_VERTEX_CAP", 10)
+        with pytest.raises(BudgetExceeded, match=(
+                r"^the instance has 12 vertices, over the cap of 10;")):
+            Hypergraph.build(3, [4, 4, 4], [])
+        with pytest.raises(BudgetExceeded, match=(
+                r"^the exact count has 11 vertices, over the cap of 10,")):
+            count_subsets_avoiding(11, [])
+        assert count_subsets_avoiding(10, []) == 1024
 
 
 def outcome(n, masks, cap):

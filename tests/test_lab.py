@@ -1,8 +1,12 @@
 """Instance generation and the concrete property checkers."""
 
+import functools
+import itertools
 import math
+import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -233,42 +237,107 @@ class TestCirculantFixture:
             assert check_linear(G).holds
 
 
+def twin_pairs():
+    """Each class-0 vertex shares both its edges' residues with the other,
+    so singletons expand by (k-1) r and the pair only by half that."""
+    return Hypergraph.build(3, [2, 2, 2],
+                            [[(0, 0), (1, 0), (2, 0)],
+                             [(0, 1), (1, 0), (2, 0)],
+                             [(0, 0), (1, 1), (2, 1)],
+                             [(0, 1), (1, 1), (2, 1)]])
+
+
 class TestExpansionChecks:
     def test_single_edge_exp1(self, edge3):
         rep = check_exp1(edge3, Fraction(1, 2))
         assert rep.holds
         assert rep.worst_ratio == 2  # |N| = 2, r|S| = 1
 
-    def test_linear_singletons_attain_equality(self):
+    def test_linear_singletons_attain_equality(self, monkeypatch):
         k, r = 3, 2
         G = gen_linear_regular(k, 5, r, seed=1)
-        rep = check_exp1(G, Fraction(0), size_cap=1)
+        monkeypatch.setattr(lab, "EXPANSION_EXHAUSTIVE_SIZE", 1)
+        rep = check_exp1(G, Fraction(0))
         # singletons in linear instances have |N| = (k-1) r exactly
         for v in G.class_vertices(0):
             assert len(G.neighborhood([v])) == (k - 1) * r
 
-    def test_violation_carries_witness(self):
-        # force tiny expansion: two vertices sharing both their edges' residues
-        G = Hypergraph.build(3, [2, 2, 2],
-                             [[(0, 0), (1, 0), (2, 0)],
-                              [(0, 1), (1, 0), (2, 0)],
-                              [(0, 0), (1, 1), (2, 1)],
-                              [(0, 1), (1, 1), (2, 1)]])
-        rep = check_exp1(G, Fraction(1, 100), size_cap=2)
+    def test_violation_carries_witness(self, monkeypatch):
+        monkeypatch.setattr(lab, "EXPANSION_EXHAUSTIVE_SIZE", 2)
+        rep = check_exp1(twin_pairs(), Fraction(1, 100))
         assert rep.verdict == "violated"
         assert rep.witness is not None and "S" in rep.witness
 
-    def test_unknown_when_not_exhaustive(self):
+    def test_unknown_when_not_exhaustive(self, monkeypatch):
         G = gen_linear_regular(3, 8, 2, seed=3)
-        rep = check_exp1(G, Fraction(1, 4), size_cap=1, samples=50)
+        monkeypatch.setattr(lab, "EXPANSION_EXHAUSTIVE_SIZE", 1)
+        monkeypatch.setattr(lab, "EXPANSION_SAMPLES", 50)
+        rep = check_exp1(G, Fraction(1, 4))
         assert rep.verdict in ("unknown", "violated")
 
-    def test_exp2_mirrors(self):
+    def test_exp2_mirrors(self, monkeypatch):
         G = gen_linear_regular(3, 6, 2, seed=2)
-        rep = check_exp2(G, Fraction(1, 2), size_cap=2)
+        monkeypatch.setattr(lab, "EXPANSION_EXHAUSTIVE_SIZE", 2)
+        rep = check_exp2(G, Fraction(1, 2))
         assert rep.verdict in ("holds", "unknown", "violated")
         vac = check_exp2(G, Fraction(1, 100))
         assert vac.holds  # threshold below one vertex
+
+    def test_masks_match_the_neighborhood_oracle(self, monkeypatch):
+        # at factor 0 nothing is violated, so with every size exhaustive the
+        # worst ratio is the minimum of |N(S)| / (r |S|) over all S
+        monkeypatch.setattr(lab, "EXPANSION_EXHAUSTIVE_SIZE", 6)
+        for k, n, r, seed in [(3, 6, 2, 0), (3, 6, 3, 1), (4, 5, 2, 2)]:
+            G = gen_linear_regular(k, n, r, seed=seed)
+            rep = lab._expansion_check(G, "all", 0, n, seed=0)
+            assert rep.verdict == "holds"
+            assert rep.worst_ratio == min(
+                Fraction(len(G.neighborhood(S)), r * s) for c in range(k)
+                for s in range(1, n + 1)
+                for S in itertools.combinations(G.class_vertices(c), s))
+
+    def test_small_work_budget_skips_a_block(self, monkeypatch):
+        # the violation lies in the pair {0:0, 0:1}; a budget of 3 covers
+        # class 0's singletons (cost 2) but not its pair (cost 2 more)
+        full = check_exp1(twin_pairs(), Fraction(1, 100))
+        assert full.verdict == "violated" and len(full.witness["S"]) == 2
+        tested = []
+
+        def reduce(fn, items, *initial):
+            items = list(items)
+            if not initial:  # one per tested set, over its vertices' masks
+                tested.append(len(items))
+            return functools.reduce(fn, items, *initial)
+
+        monkeypatch.setattr(lab, "reduce", reduce)
+        monkeypatch.setattr(lab, "EXPANSION_WORK", 3)
+        rep = check_exp1(twin_pairs(), Fraction(1, 100))
+        assert rep.verdict == "unknown" and rep.witness is None
+        assert rep.params["exhaustive"] is False
+        assert rep.worst_ratio == 2  # the singletons' |N| = 4 over r = 2
+        assert tested == [1, 1]  # class 0's two singletons, nothing else
+
+    def test_a_skipped_sampled_block_draws_nothing(self, monkeypatch):
+        # ten sets per size 1..3 cost 10, 20 and 30: a budget of 100 takes
+        # class 0, then sizes 1 and 2 of class 1 and size 1 of class 2
+        draws = []
+
+        class Recording(random.Random):
+            def sample(self, population, k, **kwargs):
+                draws.append(k)
+                return super().sample(population, k, **kwargs)
+
+        G = gen_linear_regular(3, 12, 3, seed=0)
+        monkeypatch.setattr(lab, "random", SimpleNamespace(Random=Recording))
+        monkeypatch.setattr(lab, "EXPANSION_EXHAUSTIVE_SIZE", 0)
+        monkeypatch.setattr(lab, "EXPANSION_SAMPLES", 10)
+        assert check_exp1(G, Fraction(1)).verdict == "unknown"
+        assert draws == ([1] * 10 + [2] * 10 + [3] * 10) * 3
+        draws.clear()
+        monkeypatch.setattr(lab, "EXPANSION_WORK", 100)
+        assert check_exp1(G, Fraction(1)).verdict == "unknown"
+        assert draws == [1] * 10 + [2] * 10 + [3] * 10 + [1] * 10 + [2] * 10 \
+            + [1] * 10
 
     @pytest.mark.parametrize("check", [check_exp1, check_exp2])
     def test_edgeless_instance_holds(self, check):
@@ -362,11 +431,12 @@ class TestOtherChecks:
 
 
 class TestDegreeRootBound:
-    def test_exhaustive_expansion_implies_degree_bound(self):
+    def test_exhaustive_expansion_implies_degree_bound(self, monkeypatch):
         # with full small-set expansion and k >= 3, n >= 3 the degree obeys
         # r <= sqrt(2n)
         for k, n, r, seed in [(3, 4, 2, 0), (3, 6, 2, 1), (4, 6, 2, 2)]:
             G = gen_linear_regular(k, n, r, seed=seed)
-            rep = check_exp1(G, Fraction(99, 100), size_cap=r)
+            monkeypatch.setattr(lab, "EXPANSION_EXHAUSTIVE_SIZE", r)
+            rep = check_exp1(G, Fraction(99, 100))
             if rep.holds:
                 assert r <= math.sqrt(2 * n)
