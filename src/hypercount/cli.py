@@ -152,9 +152,8 @@ def _cmd_xi(args):
 
 def _cmd_kp_check(args):
     G = _load(args)
-    roots = ([_vertex(args.root)] if args.root
-             else list(G.class_vertices(args.cls)))
-    found = polymers.kp_terms(G, args.cls, roots, args.b)
+    root = _vertex(args.root) if args.root else None
+    found = polymers.kp_terms(G, args.cls, args.b, root=root)
     rows = [("root", {
         "vertex": res.root,
         "lhs_upper": res.lhs_upper,
@@ -164,7 +163,7 @@ def _cmd_kp_check(args):
     }) for res in found]
     return (G, {"class": args.cls, "b": args.b},
             {"all_hold": all(res.holds for res in found),
-             "roots": len(roots)}, rows)
+             "roots": len(found)}, rows)
 
 
 def _cmd_clusters(args):
@@ -236,7 +235,10 @@ def _report_rows(report: lab.PropertyReport):
     results = {"property": report.name, "verdict": report.verdict}
     if report.worst_ratio is not None:
         results["worst_ratio"] = report.worst_ratio
-        results["worst_ratio_float"] = float(report.worst_ratio)
+        try:
+            results["worst_ratio_float"] = float(report.worst_ratio)
+        except OverflowError:  # beyond the float range; worst_ratio is exact
+            results["worst_ratio_float"] = math.inf
     rows = []
     if report.witness is not None:
         if isinstance(report.witness, dict):

@@ -40,6 +40,9 @@ def parse_text(text: str) -> Hypergraph:
                 sizes = tuple(int(x) for x in fields["sizes"].split(","))
             except (KeyError, ValueError) as exc:
                 raise InputError(f"line {lineno}: bad header {line!r}: {exc}")
+            if len(sizes) != k:
+                raise InputError(f"line {lineno}: header gives {len(sizes)} "
+                                 f"class sizes for k={k}")
         elif line.startswith("e "):
             if k is None:
                 raise InputError(f"line {lineno}: edge before header")

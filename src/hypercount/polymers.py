@@ -1,6 +1,6 @@
 """Polymers: 2-linked single-class vertex sets, their exact weights, the
-compatibility relation, exact partition functions, and the per-root
-convergence-condition sums.
+compatibility relation, exact partition functions, and the
+convergence-condition sums at each root, taken over the same enumeration.
 
 Every weight |IS(link graph)| / 2^|N(S)| is an integer m over a power of
 two 2^e.  Polymers are weighed where they are built, by one weigher on
@@ -22,7 +22,7 @@ from .errors import BudgetExceeded, InputError
 from .exact import count_independent_sets  # noqa: F401 (bench/tracing.py)
 from .hypergraph import Hypergraph, Vertex
 
-# polymers one enumeration may list (per root in kp_terms) before it refuses
+# polymers one enumeration may list before it refuses
 MAX_POLYMERS = 20_000
 
 
@@ -103,32 +103,6 @@ def _connected_sets(adj, start, max_size, barred):
         stack.append((grown, pool + fresh, closed | set(fresh) | {w}))
 
 
-def _checked_roots(G: Hypergraph, cls: int, b: int, roots: Iterable) -> list:
-    """The roots as vertices, after checking the class, the order bound and
-    that every root lies in the class."""
-    G._check_class(cls)
-    if b < 0:
-        raise InputError("polymer order bound b must be non-negative")
-    checked = []
-    for u in roots:
-        u = G._check_vertex(u)
-        if u.cls != cls:
-            raise InputError(f"root {u} not in class {cls}")
-        checked.append(u)
-    return checked
-
-
-def _sets_meeting(G: Hypergraph, cls: int, b: int, roots: list):
-    """Every 2-linked set within the class with 1 <= |S| <= b that meets
-    the roots, each exactly once (b >= 1): each set is grown from its least
-    root, so no root at or below the start may join."""
-    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
-    barred = set()
-    for start in sorted(set(roots)):
-        barred.add(start)
-        yield from _connected_sets(adj, start, b, barred)
-
-
 def refuse_cap(cap: int, items: str = "polymers") -> BudgetExceeded:
     return BudgetExceeded(
         f"at least {cap + 1} {items} exceed the cap of {cap}; "
@@ -139,16 +113,29 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
                        root: Optional[Vertex] = None) -> list:
     """All 2-linked S within the class with 1 <= |S| <= b (and root in S when
     given), each exactly once, sorted lexicographically.  b = 0 denotes the
-    empty model.  Generation stops at MAX_POLYMERS + 1 sets and refuses with
+    empty model.  Each set is grown from its least vertex among the roots
+    (the class, or the one root), so no root at or below the start may
+    join.  Generation stops at MAX_POLYMERS + 1 sets and refuses with
     BudgetExceeded rather than truncating."""
-    roots = _checked_roots(G, cls, b, G.class_vertices(cls) if root is None
-                           else [root])
+    roots = G.class_vertices(cls)
+    if b < 0:
+        raise InputError("polymer order bound b must be non-negative")
+    if root is not None:
+        root = G._check_vertex(root)
+        if root.cls != cls:
+            raise InputError(f"root {root} not in class {cls}")
+        roots = [root]
     if b == 0:
         return []
+    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
     cap = MAX_POLYMERS
-    sets = list(itertools.islice(_sets_meeting(G, cls, b, roots), cap + 1))
-    if len(sets) > cap:
-        raise refuse_cap(cap)
+    sets, barred = [], set()
+    for start in roots:
+        barred.add(start)
+        sets += itertools.islice(_connected_sets(adj, start, b, barred),
+                                 cap + 1 - len(sets))
+        if len(sets) > cap:
+            raise refuse_cap(cap)
     return _weighed(G, cls, sets)
 
 
@@ -273,38 +260,27 @@ class KpTerms:
     polymers: tuple  # the polymers containing the root, in canonical order
 
 
-def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int) -> list:
-    """Evaluate the summability inequality at each root vertex: one KpTerms
-    per root, in the order of `roots`.
+def kp_terms(G: Hypergraph, cls: int, b: int,
+             root: Optional[Vertex] = None) -> list:
+    """Evaluate the summability inequality at each class vertex, in class
+    order, or at `root` alone: one KpTerms per root.
 
-    Each polymer meeting the roots is enumerated and weighed once, and its
-    weight goes to every root it contains.  f(S) = (k-1)|S|/r and g(S) =
-    log(gamma_k) * r * log(2|S|) depend on |S| only, so they are computed
-    once per order s; at each root the exact weights are summed per order
-    (as integers over a power of two) and each order takes one interval
-    product W_s * exp(f_s + g_s), rounded outward, so `holds` is
-    conservative.  Refuses with BudgetExceeded as soon as some root lies in
-    more than MAX_POLYMERS polymers.
+    The polymers are enumerate_polymers(G, cls, b, root), so the command
+    refuses where that enumeration does, and each weight goes to every
+    root it contains.  f(S) = (k-1)|S|/r and g(S) = log(gamma_k) * r *
+    log(2|S|) depend on |S| only, so they are computed once per order s; at
+    each root the exact weights are summed per order (as integers over a
+    power of two) and each order takes one interval product W_s * exp(f_s
+    + g_s), rounded outward, so `holds` is conservative.
     """
     r = G.regular_degree()
     if r is None:
         raise InputError("summability sums require a regular hypergraph")
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
-    roots = _checked_roots(G, cls, b, roots)
-    through = {u: [] for u in roots}  # root -> the polymers containing it
-    sets = []
-    if b > 0:
-        cap = MAX_POLYMERS
-        count = dict.fromkeys(through, 0)
-        for S in _sets_meeting(G, cls, b, roots):
-            for u in S:
-                if u in count:
-                    count[u] += 1
-                    if count[u] > cap:
-                        raise refuse_cap(cap)
-            sets.append(S)
-    polymers = _weighed(G, cls, sets)
+    polymers = enumerate_polymers(G, cls, b, root)
+    through = {u: [] for u in (G.class_vertices(cls) if root is None
+                               else [G._check_vertex(root)])}
     for p in polymers:
         for u in p.vertices:
             if u in through:
@@ -328,7 +304,7 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int) -> list:
             boost[s] = iv.exp(interval(f) + g)
         rhs = Fraction(1, r ** 3)
         rhs_iv = interval(rhs)
-        results = {}
+        results = []
         for u, found in through.items():
             by_order = {}
             for p in found:
@@ -340,11 +316,11 @@ def kp_terms(G: Hypergraph, cls: int, roots: Sequence[Vertex], b: int) -> list:
                 num = sum(m << (e - d) for m, d in pairs)
                 lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
             # report float endpoints rounded outward so they stay true bounds
-            results[u] = KpTerms(
+            results.append(KpTerms(
                 root=u, lhs_lower=math.nextafter(float(lhs.a), -math.inf),
                 lhs_upper=math.nextafter(float(lhs.b), math.inf), rhs=rhs,
-                holds=bool(lhs.b <= rhs_iv.a), polymers=tuple(found))
+                holds=bool(lhs.b <= rhs_iv.a), polymers=tuple(found)))
     finally:
         iv.prec = prec
-    return [results[u] for u in roots]
+    return results
 

@@ -324,6 +324,18 @@ class TestCommands:
                                "--b", "0")
         assert code == 0 and kv(out)["verdict"] == "holds"
 
+    def test_check_reg_ratio_beyond_float_range(self, capsys, tmp_path):
+        # at t = 100000 the exact worst ratio has thousands of digits
+        from hypercount import gen_linear_regular
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=0)))
+        code, out, err = run_cli(capsys, "check", "reg", "-i", str(path),
+                                 "--t", "100000")
+        assert code == 0 and err == ""
+        assert kv(out)["worst_ratio_float"] == "inf"
+        num, den = kv(out)["worst_ratio"].split("/")
+        assert len(num) - len(den) > 310  # past the float range, 1.8e308
+
     def test_check_def_unknown_where_the_filter_refuses(self, capsys,
                                                         single_path,
                                                         monkeypatch):
@@ -484,25 +496,28 @@ class TestExitCodes:
         assert err.startswith("error=budget")
         assert "polymers exceed the cap of 1" in err
 
-    def test_kp_check_caps_polymers_per_root(self, capsys, tmp_path,
-                                             monkeypatch):
-        # the class holds more polymers than any one root lies in, and the
-        # cap bounds the polymers through each root
+    def test_kp_check_caps_the_class_polymers(self, capsys, tmp_path,
+                                              monkeypatch):
+        # the cap bounds the class's polymers, as for `polymers`, so a cap
+        # that every single root fits under still refuses the whole class
         from hypercount import enumerate_polymers, polymers
         G = kp_instances()[0]
         most = max(len(enumerate_polymers(G, 0, 2, root=u))
                    for u in G.class_vertices(0))
-        assert len(enumerate_polymers(G, 0, 2)) > most
+        total = len(enumerate_polymers(G, 0, 2))
+        assert total > most
         path = tmp_path / "inst.hg"
         path.write_text(serialize_text(G))
         args = ("kp-check", "-i", str(path), "--class", "0", "--b", "2")
         monkeypatch.setattr(polymers, "MAX_POLYMERS", most)
-        assert run_cli(capsys, *args)[0] == 0
-        monkeypatch.setattr(polymers, "MAX_POLYMERS", most - 1)
-        code, _, err = run_cli(capsys, *args)
-        assert code == 3
-        assert (f"at least {most} polymers exceed the cap of {most - 1};"
+        code, out, err = run_cli(capsys, *args)
+        assert code == 3 and out == ""
+        assert (f"at least {most + 1} polymers exceed the cap of {most};"
                 in err)
+        for u in G.class_vertices(0):
+            assert run_cli(capsys, *args, "--root", str(u))[0] == 0
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", total)
+        assert run_cli(capsys, *args)[0] == 0
 
     @pytest.mark.parametrize("name", sorted(FORMER_BUDGET_VARIABLES))
     @pytest.mark.parametrize("value", ["-1", "-5"])

@@ -45,6 +45,12 @@ class TestParseText:
         with pytest.raises(InputError, match="line 2"):
             parse_text("k=3 sizes=1,1,1\ne 0:0 1:0 2:4\n")
 
+    @pytest.mark.parametrize("sizes", ["2,2", "2,2,2,2"])
+    def test_sizes_must_match_k(self, sizes):
+        # refused at the header, before an edge reads a missing class size
+        with pytest.raises(InputError, match=r"^line 2: header gives"):
+            parse_text(f"# short\nk=3 sizes={sizes}\ne 0:0 1:0 2:0\n")
+
 
 class TestParseJson:
     @pytest.mark.parametrize("k, sizes, vertex", [

@@ -326,19 +326,19 @@ class TestPartitionFunction:
 
 class TestKpTerms:
     def test_single_edge_values(self, edge3):
-        res = kp_terms(edge3, 0, [V(0, 0)], 1)[0]
+        res = kp_terms(edge3, 0, 1, root=V(0, 0))[0]
         assert res.rhs == 1
         assert not res.holds
         assert 6.76 < res.lhs_upper < 6.77
         assert res.lhs_upper - res.lhs_lower < 1e-12
 
     def test_empty_sum_holds(self, edge3):
-        res = kp_terms(edge3, 0, [V(0, 0)], 0)[0]
+        res = kp_terms(edge3, 0, 0, root=V(0, 0))[0]
         assert res.lhs_upper < 1e-300 and res.holds
 
     def test_term_by_term_recomputation(self, iv_prec_160):
         G = gen_linear_regular(3, 4, 2, seed=5)
-        res = kp_terms(G, 0, [V(0, 0)], 2)[0]
+        res = kp_terms(G, 0, 2, root=V(0, 0))[0]
         k, r = 3, 2
         recomputed = iv.mpf(0)
         for p in enumerate_polymers(G, 0, 2, root=V(0, 0)):
@@ -358,7 +358,7 @@ class TestKpTerms:
         for seed, b in ((5, 2), (5, 3), (0, 3)):
             G = gen_linear_regular(3, 4 + seed, 2, seed=seed)
             root = V(0, 0)
-            res = kp_terms(G, 0, [root], b)[0]
+            res = kp_terms(G, 0, b, root=root)[0]
             log_gamma = iv.log(iv.mpf(4)) - iv.log(iv.mpf(3))  # log gamma_3
             term_by_term = iv.mpf(0)
             for p in enumerate_polymers(G, 0, b, root=root):
@@ -374,31 +374,31 @@ class TestKpTerms:
 
     def test_requires_regular(self):
         with pytest.raises(InputError):
-            kp_terms(two_shared(3), 0, [V(0, 0)], 1)
+            kp_terms(two_shared(3), 0, 1, root=V(0, 0))
 
     def test_leaves_the_callers_precision(self, edge3):
         # kp_terms computes at 160 bits whatever the caller's precision
-        expected = kp_terms(edge3, 0, [V(0, 0)], 1)
+        expected = kp_terms(edge3, 0, 1, root=V(0, 0))
         prec = iv.prec
         try:
             for bits in (20, 53, 300):
                 iv.prec = bits
-                assert kp_terms(edge3, 0, [V(0, 0)], 1) == expected
+                assert kp_terms(edge3, 0, 1, root=V(0, 0)) == expected
                 assert iv.prec == bits
         finally:
             iv.prec = prec
 
     def test_shared_pass_matches_single_roots(self):
-        # one pass over every root gives each root what a pass over that
-        # root alone gives it
+        # the whole-class pass gives each root what a pass over that root
+        # alone gives it
         for G in kp_instances():
             for cls in (0, 1):
                 roots = G.class_vertices(cls)
                 for b in range(4):
-                    shared = kp_terms(G, cls, roots, b)
+                    shared = kp_terms(G, cls, b)
                     assert [res.root for res in shared] == list(roots)
                     for u, res in zip(roots, shared):
-                        alone = kp_terms(G, cls, [u], b)[0]
+                        [alone] = kp_terms(G, cls, b, root=u)
                         assert res.polymers == alone.polymers
                         assert res.lhs_lower == alone.lhs_lower
                         assert res.lhs_upper == alone.lhs_upper
@@ -406,16 +406,28 @@ class TestKpTerms:
                         assert res.polymers == tuple(
                             enumerate_polymers(G, cls, b, root=u))
 
-    def test_roots_keep_their_order(self):
-        G = kp_instances()[0]
-        roots = [V(0, 3), V(0, 0), V(0, 3)]
-        assert [res.root for res in kp_terms(G, 0, roots, 2)] == roots
-        assert kp_terms(G, 0, [], 2) == []
-
     def test_roots_are_checked_before_the_empty_model(self, edge3):
-        for roots in ([V(0, 1)], [V(1, 0)]):
+        for root in (V(0, 1), V(1, 0)):
             with pytest.raises(InputError):
-                kp_terms(edge3, 0, roots, 0)
+                kp_terms(edge3, 0, 0, root=root)
+
+    def test_polymers_come_from_enumerate_polymers(self, monkeypatch):
+        # kp_terms looks enumerate_polymers up in the module, so one
+        # rebinding there sees (and budgets) its enumeration
+        G = kp_instances()[0]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return enumerate_polymers(*args)
+
+        monkeypatch.setattr(polymers, "enumerate_polymers", spy)
+        found = kp_terms(G, 0, 2)
+        assert calls == [(G, 0, 2, None)]
+        assert sum(len(res.polymers) for res in found) == sum(
+            p.order for p in enumerate_polymers(G, 0, 2))
+        kp_terms(G, 0, 2, root=V(0, 3))
+        assert calls[1] == (G, 0, 2, V(0, 3))
 
 
 class TestMatching:
