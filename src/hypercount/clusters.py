@@ -6,10 +6,12 @@ Each polymer S carries the weight w(S) z^|S|, and the size-t truncation is
 at a time from the log series of the small polynomial Xi_C(z), the
 partition function of the subsets of C, with no clusters and no Ursell
 functions.  Every polymer is incompatible with itself, so compatible
-families are sets of polymers, as in `polymers.partition_function`.  Every
-polymer carries its weight as an integer over a power of two, so the series
-run on integers over 2^|N(C)| and lcm(1..t), and one Fraction is built per
-call.
+families are sets of polymers, as in `polymers.partition_function`.  It
+reads the polymers' per-class table (`polymers.class_table`): the subsets
+of C are class-index masks, which key the weights, and d_C comes from the
+distance-two masks.  Every polymer carries its weight as an integer over a
+power of two, so the series run on integers over 2^|N(C)| and lcm(1..t),
+and one Fraction is built per call.
 
 The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`)
 serves the `clusters` command and tests the truncation.  Clusters are
@@ -257,32 +259,36 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             f"the truncation at t={t} over {len(polymers)} polymers needs "
             f"about {work} steps, over the cap of {TRUNCATION_WORK_CAP}; "
             f"refusing rather than estimating")
-    weights = {p.vertices: p.dyadic_weight for p in polymers}
-    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    *_, near_all = pm.class_table(G, cls)
+    weights = {sum(1 << v.idx for v in p.vertices): p.dyadic_weight
+               for p in polymers}
     lcm = math.lcm(*range(1, t + 1))
     totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)
     for p in polymers:
-        C = p.vertices
+        C = [v.idx for v in p.vertices]
         c = len(C)
         D = len(p.neighborhood)
-        near = [sum(1 << j for j, u in enumerate(C) if u in adj[v]) for v in C]
-        # the subset T (a bitmask over C) weighs num[T] / 2^exp[T]: the
-        # 2-linked component of T's lowest vertex times the rest of T.  A
-        # piece P's exponent is at most |N(P)|, and the pieces of T have
-        # disjoint neighbourhoods within N(C), so exp[T] <= D and
-        # A[s] = 2^D [z^s] Xi_C is an integer.
+        near = [sum(1 << j for j, u in enumerate(C) if near_all[i] >> u & 1)
+                for i in C]
+        # the subset T (a bitmask over C, class-index mask at[T]) weighs
+        # num[T] / 2^exp[T]: the 2-linked component of T's lowest vertex
+        # times the rest of T.  A piece P's exponent is at most |N(P)|, and
+        # the pieces of T have disjoint neighbourhoods within N(C), so
+        # exp[T] <= D and A[s] = 2^D [z^s] Xi_C is an integer.
+        at = [0] * (1 << c)
         num = [1] * (1 << c)
         exp = [0] * (1 << c)
         A = [1 << D] + [0] * t
         for mask in range(1, 1 << c):
             comp = frontier = mask & -mask
+            at[mask] = at[mask ^ comp] | 1 << C[comp.bit_length() - 1]
             while frontier:
                 i = frontier.bit_length() - 1
                 frontier &= ~(1 << i)
                 grow = near[i] & mask & ~comp
                 comp |= grow
                 frontier |= grow
-            m, e = weights[tuple(C[i] for i in range(c) if comp >> i & 1)]
+            m, e = weights[at[comp]]
             num[mask] = m * num[mask ^ comp]
             exp[mask] = e + exp[mask ^ comp]
             A[mask.bit_count()] += num[mask] << (D - exp[mask])
@@ -296,7 +302,10 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             for i in range(1, s):
                 acc -= M[i] * A[s - i] << D * (s - i - 1)
             M[s] = acc
-        d = len(frozenset().union(*(adj[v] for v in C)).difference(C))
+        around = 0
+        for i in C:
+            around |= near_all[i]
+        d = (around & ~at[-1]).bit_count()
         # l_s = M[s] / (s 2^(D s)) = M[s] (lcm / s) 2^(D (t-s)) / (lcm 2^(D t))
         term = 0
         for s in range(c, t + 1):

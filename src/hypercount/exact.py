@@ -146,13 +146,34 @@ def _sweep(parts: list, private: list) -> int:
     return states[0]
 
 
+def _count_covered(edges: list) -> tuple:
+    """The number of subsets of the union of the non-empty edge masks that
+    contain none of them, and that union.  An edge sharing no vertex with
+    another multiplies the count by 2^p - 1, and the others go to the sweep;
+    a repeated edge is fully shared, p = 0, so its copies agree."""
+    covered = shared = 0
+    for e in edges:
+        shared |= covered & e
+        covered |= e
+    count = 1
+    parts, private = [], []
+    for e in edges:
+        p = (e & ~shared).bit_count()
+        if e & shared:
+            parts.append(e & shared)
+            private.append(p)
+        else:
+            count *= (1 << p) - 1
+    return (count * _sweep(parts, private) if parts else count), covered
+
+
 def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     """Number of subsets of {0..num_vertices-1} containing no edge mask.
 
-    A vertex in no edge doubles the count, an edge sharing no vertex with
-    another multiplies it by 2^p - 1, and the edges that do share vertices
-    go to the frontier sweep, which refuses with BudgetExceeded when more
-    than STATE_CAP partial states are live."""
+    A vertex in no edge doubles the count, a vertex forming an edge on its
+    own is left out, and the other edges go to `_count_covered`, which
+    refuses with BudgetExceeded when more than STATE_CAP partial states are
+    live."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
     if num_vertices > hypergraph.COUNT_VERTEX_CAP:
@@ -170,21 +191,8 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
         raise InputError("edge mask uses vertices outside the ground set")
     if 0 in dedup:
         return 0
-    edges = [e for e in dedup if not e & forced]
-    covered = shared = 0
-    for e in edges:
-        shared |= covered & e
-        covered |= e
-    result = 1 << (num_vertices - (forced | covered).bit_count())
-    parts, private = [], []
-    for e in edges:
-        p = (e & ~shared).bit_count()
-        if e & shared:
-            parts.append(e & shared)
-            private.append(p)
-        else:
-            result *= (1 << p) - 1
-    return result * _sweep(parts, private) if parts else result
+    count, covered = _count_covered([e for e in dedup if not e & forced])
+    return count << num_vertices - (forced | covered).bit_count()
 
 
 def edge_masks(G: Hypergraph) -> list:
@@ -203,7 +211,7 @@ def class_mask(G: Hypergraph, cls: int) -> int:
 
 def count_independent_sets(G: Hypergraph) -> int:
     """Exact number of vertex subsets of G containing no edge as a subset."""
-    return count_subsets_avoiding(G.num_vertices, edge_masks(G))
+    return count_subsets_avoiding(G.num_vertices, G._edge_masks)
 
 
 # ----- independent 2^V filter oracle ------------------------------------------

@@ -157,6 +157,17 @@ class Hypergraph:
     def degree(self, v: Vertex) -> int:
         return len(self.incidence[self._check_vertex(v)])
 
+    @cached_property
+    def _edge_masks(self) -> list:
+        """exact.edge_masks(self), for every count and class table of it."""
+        from . import exact  # exact imports this module
+        return exact.edge_masks(self)
+
+    @cached_property
+    def _class_tables(self) -> dict:
+        """Class -> polymers.class_table(self, class), filled on first use."""
+        return {}
+
     # ----- neighbourhoods and link graphs ----------------------------------
 
     def neighborhood(self, S: Iterable) -> frozenset:

@@ -2,11 +2,14 @@
 compatibility relation, exact partition functions, and the
 convergence-condition sums at each root, taken over the same enumeration.
 
-Every weight |IS(link graph)| / 2^|N(S)| is an integer m over a power of
-two 2^e.  Polymers are weighed where they are built, by one weigher on
-link-graph bitmasks, and each carries its reduced (m, e) next to its
-neighbourhood.  The exact sums run on these integers and build one
-Fraction per result; every identity tested downstream holds bit-for-bit.
+Connected sets grow on one table per class (`class_table`), kept with the
+instance, whose distance-two neighbours are masks of class indices, and
+polymers are weighed where they are built: the residues of the edges
+through S go straight to the exact counter's sweep.  Every weight
+|IS(link graph)| / 2^|N(S)| is an integer m over a power of two 2^e, and
+each polymer carries its reduced (m, e) next to its neighbourhood.  The
+exact sums run on these integers and build one Fraction per result; every
+identity tested downstream holds bit-for-bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from . import exact
@@ -62,7 +67,7 @@ def make_polymer(G: Hypergraph, vertices: Iterable) -> Polymer:
         raise InputError("polymers are non-empty")
     if not G.is_two_linked(verts):
         raise InputError(f"{[str(v) for v in verts]} is not 2-linked")
-    return _weighed(G, verts[0].cls, [verts])[0]
+    return _weighed(G, verts[0].cls, [{v.idx for v in verts}])[0]
 
 
 def compatible(S: Polymer, T: Polymer) -> bool:
@@ -74,33 +79,59 @@ def compatible(S: Polymer, T: Polymer) -> bool:
     return S != T and not (S.neighborhood & T.neighborhood)
 
 
-# ----- enumeration of connected sets in the distance-two structure ------------
+# ----- the per-class table and connected sets in the distance-two structure --
 
 
-def _connected_sets(adj, start, max_size, barred):
-    """Yield every connected set containing `start` and no vertex of
-    `barred` other than `start`, exactly once.
+def class_table(G: Hypergraph, cls: int) -> tuple:
+    """G's table of the class, built once per instance and class and kept
+    with it: per class index, the masks of the edges through the vertex
+    (the instance's exact.edge_masks, not copies), its neighbourhood, and
+    its distance-two neighbours as one mask of class indices, the OR over
+    its neighbours of the class vertices on an edge through each."""
+    tables = G._class_tables
+    if cls not in tables:
+        verts = G.class_vertices(cls)
+        edges = [[] for _ in verts]
+        owners = {}  # vertex -> the class indices on an edge through it
+        for e, mask in zip(G.edges, G._edge_masks):
+            i = e[cls].idx
+            edges[i].append(mask)
+            for x in e:
+                owners[x] = owners.get(x, 0) | 1 << i
+        nbs = [G.neighborhood([v]) for v in verts]
+        near = [reduce(or_, map(owners.get, nb), 0) & ~(1 << i)
+                for i, nb in enumerate(nbs)]
+        tables[cls] = edges, nbs, near
+    return tables[cls]
 
-    Growth follows the exclusive-neighbourhood scheme: a vertex enters the
+
+def _connected_sets(near, start, max_size, barred):
+    """Yield every connected set of class indices containing `start` and no
+    index of the mask `barred` other than `start`, exactly once, as a tuple.
+
+    Growth follows the exclusive-neighbourhood scheme: an index enters the
     extension pool the first time it becomes adjacent to the current set,
     and is permanently retired at the level where it was branched on.  The
-    growth path is an explicit stack of (set, pool, closed) levels, so its
-    depth is not bounded by the interpreter's recursion limit.
+    growth path is an explicit stack of [set, pool, closed] levels, the
+    last two masks, so its depth is not bounded by the recursion limit.
     """
-    first = sorted(u for u in adj[start] if u not in barred)
-    yield frozenset([start])
-    stack = [([start], first, set(first) | {start})]
+    yield (start,)
+    closed = barred | 1 << start
+    pool = near[start] & ~closed
+    stack = [[(start,), pool, closed | pool]]
     while stack:
-        sub, pool, closed = stack[-1]
+        level = stack[-1]
+        sub, pool, closed = level
         if len(sub) == max_size or not pool:
             stack.pop()
             continue
-        w = pool.pop(0)
-        fresh = sorted(u for u in adj[w]
-                       if u not in barred and u not in closed)
-        grown = sub + [w]
-        yield frozenset(grown)
-        stack.append((grown, pool + fresh, closed | set(fresh) | {w}))
+        w = pool & -pool
+        level[1] = pool = pool ^ w
+        i = w.bit_length() - 1
+        fresh = near[i] & ~closed
+        grown = sub + (i,)
+        yield grown
+        stack.append([grown, pool | fresh, closed | fresh])
 
 
 def refuse_cap(cap: int, items: str = "polymers") -> BudgetExceeded:
@@ -117,22 +148,23 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
     (the class, or the one root), so no root at or below the start may
     join.  Generation stops at MAX_POLYMERS + 1 sets and refuses with
     BudgetExceeded rather than truncating."""
-    roots = G.class_vertices(cls)
+    G._check_class(cls)
+    roots = range(G.sizes[cls])
     if b < 0:
         raise InputError("polymer order bound b must be non-negative")
     if root is not None:
         root = G._check_vertex(root)
         if root.cls != cls:
             raise InputError(f"root {root} not in class {cls}")
-        roots = [root]
+        roots = [root.idx]
     if b == 0:
         return []
-    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    *_, near = class_table(G, cls)
     cap = MAX_POLYMERS
-    sets, barred = [], set()
+    sets, barred = [], 0
     for start in roots:
-        barred.add(start)
-        sets += itertools.islice(_connected_sets(adj, start, b, barred),
+        barred |= 1 << start
+        sets += itertools.islice(_connected_sets(near, start, b, barred),
                                  cap + 1 - len(sets))
         if len(sets) > cap:
             raise refuse_cap(cap)
@@ -140,24 +172,20 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
 
 
 def _weighed(G: Hypergraph, cls: int, sets: Iterable) -> list:
-    """The sets of class vertices as Polymers, sorted, each weighed as a
-    reduced (m, e), w(S) = m / 2^e: its link graph's edges are the residues
-    e - e[cls] of the edges e through S, and counted over all of G's
-    vertices, each outside N(S) doubles the count."""
-    nb = {v: G.neighborhood([v]) for v in G.class_vertices(cls)}
-    own = exact.class_mask(G, cls)
-    residues = {v: [] for v in nb}
-    for e, mask in zip(G.edges, exact.edge_masks(G)):
-        residues[e[cls]].append(mask & ~own)
-    n = G.num_vertices
+    """The sets of class indices as Polymers, sorted, each weighed as a
+    reduced (m, e), w(S) = m / 2^e: its link graph's edges, the residues
+    e - e[cls] of the edges e through S, are counted over the D = |N(S)|
+    vertices they cover."""
+    edges, nbs, _ = class_table(G, cls)
+    verts, outside = G.class_vertices(cls), ~exact.class_mask(G, cls)
     out = []
-    for verts in sorted(tuple(sorted(s)) for s in sets):
-        neighborhood = frozenset().union(*map(nb.get, verts))
-        D = len(neighborhood)
-        masks = [m for v in verts for m in residues[v]]
-        count = exact.count_subsets_avoiding(n, masks) >> (n - D)
-        z = min((count & -count).bit_length() - 1, D)
-        out.append(Polymer(verts, neighborhood, (count >> z, D - z)))
+    for idx in sorted(tuple(sorted(s)) for s in sets):
+        count, cover = exact._count_covered(
+            [m & outside for i in idx for m in edges[i]])
+        z = (count & -count).bit_length() - 1
+        out.append(Polymer(tuple(verts[i] for i in idx),
+                           frozenset().union(*[nbs[i] for i in idx]),
+                           (count >> z, cover.bit_count() - z)))
     return out
 
 

@@ -4,11 +4,11 @@ Each one computes a quantity of the library a second, independent way:
 literal enumerations (Ursell functions over edge subsets, clusters of an
 abstract polymer model), a transfer matrix along a loose path, the
 independence polynomial of a path, a memoised recursion for the
-compatibility sum, and the term-by-term `Fraction` form of
-`truncated_log_xi`.  It also holds helpers that only the tests read: the
-completion formula for a defect set, independent-set counts and maximum
-matchings of link graphs, the polymer-count bound and the expansion
-parameter alpha(k, t).
+compatibility sum, the term-by-term `Fraction` form of `truncated_log_xi`
+and the polymer enumeration on Vertex sets.  It also holds helpers that
+only the tests read: the completion formula for a defect set,
+independent-set counts and maximum matchings of link graphs, the
+polymer-count bound and the expansion parameter alpha(k, t).
 """
 
 from __future__ import annotations
@@ -223,6 +223,46 @@ def truncated_log_xi_fraction(G: Hypergraph, cls: int, t: int) -> Fraction:
             total += logs[s] * sum((-1) ** j * math.comb(d, j)
                                    for j in range(s - c + 1))
     return total
+
+
+# ----- polymer enumeration on vertex sets ---------------------------------------
+
+
+def _connected_sets(adj, start, max_size, barred):
+    """Yield every connected set containing `start` and no vertex of
+    `barred` other than `start`, exactly once, by the exclusive-neighbourhood
+    scheme on Vertex sets: a vertex enters the extension pool the first time
+    it becomes adjacent to the current set, and is permanently retired at
+    the level where it was branched on."""
+    first = sorted(u for u in adj[start] if u not in barred)
+    yield frozenset([start])
+    stack = [([start], first, set(first) | {start})]
+    while stack:
+        sub, pool, closed = stack[-1]
+        if len(sub) == max_size or not pool:
+            stack.pop()
+            continue
+        w = pool.pop(0)
+        fresh = sorted(u for u in adj[w]
+                       if u not in barred and u not in closed)
+        grown = sub + [w]
+        yield frozenset(grown)
+        stack.append((grown, pool + fresh, closed | set(fresh) | {w}))
+
+
+def polymer_vertex_sets(G: Hypergraph, cls: int, b: int, root=None) -> list:
+    """The sorted vertex tuples of the 2-linked sets of the class with
+    1 <= |S| <= b (and root in S when given), grown on
+    `Hypergraph.distance_two_neighbors` from each set's least vertex among
+    the roots, in growth order."""
+    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    roots = G.class_vertices(cls) if root is None else [root]
+    out, barred = [], set()
+    for start in roots:
+        barred.add(start)
+        out += [tuple(sorted(s))
+                for s in _connected_sets(adj, start, b, barred)]
+    return out
 
 
 # ----- helpers read only by the tests -------------------------------------------

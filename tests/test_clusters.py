@@ -11,9 +11,10 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         cluster_weight, compatible, enumerate_clusters,
                         enumerate_polymers, estimate_count, gamma_k,
                         gen_linear_regular, partition_function,
-                        polymer_weight, singleton_sum, truncated_log_xi,
-                        ursell)
-from hypercount import clusters as cl, polymers
+                        polymer_weight, serialize_text, singleton_sum,
+                        truncated_log_xi, ursell)
+from hypercount import clusters as cl, exact, polymers
+from hypercount.cli import main
 
 from conftest import (girth5_instances, loose_path, partite_hypergraphs,
                       random_partite, single_edge)
@@ -286,6 +287,27 @@ class TestTruncatedSums:
                 direct = sum((-1) ** j * math.comb(d, j) for j in range(m + 1))
                 closed = (-1) ** m * math.comb(d - 1, m) if d else 1
                 assert direct == closed, (d, m)
+
+    def test_one_set_of_edge_masks_per_instance(self, monkeypatch, tmp_path,
+                                                capsys):
+        # estimate's k classes, and compare's exact count too, read one
+        # exact.edge_masks(G) per instance
+        calls = []
+        real = exact.edge_masks
+
+        def spy(G):
+            calls.append(G)
+            return real(G)
+
+        monkeypatch.setattr(exact, "edge_masks", spy)
+        G = gen_linear_regular(4, 5, 2, seed=2)
+        estimate_count(G, 2)
+        assert calls == [G]
+        path = tmp_path / "k4.hg"
+        path.write_text(serialize_text(G))
+        assert main(["compare", "-i", str(path), "--t", "2"]) == 0
+        assert "estimate_log=" in capsys.readouterr().out
+        assert len(calls) == 2
 
     def test_enumerates_through_the_polymers_module(self, monkeypatch):
         # a caller that rebinds polymers.enumerate_polymers, as the tracer

@@ -19,7 +19,8 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
 from conftest import (girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
 from oracles import (compatibility_sum_fraction, count_link_graph,
-                     max_matching_size, polymer_count_bound_holds)
+                     max_matching_size, polymer_count_bound_holds,
+                     polymer_vertex_sets)
 
 V = Vertex
 
@@ -98,19 +99,66 @@ class TestEnumeration:
         with pytest.raises(InputError):
             make_polymer(G, [V(0, 0), V(0, 1)])  # not 2-linked
 
+    def test_make_polymer_counts_a_repeated_vertex_once(self):
+        G = gen_linear_regular(3, 4, 2, seed=1)
+        p = make_polymer(G, [V(0, 0), V(0, 0)])
+        assert p.vertices == (V(0, 0),) and p.order == 1
+        assert p.dyadic_weight == make_polymer(G, [V(0, 0)]).dyadic_weight
+
+
+class TestEnumerationOracle:
+    """enumerate_polymers against the enumeration on Vertex sets over
+    Hypergraph.distance_two_neighbors."""
+
+    @given(partite_hypergraphs(max_k=3, max_size=4), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_same_sets_with_and_without_root(self, G, b):
+        for cls in range(G.k):
+            assert [p.vertices for p in enumerate_polymers(G, cls, b)] == \
+                sorted(polymer_vertex_sets(G, cls, b))
+            for root in G.class_vertices(cls):
+                assert [p.vertices for p in
+                        enumerate_polymers(G, cls, b, root=root)] == \
+                    sorted(polymer_vertex_sets(G, cls, b, root))
+
+    @pytest.mark.parametrize("G, b", [
+        (gen_linear_regular(3, 8, 2, seed=0), 3),
+        (random_partite(3, (5, 3, 3), 0.5, 2), 4),
+        (random_partite(4, (4, 2, 2, 2), 0.4, 7), 3)])
+    def test_refuses_where_the_oracle_count_exceeds_the_cap(
+            self, monkeypatch, G, b):
+        for root in (None, V(0, 1)):
+            found = len(polymer_vertex_sets(G, 0, b, root))
+            for cap in range(found + 2):
+                monkeypatch.setattr(polymers, "MAX_POLYMERS", cap)
+                if found > cap:
+                    with pytest.raises(BudgetExceeded, match=(
+                            f"^at least {cap + 1} polymers exceed the cap "
+                            f"of {cap}; refusing rather than truncating$")):
+                        enumerate_polymers(G, 0, b, root)
+                else:
+                    assert len(enumerate_polymers(G, 0, b, root)) == found
+
 
 @st.composite
 def weigher_instances(draw):
     """k-partite instances with k = 2..4, classes of 1..3 vertices and up to
-    16 edges, so that residues often repeat; class 0 sometimes gains a last
-    vertex in no edge."""
+    16 edges, so that residues often repeat; at k = 2 every residue is a
+    single vertex.  Vertices 0 and 1 of one class always lie on two edges
+    with a common residue, which for k >= 3 makes the instance non-linear,
+    and each class sometimes gains a last vertex in no edge."""
     k = draw(st.integers(2, 4))
-    sizes = [draw(st.integers(1, 3)) for _ in range(k)]
+    cls = draw(st.integers(0, k - 1))
+    sizes = [draw(st.integers(2 if c == cls else 1, 3)) for c in range(k)]
     space = list(itertools.product(*[range(s) for s in sizes]))
-    picks = draw(st.lists(st.sampled_from(space), unique=True, max_size=16))
-    sizes[0] += draw(st.booleans())
+    picks = set(draw(st.lists(st.sampled_from(space), max_size=16)))
+    shared = list(draw(st.sampled_from(space)))
+    for i in (0, 1):
+        shared[cls] = i
+        picks.add(tuple(shared))
+    sizes = [s + draw(st.booleans()) for s in sizes]
     return Hypergraph.build(k, sizes, [list(enumerate(combo))
-                                       for combo in picks])
+                                       for combo in sorted(picks)])
 
 
 def assert_weights_match_link_graphs(G):
