@@ -8,17 +8,16 @@ is asymptotic, so at desk scale the errors are reported, not judged.
 Usage: python scripts/compare_sweep.py [max_n]
 """
 
-import math
 import sys
 
 from hypercount import (closed_form_t1, count_independent_sets,
                         estimate_count, gen_linear_regular)
 from hypercount.errors import GenerationError
-from hypercount.logdomain import LogValue
+from hypercount.logdomain import LogValue, relative_error
 
 
 def rel_error(log_est: float, exact: int) -> float:
-    return math.exp(log_est - LogValue.of(exact).log) - 1
+    return relative_error(log_est, LogValue.of(exact).log)
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ from . import clusters as cl
 from . import exact, formats, formulas, lab, polymers
 from .errors import BudgetExceeded, GenerationError, InputError
 from .hypergraph import Hypergraph, Vertex, girth_at_most
-from .logdomain import LogValue
+from .logdomain import LogValue, relative_error
 
 
 def _fmt(v):
@@ -297,13 +297,12 @@ def _cmd_compare(args):
     count = exact.count_independent_sets(G)
     est = cl.estimate_count(G, args.t)
     log_exact = LogValue.of(count).log
-    rel_error = math.exp(est.log_value - log_exact) - 1
     results = {
         "exact": count,
         "estimate_log": est.log_value,
         "estimate": str(est.value),
         "exact_log": log_exact,
-        "relative_error": rel_error,
+        "relative_error": relative_error(est.log_value, log_exact),
     }
     rows = [("class_exponent", {"class": c, "exponent": x})
             for c, x in est.class_exponents]
@@ -313,7 +312,8 @@ def _cmd_compare(args):
         n = G.sizes[0]
         t1 = formulas.closed_form_t1(G.k, n, r)
         results["closed_form_t1_log"] = t1.log_value
-        results["closed_form_t1_rel_error"] = math.exp(t1.log_value - log_exact) - 1
+        results["closed_form_t1_rel_error"] = relative_error(t1.log_value,
+                                                             log_exact)
         if args.t >= 2 and not girth_at_most(G, 4):
             # the size-2 closed form presumes no loose cycle shorter than 5
             t2 = formulas.closed_form_t2(G.k, n, r)

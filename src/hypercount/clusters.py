@@ -8,10 +8,13 @@ partition function of the subsets of C, with no clusters and no Ursell
 functions.  Every polymer is incompatible with itself, so compatible
 families are sets of polymers, as in `polymers.partition_function`.  It
 reads the polymers' per-class table (`polymers.class_table`): the subsets
-of C are class-index masks, which key the weights, and d_C comes from the
-distance-two masks.  Every polymer carries its weight as an integer over a
-power of two, so the series run on integers over 2^|N(C)| and lcm(1..t),
-and one Fraction is built per call.
+of C are the submasks of C's class-index mask, walked in increasing
+order, so each one's partial product extends that of the subset without
+the 2-linked piece of its lowest vertex, a piece grown on the table's
+distance-two masks.  The same masks key the weights and the partial
+products, and give d_C.  Every polymer carries its weight as an integer
+over a power of two, so the series run on integers over 2^|N(C)| and
+lcm(1..t), and one Fraction is built per call.
 
 The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`)
 serves the `clusters` command and tests the truncation.  Clusters are
@@ -246,8 +249,10 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     support U holds [z^s] only for s >= |U|; within it, [z^s] log Xi_C
     enters through every W in U that has C as a 2-linked component, and
     those cancel unless U - C lies in the d_C shared-neighbour vertices,
-    leaving the sign (-1)^|U - C|.  Refuses above polymers.MAX_POLYMERS
-    polymers, and above TRUNCATION_WORK_CAP estimated steps before the loop.
+    leaving the sign (-1)^|U - C|.  The subsets T of C are the submasks of
+    C's class-index mask, and d_C is read off the distance-two masks of
+    C's vertices.  Refuses above polymers.MAX_POLYMERS polymers, and above
+    TRUNCATION_WORK_CAP estimated steps before the loop.
     """
     G._check_class(cls)
     if t < 1:
@@ -259,39 +264,35 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             f"the truncation at t={t} over {len(polymers)} polymers needs "
             f"about {work} steps, over the cap of {TRUNCATION_WORK_CAP}; "
             f"refusing rather than estimating")
-    *_, near_all = pm.class_table(G, cls)
-    weights = {sum(1 << v.idx for v in p.vertices): p.dyadic_weight
-               for p in polymers}
+    *_, near = pm.class_table(G, cls)
+    masks = [sum(1 << v.idx for v in p.vertices) for p in polymers]
+    weights = dict(zip(masks, (p.dyadic_weight for p in polymers)))
     lcm = math.lcm(*range(1, t + 1))
     totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)
-    for p in polymers:
-        C = [v.idx for v in p.vertices]
-        c = len(C)
+    for p, Cm in zip(polymers, masks):
+        c = p.order
         D = len(p.neighborhood)
-        near = [sum(1 << j for j, u in enumerate(C) if near_all[i] >> u & 1)
-                for i in C]
-        # the subset T (a bitmask over C, class-index mask at[T]) weighs
-        # num[T] / 2^exp[T]: the 2-linked component of T's lowest vertex
-        # times the rest of T.  A piece P's exponent is at most |N(P)|, and
-        # the pieces of T have disjoint neighbourhoods within N(C), so
-        # exp[T] <= D and A[s] = 2^D [z^s] Xi_C is an integer.
-        at = [0] * (1 << c)
-        num = [1] * (1 << c)
-        exp = [0] * (1 << c)
+        # the subset T of C, a submask of C's class-index mask, weighs
+        # val[T] / 2^D: the weight of the 2-linked piece of T's lowest
+        # vertex times the rest of T, which precedes T in the walk.  A
+        # piece P's exponent is at most |N(P)|, and the pieces of T have
+        # disjoint neighbourhoods within N(C), so their exponents sum to at
+        # most D, val[T] is an integer, and so is A[s] = 2^D [z^s] Xi_C.
+        val = {0: 1 << D}
         A = [1 << D] + [0] * t
-        for mask in range(1, 1 << c):
-            comp = frontier = mask & -mask
-            at[mask] = at[mask ^ comp] | 1 << C[comp.bit_length() - 1]
+        sub = 0
+        while sub != Cm:
+            sub = (sub - Cm) & Cm  # the next submask, increasing
+            comp = frontier = sub & -sub
             while frontier:
                 i = frontier.bit_length() - 1
-                frontier &= ~(1 << i)
-                grow = near[i] & mask & ~comp
+                frontier ^= 1 << i
+                grow = near[i] & sub & ~comp
                 comp |= grow
                 frontier |= grow
-            m, e = weights[at[comp]]
-            num[mask] = m * num[mask ^ comp]
-            exp[mask] = e + exp[mask ^ comp]
-            A[mask.bit_count()] += num[mask] << (D - exp[mask])
+            m, e = weights[comp]
+            val[sub] = v = m * val[sub ^ comp] >> e
+            A[sub.bit_count()] += v
         # Newton recurrence p L' = p' for the log series l_s of Xi_C, on
         # M[s] = s l_s 2^(D s):
         #   M[s] = s A[s] 2^(D(s-1)) - sum over 0 < i < s of
@@ -302,10 +303,12 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             for i in range(1, s):
                 acc -= M[i] * A[s - i] << D * (s - i - 1)
             M[s] = acc
-        around = 0
-        for i in C:
-            around |= near_all[i]
-        d = (around & ~at[-1]).bit_count()
+        around, rest = 0, Cm
+        while rest:
+            i = rest.bit_length() - 1
+            rest ^= 1 << i
+            around |= near[i]
+        d = (around & ~Cm).bit_count()
         # l_s = M[s] / (s 2^(D s)) = M[s] (lcm / s) 2^(D (t-s)) / (lcm 2^(D t))
         term = 0
         for s in range(c, t + 1):

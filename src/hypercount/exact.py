@@ -4,21 +4,24 @@ This module is the ground-truth oracle the rest of the package is judged
 against, so everything here is exact integer arithmetic.  The main counter
 works on bitmask set systems.  A vertex in exactly one edge is private to
 it, so an edge with p private vertices contributes a factor 2^p, or
-2^p - 1 when all of its shared vertices are chosen.  One frontier sweep
-visits the shared vertices, those in two or more edges, once each, in a
-greedy order that keeps few edges open, and keeps a table from partial
-states to integer counts; more than STATE_CAP live states refuse with
-BudgetExceeded.  A Hypergraph of more than hypergraph.COUNT_VERTEX_CAP
-vertices refuses at construction, and `count_subsets_avoiding` reads the
-same cap at call time for its raw vertex count.  A vectorized 2^|V| filter
-is retained as an independent cross-check for at most FILTER_VERTEX_CAP
-vertices, refusing above it before any mask is built; it is the one place
-that enumerates vertex subsets, and the only code here that loads numpy.
-All three caps are module constants.  Callers reach the filter through a
-small public seam: `independent_masks(G)` lists the independent sets of G
-as bitmasks, `edge_masks(G)` gives the edges in the same bit order (bit i
-is `list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits
-of one class."""
+2^p - 1 when all of its shared vertices are chosen.  A system of at most
+DIRECT_SHARED shared vertices, those in two or more edges, is summed
+directly over the at most 8 subsets of them, as the polymer weigher's
+small link graphs mostly are.  Otherwise one frontier sweep visits the
+shared vertices once each, in a greedy order that keeps few edges open,
+and keeps a table from partial states to integer counts; more than
+STATE_CAP live states refuse with BudgetExceeded.  A Hypergraph of more
+than hypergraph.COUNT_VERTEX_CAP vertices refuses at construction, and
+`count_subsets_avoiding` reads the same cap at call time for its raw
+vertex count.  A vectorized 2^|V| filter is retained as an independent
+cross-check for at most FILTER_VERTEX_CAP vertices, refusing above it
+before any mask is built; it is the one place that enumerates all vertex
+subsets, and the only code here that loads numpy.  All three caps are
+module constants.  Callers reach the filter through a small public seam:
+`independent_masks(G)` lists the independent sets of G as bitmasks,
+`edge_masks(G)` gives the edges in the same bit order (bit i is
+`list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
+one class."""
 
 from __future__ import annotations
 
@@ -29,7 +32,12 @@ from .errors import BudgetExceeded, InputError
 from . import hypergraph
 from .hypergraph import Hypergraph
 
-STATE_CAP = 1 << 18  # live states of the frontier sweep before it refuses
+# live states of the frontier sweep before it refuses; a system of at most
+# DIRECT_SHARED shared vertices is summed without the sweep and never
+# refuses, though its sweep would hold at most 2^DIRECT_SHARED states
+STATE_CAP = 1 << 18
+
+DIRECT_SHARED = 3  # shared vertices up to which a count skips the sweep
 
 FILTER_VERTEX_CAP = 24  # vertex cap of the 2^|V| filter
 
@@ -146,15 +154,42 @@ def _sweep(parts: list, private: list) -> int:
     return states[0]
 
 
+def _direct(shared: int, edges: list) -> int:
+    """The number of subsets of the union of the non-empty edge masks that
+    contain none of them, summed directly over the subsets X of the shared
+    vertices: the sum over X of the product over the edges of 2^p, or
+    2^p - 1 when all of the edge's shared vertices lie in X.  Keeps no
+    state table, so STATE_CAP does not apply; the work is 2^|shared| times
+    the number of edges."""
+    private = ~shared
+    total = X = 0
+    while True:
+        out = shared & ~X
+        term, shift = 1, 0
+        for e in edges:
+            if e & out:
+                shift += (e & private).bit_count()
+            else:
+                term *= (1 << (e & private).bit_count()) - 1
+        total += term << shift
+        if X == shared:
+            return total
+        X = (X - shared) & shared  # the next subset of shared, increasing
+
+
 def _count_covered(edges: list) -> tuple:
     """The number of subsets of the union of the non-empty edge masks that
-    contain none of them, and that union.  An edge sharing no vertex with
-    another multiplies the count by 2^p - 1, and the others go to the sweep;
-    a repeated edge is fully shared, p = 0, so its copies agree."""
+    contain none of them, and that union.  With at most DIRECT_SHARED
+    shared vertices the count is `_direct`'s.  Otherwise an edge sharing no
+    vertex with another multiplies the count by 2^p - 1 and the others go
+    to the sweep, which alone can refuse over STATE_CAP.  A repeated edge
+    is fully shared, p = 0, so its copies agree."""
     covered = shared = 0
     for e in edges:
         shared |= covered & e
         covered |= e
+    if shared.bit_count() <= DIRECT_SHARED:
+        return _direct(shared, edges), covered
     count = 1
     parts, private = [], []
     for e in edges:
@@ -164,16 +199,16 @@ def _count_covered(edges: list) -> tuple:
             private.append(p)
         else:
             count *= (1 << p) - 1
-    return (count * _sweep(parts, private) if parts else count), covered
+    return count * _sweep(parts, private), covered
 
 
 def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     """Number of subsets of {0..num_vertices-1} containing no edge mask.
 
     A vertex in no edge doubles the count, a vertex forming an edge on its
-    own is left out, and the other edges go to `_count_covered`, which
-    refuses with BudgetExceeded when more than STATE_CAP partial states are
-    live."""
+    own is left out, and the other edges go to `_count_covered`, whose
+    sweep refuses with BudgetExceeded when more than STATE_CAP partial
+    states are live."""
     if num_vertices < 0:
         raise InputError("negative vertex count")
     if num_vertices > hypergraph.COUNT_VERTEX_CAP:

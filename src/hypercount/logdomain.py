@@ -25,6 +25,16 @@ def log_sum_exp(values: Iterable[float]) -> float:
     return peak + math.log(sum(math.exp(v - peak) for v in vals))
 
 
+def relative_error(log_estimate: float, log_exact: float) -> float:
+    """The relative error exp(log_estimate - log_exact) - 1 of an estimate
+    given in the log domain, or inf when the ratio is past the float
+    range."""
+    try:
+        return math.exp(log_estimate - log_exact) - 1
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LogValue:
     """A non-negative real stored as its natural logarithm."""

@@ -336,6 +336,25 @@ class TestCommands:
         num, den = kv(out)["worst_ratio"].split("/")
         assert len(num) - len(den) > 310  # past the float range, 1.8e308
 
+    @pytest.mark.parametrize("t, beyond", [
+        (1, ("relative_error", "closed_form_t1_rel_error")),
+        (2, ("closed_form_t1_rel_error",))])
+    def test_compare_error_beyond_float_range(self, capsys, tmp_path, t,
+                                              beyond):
+        # on a 5,000-edge perfect matching the size-1 estimates exceed the
+        # exact count 7^5000 about e^953 times, past the float range
+        path = tmp_path / "matching.hg"
+        path.write_text(serialize_text(matching(3, 5000)))
+        code, out, err = run_cli(capsys, "compare", "-i", str(path),
+                                 "--t", str(t))
+        assert code == 0 and err == ""
+        fields = kv(out)
+        assert long_int(fields["exact"]) == 7 ** 5000
+        for name in beyond:
+            assert fields[name] == "inf"
+        if t == 2:
+            assert fields["relative_error"] == "-1"
+
     def test_check_def_unknown_where_the_filter_refuses(self, capsys,
                                                         single_path,
                                                         monkeypatch):

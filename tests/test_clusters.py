@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         cluster_weight, compatible, enumerate_clusters,
                         enumerate_polymers, estimate_count, gamma_k,
@@ -52,6 +53,26 @@ def _log_xi_prefix(G, cls, t):
                  for s in range(t + 1)]
         log += Fraction((-1) ** (m + 1), m) * sum(power)
     return log
+
+
+@st.composite
+def wide_class_hypergraphs(draw):
+    """Non-linear 3-partite instances whose class 0 has 65 to 100 vertices,
+    edges only at two to four scattered ones (one at index 64 or above),
+    and classes 1 and 2 of two or three vertices.  Two edges through the
+    first low vertex and (1, 0) make the instance non-linear."""
+    size = draw(st.integers(65, 100))
+    sizes = [size, draw(st.integers(2, 3)), draw(st.integers(2, 3))]
+    high = draw(st.integers(64, size - 1))
+    low = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3,
+                        unique=True).filter(lambda xs: high not in xs))
+    pairs = list(itertools.product(range(sizes[1]), range(sizes[2])))
+    edges = {(low[0], 0, 0), (low[0], 0, 1)}
+    for i in [high] + low:
+        edges.update((i, a, b) for a, b in draw(st.lists(
+            st.sampled_from(pairs), min_size=1, max_size=3)))
+    edges = [[(0, i), (1, a), (2, b)] for i, a, b in sorted(edges)]
+    return Hypergraph.build(3, sizes, edges)
 
 
 def _connected_graphs(n):
@@ -385,6 +406,16 @@ class TestTruncatedSums:
             for cls in range(k):
                 for t in (2, 3):
                     assert truncated_log_xi(G, cls, t) == _cluster_sum(G, cls, t)
+
+    @given(wide_class_hypergraphs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_cluster_sum_on_a_wide_class(self, G):
+        # class 0 has more than 64 vertices, and its polymers sit on
+        # scattered indices, one at 64 or above: the subsets of a polymer
+        # are submasks of a class-index mask wider than a machine word
+        for cls in range(G.k):
+            for t in (2, 3):
+                assert truncated_log_xi(G, cls, t) == _cluster_sum(G, cls, t)
 
     def test_matches_fraction_form_on_girth5_corpus(self):
         for k, n, r, G in girth5_instances():

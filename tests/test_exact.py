@@ -3,6 +3,7 @@ completion formula, and defect-restricted counts."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypercount import exact, hypergraph
 from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
                         count_by_filter, count_independent_sets,
                         count_subsets_avoiding, count_with_defect_class,
-                        edge_masks, independent_masks)
+                        edge_masks, enumerate_polymers, independent_masks)
 
 from conftest import (circulant, loose_path, matching, partite_hypergraphs,
                       random_partite, random_uniform_system, two_shared)
@@ -113,6 +114,13 @@ class TestFilterAgreement:
         assert count_subsets_avoiding(n, masks) == count_by_filter(n, masks)
 
     @given(linked_systems())
+    # 3 shared vertices (0, 1, 2), the most the direct sum takes: {0,1}
+    # twice with p = 0, {1,2,3} and {2,6} with p = 1, {0,2,4,5} with p = 2
+    @example((7, [0b0000011, 0b0001110, 0b0110101, 0b0000011, 0b1000100]))
+    # 4 shared vertices, the fewest the sweep takes: vertex 3 joins the
+    # shared ones through {3,7} and the p = 0 edge {0,3}
+    @example((8, [0b00000011, 0b00001110, 0b00110101, 0b00000011,
+                  0b01000100, 0b10001000, 0b00001001]))
     @settings(max_examples=80, deadline=None)
     def test_shared_and_private_vertices(self, system):
         n, masks = system
@@ -133,6 +141,28 @@ class TestFilterAgreement:
         monkeypatch.setattr(exact, "edge_masks", None)  # not callable
         with pytest.raises(BudgetExceeded, match=message):
             independent_masks(matching(3, 9))
+
+
+class TestDirectSum:
+    @pytest.mark.parametrize("shared", [1, 2, 3, 4])
+    def test_the_sweep_starts_at_four_shared_vertices(self, monkeypatch,
+                                                      shared):
+        # the edges through (0, 0) leave as link graph a path of shared + 1
+        # edges alternating between classes 1 and 2, whose shared + 2
+        # vertices have F(shared + 4) independent sets (F(1) = F(2) = 1)
+        path = [(1 + j % 2, j // 2) for j in range(shared + 2)]
+        G = Hypergraph.build(3, [1, (shared + 3) // 2, (shared + 2) // 2],
+                             [[(0, 0), a, b] for a, b in zip(path, path[1:])])
+        fib = [0, 1]
+        while len(fib) < shared + 5:
+            fib.append(fib[-1] + fib[-2])
+        sweeps = []
+        sweep = exact._sweep
+        monkeypatch.setattr(exact, "_sweep",
+                            lambda *a: sweeps.append(a) or sweep(*a))
+        (p,) = enumerate_polymers(G, 0, 1)
+        assert p.weight == Fraction(fib[shared + 4], 1 << shared + 2)
+        assert len(sweeps) == (shared == 4)
 
 
 class TestLoosePath:
@@ -159,6 +189,16 @@ class TestStateCap:
         expected = count_independent_sets(G)
         monkeypatch.setattr(exact, "STATE_CAP", 16)
         assert count_independent_sets(G) == expected
+
+    def test_direct_sum_keeps_no_states(self, monkeypatch):
+        # a loose path of 4 edges has 3 shared vertices and no sweep; the
+        # path of 5 edges has 4, and its sweep holds 2 states at once
+        monkeypatch.setattr(exact, "STATE_CAP", 1)
+        assert count_independent_sets(loose_path(4)) == loose_path_count(4)
+        with pytest.raises(BudgetExceeded, match=(
+                r"^the exact count swept 1 of 4 shared vertices and held 2 "
+                r"live states, over the cap of 1;")):
+            count_independent_sets(loose_path(5))
 
     def test_greedy_order_reaches_a_30_vertex_class(self, monkeypatch):
         # the sweep holds at most 2,048 states on this instance

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypercount import LogValue, log_sum_exp
+from hypercount.logdomain import relative_error
 
 
 def test_huge_integer():
@@ -27,6 +28,13 @@ def test_zero_and_negative():
 def test_log_sum_exp():
     assert log_sum_exp([]) == float("-inf")
     assert log_sum_exp([math.log(3), math.log(5)]) == pytest.approx(math.log(8))
+
+
+def test_relative_error_beyond_the_float_range():
+    assert relative_error(math.log(3), math.log(2)) == math.exp(
+        math.log(3) - math.log(2)) - 1
+    assert relative_error(-1000.0, 0.0) == -1
+    assert relative_error(1000.0, 0.0) == math.inf
 
 
 def test_rendering():
