@@ -14,7 +14,8 @@ the 2-linked piece of its lowest vertex, a piece grown on the table's
 distance-two masks.  The same masks key the weights and the partial
 products, and give d_C.  Every polymer carries its weight as an integer
 over a power of two, so the series run on integers over 2^|N(C)| and
-lcm(1..t), and one Fraction is built per call.
+lcm(1..t), and one Fraction is built per call; polymers that agree on
+|N(C)|, |C|, d_C and the coefficients of Xi_C share one run of the series.
 
 The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`)
 serves the `clusters` command and tests the truncation.  Clusters are
@@ -269,6 +270,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     weights = dict(zip(masks, (p.dyadic_weight for p in polymers)))
     lcm = math.lcm(*range(1, t + 1))
     totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)
+    terms = {}  # (D, |C|, d_C, *A) -> the term of a polymer with that key
     for p, Cm in zip(polymers, masks):
         c = p.order
         D = len(p.neighborhood)
@@ -293,28 +295,37 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             m, e = weights[comp]
             val[sub] = v = m * val[sub ^ comp] >> e
             A[sub.bit_count()] += v
-        # Newton recurrence p L' = p' for the log series l_s of Xi_C, on
-        # M[s] = s l_s 2^(D s):
-        #   M[s] = s A[s] 2^(D(s-1)) - sum over 0 < i < s of
-        #          M[i] A[s-i] 2^(D(s-i-1))
-        M = [0] * (t + 1)
-        for s in range(1, t + 1):
-            acc = s * A[s] << D * (s - 1)
-            for i in range(1, s):
-                acc -= M[i] * A[s - i] << D * (s - i - 1)
-            M[s] = acc
         around, rest = 0, Cm
         while rest:
             i = rest.bit_length() - 1
             rest ^= 1 << i
             around |= near[i]
         d = (around & ~Cm).bit_count()
-        # l_s = M[s] / (s 2^(D s)) = M[s] (lcm / s) 2^(D (t-s)) / (lcm 2^(D t))
-        term = 0
-        for s in range(c, t + 1):
-            # sum_{j<=m} (-1)^j binom(d, j) = (-1)^m binom(d-1, m), m = s - c
-            sign_sum = (-1) ** (s - c) * math.comb(d - 1, s - c) if d else 1
-            term += (M[s] * (lcm // s) << D * (t - s)) * sign_sum
+        # the rest of C's term depends only on this key, and repeats are
+        # common, so each distinct key runs the series once
+        key = (D, c, d, *A)
+        term = terms.get(key)
+        if term is None:
+            # Newton recurrence p L' = p' for the log series l_s of Xi_C, on
+            # M[s] = s l_s 2^(D s):
+            #   M[s] = s A[s] 2^(D(s-1)) - sum over 0 < i < s of
+            #          M[i] A[s-i] 2^(D(s-i-1))
+            M = [0] * (t + 1)
+            for s in range(1, t + 1):
+                acc = s * A[s] << D * (s - 1)
+                for i in range(1, s):
+                    acc -= M[i] * A[s - i] << D * (s - i - 1)
+                M[s] = acc
+            # l_s = M[s] / (s 2^(D s))
+            #     = M[s] (lcm / s) 2^(D (t-s)) / (lcm 2^(D t))
+            term = 0
+            for s in range(c, t + 1):
+                # sum_{j<=m} (-1)^j binom(d, j) = (-1)^m binom(d-1, m),
+                # m = s - c
+                sign_sum = ((-1) ** (s - c) * math.comb(d - 1, s - c)
+                            if d else 1)
+                term += (M[s] * (lcm // s) << D * (t - s)) * sign_sum
+            terms[key] = term
         totals[D] = totals.get(D, 0) + term
     top = max(totals, default=0)
     return Fraction(sum(v << (top - D) * t for D, v in totals.items()),

@@ -19,7 +19,7 @@ import sys
 from typing import Optional, TextIO, Union
 
 from .errors import InputError
-from .hypergraph import Hypergraph, Vertex
+from .hypergraph import Hypergraph
 
 
 def parse_text(text: str) -> Hypergraph:
@@ -54,13 +54,13 @@ def parse_text(text: str) -> Hypergraph:
             for tok in toks:
                 try:
                     c, i = tok.split(":")
-                    edge.append(Vertex(int(c), int(i)))
+                    edge.append((int(c), int(i)))
                 except ValueError:
                     raise InputError(f"line {lineno}: bad vertex token {tok!r}")
-            for v in edge:
-                if not (0 <= v.cls < k and 0 <= v.idx < sizes[v.cls]):
-                    raise InputError(f"line {lineno}: vertex {v} out of range")
-            if sorted(v.cls for v in edge) != list(range(k)):
+            for c, i in edge:
+                if not (0 <= c < k and 0 <= i < sizes[c]):
+                    raise InputError(f"line {lineno}: vertex {c}:{i} out of range")
+            if sorted(c for c, _ in edge) != list(range(k)):
                 raise InputError(
                     f"line {lineno}: edge must meet every class exactly once")
             key = tuple(sorted(edge))
@@ -132,16 +132,8 @@ def serialize_text(G: Hypergraph, comment: Optional[str] = None) -> str:
         lines.extend(f"# {c}" for c in comment.splitlines())
     lines.append(f"k={G.k} sizes=" + ",".join(str(s) for s in G.sizes))
     for e in G.edges:
-        lines.append("e " + " ".join(str(v) for v in e))
+        lines.append("e " + " ".join(f"{c}:{i}" for c, i in e))
     return "\n".join(lines) + "\n"
-
-
-def serialize_json(G: Hypergraph) -> str:
-    return json.dumps({
-        "k": G.k,
-        "sizes": list(G.sizes),
-        "edges": [[[v.cls, v.idx] for v in e] for e in G.edges],
-    })
 
 
 def digest(G: Hypergraph) -> str:

@@ -114,7 +114,7 @@ class Hypergraph:
     @classmethod
     def build(cls, k: int, sizes: Sequence[int], edges: Iterable[Iterable]) -> "Hypergraph":
         """Construct from any iterable of edges given as (class, index) pairs."""
-        return cls(k, tuple(sizes), tuple(tuple(Vertex(*v) for v in e) for e in edges))
+        return cls(k, tuple(sizes), tuple(tuple(e) for e in edges))
 
     # ----- basic accessors -------------------------------------------------
 
@@ -280,9 +280,13 @@ class Hypergraph:
 
     def regular_degree(self) -> Optional[int]:
         """The common vertex degree r, or None if degrees differ."""
-        degs = {len(self.incidence[v]) for v in self.vertices()}
-        if len(degs) == 1:
-            return degs.pop()
+        degs = [[0] * s for s in self.sizes]
+        for e in self.edges:
+            for c, i in e:
+                degs[c][i] += 1
+        values = set().union(*degs)
+        if len(values) == 1:
+            return values.pop()
         return None
 
 
@@ -356,13 +360,15 @@ def find_loose_cycle(G: Hypergraph, max_length: int) -> Optional[list]:
 
 
 def find_loose_cycle_through(edge_sets: Sequence[frozenset],
-                             incidence: Mapping[Vertex, Sequence[int]],
+                             incidence: Mapping[object, Sequence[int]],
                              cand: frozenset, max_length: int
                              ) -> Optional[list]:
     """Search for a loose cycle of length between 3 and max_length that uses
     the edge `cand`, in the hypergraph of the edges `incidence` names plus
     `cand`.
 
+    Vertices may be any ordered hashable labels, such as Vertex pairs or
+    the generator's integer ids: the search only hashes and compares them.
     `incidence` maps each vertex to the indices into `edge_sets` of the
     edges containing it (a missing vertex is isolated); edges it does not
     name take no part, and `cand` must not be among them.  Such a cycle is
@@ -432,21 +438,3 @@ def _cycle_through(edge_sets, incidence, cand, max_length, tick):
 def girth_at_most(G: Hypergraph, limit: int) -> bool:
     """True iff G contains a loose cycle of length between 3 and limit."""
     return find_loose_cycle(G, limit) is not None
-
-
-def is_loose_cycle(G: Hypergraph, seq: Sequence) -> bool:
-    """Check a vertex sequence against the loose-cycle definition."""
-    km1 = G.k - 1
-    if len(seq) < 3 * km1 or len(seq) % km1 != 0:
-        return False
-    if len(set(seq)) != len(seq):
-        return False
-    length = len(seq) // km1
-    edge_sets = {frozenset(e) for e in G.edges}
-    blocks = set()
-    for i in range(length):
-        block = frozenset(seq[(km1 * i + j) % len(seq)] for j in range(km1 + 1))
-        if block not in edge_sets:
-            return False
-        blocks.add(block)
-    return len(blocks) == length

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -27,9 +28,8 @@ from typing import Optional
 from .errors import BudgetExceeded, GenerationError, InputError
 from .exact import class_mask, edge_masks, independent_masks
 from .formulas import gamma_k
-from .hypergraph import (Hypergraph, Vertex, check_vertex_cap,
-                         find_loose_cycle, find_loose_cycle_through,
-                         girth_at_most)
+from .hypergraph import (Hypergraph, check_vertex_cap, find_loose_cycle,
+                         find_loose_cycle_through, girth_at_most)
 
 EDGE_TRIES = 80  # candidate edges drawn per edge slot before a restart
 MAX_RESTARTS = 400  # attempts gen_linear_regular makes before it fails
@@ -72,14 +72,15 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
     check_vertex_cap(k * n)  # before the per-vertex capacity tables
     rng = random.Random(seed)
     total_edges = n * r
+    N = k * n  # vertex (c, i) has id c * n + i, so ids sort class-major
     girth_bounded = min_girth is not None and min_girth > 3
     stuck_at = 0
     for _ in range(MAX_RESTARTS):
-        capacity = [[r] * n for _ in range(k)]
-        # ascending indices with capacity left, so rng.choice draws exactly
-        # as it would from a fresh scan of `capacity`
-        avail = [list(range(n)) for _ in range(k)]
-        covered = set()  # vertex pairs inside an accepted edge
+        capacity = [r] * N
+        # ascending ids with capacity left, one list per class, so
+        # rng.choice draws exactly as it would from a fresh scan of `capacity`
+        avail = [list(range(c * n, (c + 1) * n)) for c in range(k)]
+        covered = set()  # u * N + v for the ids u < v of an accepted edge
         edge_sets = []
         incidence = {}
         ok = True
@@ -88,12 +89,11 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
             for _ in range(EDGE_TRIES):
                 # at slot j each class has n*r - j >= 1 capacity left, so
                 # no avail list is empty
-                pick = [rng.choice(avail[c]) for c in range(k)]
-                cand = tuple(Vertex(c, i) for c, i in enumerate(pick))
-                pairs = list(itertools.combinations(cand, 2))
+                cand = [rng.choice(a) for a in avail]
+                pairs = [u * N + v for u, v in itertools.combinations(cand, 2)]
                 # sharing a pair with an accepted edge breaks linearity; this
                 # also rejects a duplicate edge
-                if any(p in covered for p in pairs):
+                if not covered.isdisjoint(pairs):
                     continue
                 cand_set = frozenset(cand)
                 # accepted prefixes have no short loose cycle, so a new one
@@ -103,13 +103,14 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
                         min_girth - 1) is not None:
                     continue
                 covered.update(pairs)
-                for v in cand:
-                    incidence.setdefault(v, []).append(len(edge_sets))
+                if girth_bounded:
+                    for v in cand:
+                        incidence.setdefault(v, []).append(len(edge_sets))
                 edge_sets.append(cand_set)
-                for c, i in enumerate(pick):
-                    capacity[c][i] -= 1
-                    if capacity[c][i] == 0:
-                        avail[c].remove(i)
+                for a, v in zip(avail, cand):
+                    capacity[v] -= 1
+                    if capacity[v] == 0:
+                        del a[bisect_left(a, v)]
                 placed = True
                 break
             if not placed:
@@ -117,7 +118,9 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
                 ok = False
                 break
         if ok:
-            G = Hypergraph(k, tuple([n] * k), tuple(edge_sets))
+            G = Hypergraph(k, tuple([n] * k),
+                           tuple(tuple(map(divmod, e, [n] * k))
+                                 for e in edge_sets))
             assert G.regular_degree() == r
             assert G.is_linear()
             if girth_bounded:
@@ -128,29 +131,6 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
         + (f", girth >= {min_girth}" if min_girth else "")
         + f" after {MAX_RESTARTS} restarts (best attempt stalled at edge "
         f"{stuck_at + 1}/{total_edges}); try another seed or larger n")
-
-
-def loose_cycle_gadget(k: int, seed: int = 0, padding: int = 0) -> Hypergraph:
-    """A four-edge configuration in which two same-class vertices share two
-    neighbours, so the instance contains a loose 4-cycle by construction.
-
-    Classes: class 0 holds the two sharing vertices, class 1 the two shared
-    neighbours, remaining classes hold one private vertex per edge (plus
-    `padding` isolated vertices per class, shuffled by seed).
-    """
-    if k < 3:
-        raise InputError("the gadget needs k >= 3")
-    sizes = [2, 2] + [4] * (k - 2)
-    edges = []
-    for j, (a, b) in enumerate([(0, 0), (0, 1), (1, 1), (1, 0)]):
-        e = [(0, a), (1, b)] + [(c, j) for c in range(2, k)]
-        edges.append(e)
-    if padding:
-        sizes = [s + padding for s in sizes]
-    rng = random.Random(seed)
-    perms = [list(rng.sample(range(s), s)) for s in sizes]
-    shuffled = [[(c, perms[c][i]) for c, i in e] for e in edges]
-    return Hypergraph.build(k, sizes, shuffled)
 
 
 # ----- property checks ------------------------------------------------------------

@@ -8,12 +8,16 @@ compatibility sum, the term-by-term `Fraction` form of `truncated_log_xi`
 and the polymer enumeration on Vertex sets.  It also holds helpers that
 only the tests read: the completion formula for a defect set,
 independent-set counts and maximum matchings of link graphs, the
-polymer-count bound and the expansion parameter alpha(k, t).
+polymer-count bound, the expansion parameter alpha(k, t), a gadget with a
+loose 4-cycle by construction, the loose-cycle definition checked on a
+witness, and the JSON serialization that parse_json reads.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -372,3 +376,56 @@ def alpha_kt(k: int, t: int) -> AlphaBound:
             / (mp.log((1 << (k - 1)) - 1) + log_gamma)
         return AlphaBound(k=k, t=t, decay_branch=float(decay),
                           balance_branch=float(balance))
+
+
+# ----- loose cycles and the JSON mirror ------------------------------------------
+
+
+def loose_cycle_gadget(k: int, seed: int = 0, padding: int = 0) -> Hypergraph:
+    """A four-edge configuration in which two same-class vertices share two
+    neighbours, so the instance contains a loose 4-cycle by construction.
+
+    Classes: class 0 holds the two sharing vertices, class 1 the two shared
+    neighbours, remaining classes hold one private vertex per edge (plus
+    `padding` isolated vertices per class, shuffled by seed).
+    """
+    if k < 3:
+        raise InputError("the gadget needs k >= 3")
+    sizes = [2, 2] + [4] * (k - 2)
+    edges = []
+    for j, (a, b) in enumerate([(0, 0), (0, 1), (1, 1), (1, 0)]):
+        e = [(0, a), (1, b)] + [(c, j) for c in range(2, k)]
+        edges.append(e)
+    if padding:
+        sizes = [s + padding for s in sizes]
+    rng = random.Random(seed)
+    perms = [list(rng.sample(range(s), s)) for s in sizes]
+    shuffled = [[(c, perms[c][i]) for c, i in e] for e in edges]
+    return Hypergraph.build(k, sizes, shuffled)
+
+
+def is_loose_cycle(G: Hypergraph, seq: Sequence) -> bool:
+    """Check a vertex sequence against the loose-cycle definition."""
+    km1 = G.k - 1
+    if len(seq) < 3 * km1 or len(seq) % km1 != 0:
+        return False
+    if len(set(seq)) != len(seq):
+        return False
+    length = len(seq) // km1
+    edge_sets = {frozenset(e) for e in G.edges}
+    blocks = set()
+    for i in range(length):
+        block = frozenset(seq[(km1 * i + j) % len(seq)] for j in range(km1 + 1))
+        if block not in edge_sets:
+            return False
+        blocks.add(block)
+    return len(blocks) == length
+
+
+def serialize_json(G: Hypergraph) -> str:
+    """The JSON mirror of the text format, which formats.parse_json reads."""
+    return json.dumps({
+        "k": G.k,
+        "sizes": list(G.sizes),
+        "edges": [[[v.cls, v.idx] for v in e] for e in G.edges],
+    })

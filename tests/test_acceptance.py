@@ -18,15 +18,16 @@ from hypercount import (check_common_neighbor,
                         count_subsets_avoiding,
                         count_with_defect_class, enumerate_clusters,
                         enumerate_polymers, expected_t2_delta, gamma_k,
-                        gen_linear_regular, girth_at_most, loose_cycle_gadget,
+                        gen_linear_regular, girth_at_most,
                         partition_function, polymer_weight, serialize_text,
                         singleton_sum, truncated_log_xi, ursell)
 from hypercount.errors import GenerationError
 
 from conftest import (girth5_instances, matching, random_partite,
                       random_uniform_system, single_edge, two_shared)
-from oracles import (max_matching_size, polymer_count_bound_holds,
-                     truncated_log_generic, ursell_by_subgraphs)
+from oracles import (loose_cycle_gadget, max_matching_size,
+                     polymer_count_bound_holds, truncated_log_generic,
+                     ursell_by_subgraphs)
 
 
 @contextmanager

@@ -275,7 +275,8 @@ class TestCommands:
         assert kv(out)["verdict"] == "holds"
 
     def test_check_girth_and_common_neighbor(self, capsys, tmp_path):
-        from hypercount import loose_cycle_gadget, serialize_text
+        from hypercount import serialize_text
+        from oracles import loose_cycle_gadget
         path = tmp_path / "gadget.hg"
         path.write_text(serialize_text(loose_cycle_gadget(3)))
         code, out, _ = run_cli(capsys, "check", "girth", "-i", str(path),

@@ -3,9 +3,10 @@
 import pytest
 
 from hypercount import (InputError, digest, loads, parse_json, parse_text,
-                        serialize_json, serialize_text)
+                        serialize_text)
 
 from conftest import single_edge, two_shared
+from oracles import serialize_json
 
 
 SINGLE = "k=3 sizes=1,1,1\ne 0:0 1:0 2:0\n"

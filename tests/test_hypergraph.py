@@ -4,16 +4,17 @@ adjacency, 2-linked pieces, linearity, regularity, loose-cycle girth."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hypercount import (Hypergraph, InputError, Vertex, check_girth,
                         check_linear, find_loose_cycle,
                         find_loose_cycle_through, gen_linear_regular,
-                        girth_at_most, is_loose_cycle, loose_cycle_gadget)
+                        girth_at_most)
 from hypercount import hypergraph
 from hypercount.errors import BudgetExceeded
 
 from conftest import matching, partite_hypergraphs, two_shared
+from oracles import is_loose_cycle, loose_cycle_gadget
 
 
 V = Vertex
@@ -400,6 +401,18 @@ def test_loose_cycle_oracle_on_known_instances():
     G = gen_linear_regular(3, 6, 2, seed=0, min_girth=5)
     assert not _brute_has_loose_cycle(G, 4)
     assert girth_at_most(G, 6) == _brute_has_loose_cycle(G, 6)
+
+
+@given(partite_hypergraphs(max_k=4, max_size=3))
+@example(Hypergraph.build(3, [2, 2, 2], []))  # all isolated: 0-regular
+@example(matching(3, 2))  # 1-regular
+@example(Hypergraph.build(3, [1, 1, 2], [[(0, 0), (1, 0), (2, 0)]]))
+@settings(max_examples=150, deadline=None)
+def test_regular_degree_matches_incidence(G):
+    # the definition: one degree shared by every vertex, isolated ones too
+    degrees = {len(G.incidence[v]) for v in G.vertices()}
+    expect = degrees.pop() if len(degrees) == 1 else None
+    assert G.regular_degree() == expect
 
 
 @given(partite_hypergraphs())

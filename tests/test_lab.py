@@ -14,7 +14,9 @@ from hypercount import (BudgetExceeded, GenerationError, Hypergraph,
                         InputError, Vertex, check_common_neighbor, check_def,
                         check_exp1, check_exp2, check_girth, check_linear,
                         check_reg, digest, gen_linear_regular, girth_at_most,
-                        lab, loose_cycle_gadget)
+                        lab)
+
+from oracles import loose_cycle_gadget
 
 V = Vertex
 
@@ -115,6 +117,29 @@ PINNED_K4_GIRTH5 = {
     (4, 24, 2, 5, 3): "2d11c9dd3ec11aab",
 }
 
+# Full digests of larger generated instances per (k, n, r, min_girth, seed),
+# at the default lab.MAX_RESTARTS, recorded while the generator drew Vertex
+# objects; the draws on integer ids must name the same instances.  CI's
+# generator-scale step checks (3, 20000, 3, None, 0): c051aeed96987970...
+PINNED_DIGESTS = {
+    (3, 260, 2, None, 0):
+        "181613135f84312bd58cef310cf63f833c1113ffb798b1fc4ac6267467815e19",
+    (3, 260, 2, None, 1):
+        "ee01e4b44bb5f697b94701d6a708b4184b1cd585a7fd6fe2e005c7ba15132f90",
+    (3, 260, 2, 5, 0):
+        "0affca26c6297eafa2a5f34906563f69d6618456cdcfdbc836a4d08fef007977",
+    (3, 1000, 3, None, 0):
+        "bfa4043f29505b2554987466b57bde613043412c85f092b4ec8d8baffe767c12",
+    (4, 30, 3, None, 0):
+        "cd4785df0b674405b143a3676ac60517b1e79bcfc3ff78e2aa6c20e87dcd50a8",
+    (4, 30, 3, None, 1):
+        "505cfefa6c5302f81026cb1cceae50b0711611a999b358d63e4694115e27b926",
+    (4, 30, 3, None, 2):
+        "f29588024367ee0f5b509569ef355e1a092c762a151fa7e1719b725348a70abc",
+    (3, 200, 3, 5, 0):
+        "4977a4646f52c1695b34592c5daf800cb3283769c82fe5a627c9571c353fe0b7",
+}
+
 
 def _outcome(k, n, r, min_girth, seed):
     try:
@@ -161,6 +186,21 @@ class TestGenerator:
         monkeypatch.setattr(lab, "MAX_RESTARTS", 30)
         for (k, n, r, g, seed), expect in PINNED_K4_GIRTH5.items():
             assert _outcome(k, n, r, g, seed) == expect, (k, n, r, g, seed)
+
+    def test_pinned_digests(self):
+        for (k, n, r, g, seed), expect in PINNED_DIGESTS.items():
+            G = gen_linear_regular(k, n, r, seed, min_girth=g)
+            assert digest(G) == expect, (k, n, r, g, seed)
+
+    def test_pinned_failure_message(self, monkeypatch):
+        # the best of six attempts stalled at slot 20 (0-based), printed 21
+        monkeypatch.setattr(lab, "MAX_RESTARTS", 6)
+        with pytest.raises(GenerationError) as exc:
+            gen_linear_regular(4, 12, 3, seed=0, min_girth=5)
+        assert str(exc.value) == (
+            "could not assemble a linear 3-regular instance with k=4, n=12, "
+            "girth >= 5 after 6 restarts (best attempt stalled at edge "
+            "21/36); try another seed or larger n")
 
     def test_infeasible_r_rejected(self):
         with pytest.raises(InputError):
