@@ -7,14 +7,13 @@ from .clusters import (Cluster, CountEstimate, cluster_weight,
                        ursell)
 from .errors import (BudgetExceeded, GenerationError, HypercountError,
                      InputError)
-from .exact import (class_mask, count_by_filter, count_independent_sets,
+from .exact import (class_mask, count_independent_sets,
                     count_subsets_avoiding, count_with_defect_class,
-                    edge_masks, independent_masks)
+                    edge_masks)
 from .formats import (digest, load, loads, parse_json, parse_text,
                       serialize_text)
 from .formulas import (ClosedFormEstimate, closed_form_t1, closed_form_t2,
-                       expected_t2_delta, gamma_k, ordered_pair_sum_enumerated,
-                       ordered_pair_sum_printed, pair_polymer_sum,
+                       gamma_k, ordered_pair_sum_enumerated, pair_polymer_sum,
                        singleton_sum)
 from .hypergraph import (Hypergraph, LinkGraph, Vertex, find_loose_cycle,
                          find_loose_cycle_through, girth_at_most)
@@ -23,7 +22,7 @@ from .lab import (PropertyReport, check_common_neighbor, check_def,
                   check_reg, gen_linear_regular)
 from .logdomain import LogValue, log_sum_exp
 from .polymers import (KpTerms, Polymer, compatibility_sum, compatible,
-                       enumerate_polymers, kp_terms, make_polymer,
-                       partition_function, polymer_weight)
+                       enumerate_polymers, kp_terms, partition_function,
+                       polymer_weight)
 
 __version__ = "0.1.0"

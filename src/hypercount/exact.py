@@ -13,13 +13,10 @@ and keeps a table from partial states to integer counts; more than
 STATE_CAP live states refuse with BudgetExceeded.  A Hypergraph of more
 than hypergraph.COUNT_VERTEX_CAP vertices refuses at construction, and
 `count_subsets_avoiding` reads the same cap at call time for its raw
-vertex count.  A vectorized 2^|V| filter is retained as an independent
-cross-check for at most FILTER_VERTEX_CAP vertices, refusing above it
-before any mask is built; it is the one place that enumerates all vertex
-subsets, and the only code here that loads numpy.  All three caps are
-module constants.  Callers reach the filter through a small public seam:
-`independent_masks(G)` lists the independent sets of G as bitmasks,
-`edge_masks(G)` gives the edges in the same bit order (bit i is
+vertex count.  `count_with_defect_class` counts the independent sets
+whose trace on one class has only small 2-linked pieces, one trace at a
+time, and refuses above DEFECT_VERTEX_CAP vertices.  All three caps are
+module constants.  `edge_masks(G)` gives the edges as bitmasks (bit i is
 `list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
 one class."""
 
@@ -39,7 +36,9 @@ STATE_CAP = 1 << 18
 
 DIRECT_SHARED = 3  # shared vertices up to which a count skips the sweep
 
-FILTER_VERTEX_CAP = 24  # vertex cap of the 2^|V| filter
+# vertices above which defect-count refuses and check def's exhaustive
+# search gives way to a randomized one
+DEFECT_VERTEX_CAP = 24
 
 
 # ----- frontier sweep ---------------------------------------------------------
@@ -249,72 +248,51 @@ def count_independent_sets(G: Hypergraph) -> int:
     return count_subsets_avoiding(G.num_vertices, G._edge_masks)
 
 
-# ----- independent 2^V filter oracle ------------------------------------------
-
-
-_FILTER_CHUNK = 1 << 20
-
-
-def _check_filter_cap(num_vertices: int) -> None:
-    if num_vertices > FILTER_VERTEX_CAP:
-        raise BudgetExceeded(
-            f"2^|V| filter limited to {FILTER_VERTEX_CAP} vertices, got "
-            f"{num_vertices}; refusing rather than estimating")
-
-
-def _filter_chunks(num_vertices: int, edge_masks: Sequence[int]):
-    """Yield, one chunk of 2^20 candidates at a time, the subsets of
-    {0..num_vertices-1} (as uint64 masks, ascending) that contain no edge
-    mask.  The caller checks the filter cap first."""
-    import numpy as np
-
-    dedup = np.array(sorted(set(int(e) for e in edge_masks)), dtype=np.uint64)
-    top = 1 << num_vertices
-    for lo in range(0, top, _FILTER_CHUNK):
-        arr = np.arange(lo, min(lo + _FILTER_CHUNK, top), dtype=np.uint64)
-        keep = np.ones(arr.shape, dtype=bool)
-        for e in dedup:
-            keep &= (arr & e) != e
-        yield arr[keep]
-
-
-def count_by_filter(num_vertices: int, edge_masks: Sequence[int]) -> int:
-    """Count by testing every subset mask; independent of the frontier
-    sweep, usable for cross-checks up to FILTER_VERTEX_CAP vertices."""
-    _check_filter_cap(num_vertices)
-    return sum(int(kept.size) for kept in
-               _filter_chunks(num_vertices, edge_masks))
-
-
-def independent_masks(G: Hypergraph):
-    """All independent sets of G as an ascending uint64 array of masks in
-    edge_masks' vertex order; refuses beyond FILTER_VERTEX_CAP vertices
-    before building any mask."""
-    import numpy as np
-
-    _check_filter_cap(G.num_vertices)
-    return np.concatenate(list(_filter_chunks(G.num_vertices, edge_masks(G))))
+# ----- defect-restricted counts -----------------------------------------------
 
 
 def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     """Exact number of independent sets I for which every 2-linked piece of
-    the trace of I on the given class has order at most b.
+    the trace T of I on the given class has order at most b.
 
-    Enumerates independent sets directly (refusing above FILTER_VERTEX_CAP
-    vertices); this keeps the count independent of the completion formula
-    and the polymer machinery it is tested against.
-    """
-    import numpy as np
-
+    Walks the passing traces T, each grown from a passing one by a vertex
+    of higher index: a piece only grows with T, so no superset of a
+    failing trace passes.  The sets I with trace T are T plus the subsets
+    of the other classes that contain no residue e - T of an edge e
+    through T, which count_subsets_avoiding counts.  The pieces are
+    flood-filled on masks of class indices built from
+    Hypergraph.distance_two_neighbors, so the count shares nothing with
+    the polymer enumeration and weights it is tested against but
+    count_subsets_avoiding.  Refuses above DEFECT_VERTEX_CAP vertices."""
     if b < 0:
         raise InputError("defect bound b must be non-negative")
-    zmask = class_mask(G, cls)  # at most COUNT_VERTEX_CAP bits
-    traces = np.bitwise_and(independent_masks(G), np.uint64(zmask))
-    values, counts = np.unique(traces, return_counts=True)
-    order = list(G.vertices())
+    outside = ~class_mask(G, cls)
+    n = G.num_vertices
+    if n > DEFECT_VERTEX_CAP:
+        raise BudgetExceeded(
+            f"the defect count has {n} vertices, over the cap of "
+            f"{DEFECT_VERTEX_CAP}; refusing rather than estimating")
+    verts = G.class_vertices(cls)
+    near = [sum(1 << u.idx for u in G.distance_two_neighbors(v))
+            for v in verts]
+    residues = [[] for _ in verts]
+    for e, m in zip(G.edges, G._edge_masks):
+        residues[e[cls].idx].append(m & outside)
     total = 0
-    for t, c in zip(values.tolist(), counts.tolist()):
-        trace = [v for i, v in enumerate(order) if t >> i & 1]
-        if all(len(p) <= b for p in G.two_linked_components(trace)):
-            total += c
-    return total
+    stack = [(0, 0, [])]  # a passing trace, its least new index, residues
+    while stack:
+        T, start, res = stack.pop()
+        total += count_subsets_avoiding(n, res)
+        for i in range(start, len(verts)):
+            grown = T | 1 << i
+            piece = frontier = 1 << i
+            while frontier:
+                j = frontier & -frontier
+                frontier ^= j
+                new = near[j.bit_length() - 1] & grown & ~piece
+                piece |= new
+                frontier |= new
+            if piece.bit_count() <= b:
+                stack.append((grown, i + 1, res + residues[i]))
+    # the residues leave the class's own vertices free in every count
+    return total >> len(verts)

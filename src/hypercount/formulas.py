@@ -65,16 +65,11 @@ def closed_form_t1(k: int, n: int, r: int) -> ClosedFormEstimate:
                               log_value=_assemble_log(k, n, exponent))
 
 
-def ordered_pair_sum_printed(k: int, n: int, r: int) -> Fraction:
-    """Aggregate weight of ordered singleton-pair clusters using the printed
-    count n(k-1)r^2."""
-    return Fraction(-1, 2) * n * (k - 1) * r * r * gamma_k(k) ** (-2 * r)
-
-
 def ordered_pair_sum_enumerated(k: int, n: int, r: int) -> Fraction:
-    """Same aggregate with the enumeration-derived count: each vertex has
-    (k-1)r(r-1) distinct shared-neighbour partners plus itself once, so there
-    are n((k-1)r(r-1) + 1) ordered pairs."""
+    """Aggregate weight of ordered singleton-pair clusters using the
+    enumeration-derived count: each vertex has (k-1)r(r-1) distinct
+    shared-neighbour partners plus itself once, so there are
+    n((k-1)r(r-1) + 1) ordered pairs."""
     pairs = (k - 1) * r * (r - 1) + 1
     return Fraction(-1, 2) * n * pairs * gamma_k(k) ** (-2 * r)
 
@@ -113,8 +108,3 @@ def closed_form_t2(k: int, n: int, r: int) -> ClosedFormEstimate:
         corrected_log_value=_assemble_log(k, n, corrected),
         correction_delta=delta,
     )
-
-
-def expected_t2_delta(k: int, n: int, r: int) -> Fraction:
-    """The printed-vs-corrected gap in closed form."""
-    return Fraction((k - 1) * r - 1, 2) * n * gamma_k(k) ** (-2 * r)

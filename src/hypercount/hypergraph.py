@@ -214,45 +214,6 @@ class Hypergraph:
         """Same-class vertices u != v whose neighbourhood meets that of v."""
         return self._distance_two[self._check_vertex(v)]
 
-    def two_linked_components(self, T: Iterable) -> list:
-        """Partition of a single-class set T into its 2-linked pieces.
-
-        Two vertices land in the same piece iff they are connected within T
-        through chains of shared neighbours.  Pieces are returned sorted by
-        their minimum vertex; their neighbourhoods are pairwise disjoint.
-        """
-        T = sorted(frozenset(self._check_vertex(v) for v in T))
-        if not T:
-            return []
-        if len({v.cls for v in T}) != 1:
-            raise InputError("two_linked_components requires T within a single class")
-        tset = set(T)
-        seen = set()
-        comps = []
-        for start in T:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self._distance_two[v]:
-                    if u in tset and u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(frozenset(comp))
-        if __debug__:
-            nbhds = [self.neighborhood(c) for c in comps]
-            for a in range(len(nbhds)):
-                for b in range(a + 1, len(nbhds)):
-                    assert not (nbhds[a] & nbhds[b]), "component neighbourhoods overlap"
-        return comps
-
-    def is_two_linked(self, S: Iterable) -> bool:
-        S = list(S)
-        return len(S) > 0 and len(self.two_linked_components(S)) == 1
-
     # ----- global structure checks ------------------------------------------
 
     def is_linear(self) -> bool:

@@ -26,7 +26,8 @@ from functools import reduce
 from typing import Optional
 
 from .errors import BudgetExceeded, GenerationError, InputError
-from .exact import class_mask, edge_masks, independent_masks
+from . import exact
+from .exact import class_mask, edge_masks
 from .formulas import gamma_k
 from .hypergraph import (Hypergraph, check_vertex_cap, find_loose_cycle,
                          find_loose_cycle_through, girth_at_most)
@@ -229,11 +230,18 @@ def check_exp2(G: Hypergraph, beta, seed: int = 0) -> PropertyReport:
 def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
     """Every independent set must trace at most b vertices into some class.
 
-    Exhaustive when the 2^|V| filter takes the instance; when it refuses, a
-    randomized search looks for a violating independent set and the verdict
-    degrades to `unknown` when none is found.  Each round of that search
-    tries every vertex once against the edges through it, and the rounds
-    stop before SEARCH_TESTS tries and tests in all.
+    Exhaustive up to exact.DEFECT_VERTEX_CAP vertices, over minimal
+    traces: b + 1 chosen vertices in each class but one, F.  A vertex of F
+    is free when no edge through it has all its other vertices chosen.  An
+    edge meets every class once, so the chosen vertices and the free ones
+    are independent together, and choosing more vertices only shrinks the
+    free set.  So a violation exists iff some choice leaves more than b
+    vertices of F free; F is a largest class, whose choices are not
+    walked.  The witness is the first such choice, with its free vertices.
+    Beyond the cap, a randomized search looks for a violating independent
+    set and the verdict degrades to `unknown` when none is found.  Each
+    round of that search tries every vertex once against the edges through
+    it, and the rounds stop before SEARCH_TESTS tries and tests in all.
     """
     if b < 0:
         raise InputError("b must be non-negative")
@@ -243,24 +251,31 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
                               params=params | {"vacuous": True})
     order = list(G.vertices())
     class_masks = [class_mask(G, cls) for cls in range(G.k)]
-    try:
-        ind = independent_masks(G)
-    except BudgetExceeded:
-        pass  # too many vertices to enumerate: search below
-    else:
-        import numpy as np
 
-        good = np.zeros(ind.shape, dtype=bool)
-        for cmask in class_masks:
-            good |= np.bitwise_count(ind & np.uint64(cmask)) <= b
-        if bool(good.all()):
-            return PropertyReport(name=f"Def({b})", verdict="holds",
-                                  params=params)
-        bad = int(ind[~good][0])
-        witness = [str(v) for i, v in enumerate(order) if bad >> i & 1]
-        return PropertyReport(name=f"Def({b})", verdict="violated",
+    def report(verdict, found=None):
+        witness = None if found is None else [
+            str(v) for i, v in enumerate(order) if found >> i & 1]
+        return PropertyReport(name=f"Def({b})", verdict=verdict,
                               params=params, witness=witness)
-    # best-effort local search where the filter refuses; `chosen` stays
+
+    if G.num_vertices <= exact.DEFECT_VERTEX_CAP:
+        F = max(range(G.k), key=G.sizes.__getitem__)
+        joins = [(m & class_masks[F], m & ~class_masks[F])
+                 for m in edge_masks(G)]  # (the vertex in F, the rest)
+        offsets = list(itertools.accumulate(G.sizes, initial=0))
+        choices = [[sum(1 << offsets[c] + i for i in pick) for pick in
+                    itertools.combinations(range(G.sizes[c]), b + 1)]
+                   for c in range(G.k) if c != F]
+        for picks in itertools.product(*choices):
+            chosen = sum(picks)
+            free = class_masks[F]
+            for f, rest in joins:
+                if rest & chosen == rest:
+                    free &= ~f
+            if free.bit_count() > b:
+                return report("violated", chosen | free)
+        return report("holds")
+    # best-effort local search beyond the cap; `chosen` stays
     # independent, so only an edge through the tried vertex can fill up
     index = {v: i for i, v in enumerate(order)}
     through = [[] for _ in order]
@@ -276,10 +291,8 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
             if all((trial & m) != m for m in through[i]):
                 chosen = trial
         if min((chosen & cmask).bit_count() for cmask in class_masks) > b:
-            witness = [str(v) for i, v in enumerate(order) if chosen >> i & 1]
-            return PropertyReport(name=f"Def({b})", verdict="violated",
-                                  params=params, witness=witness)
-    return PropertyReport(name=f"Def({b})", verdict="unknown", params=params)
+            return report("violated", chosen)
+    return report("unknown")
 
 
 def check_common_neighbor(G: Hypergraph) -> PropertyReport:

@@ -61,15 +61,6 @@ class Polymer:
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
 
 
-def make_polymer(G: Hypergraph, vertices: Iterable) -> Polymer:
-    verts = tuple(sorted(G._check_vertex(v) for v in vertices))
-    if not verts:
-        raise InputError("polymers are non-empty")
-    if not G.is_two_linked(verts):
-        raise InputError(f"{[str(v) for v in verts]} is not 2-linked")
-    return _weighed(G, verts[0].cls, [{v.idx for v in verts}])[0]
-
-
 def compatible(S: Polymer, T: Polymer) -> bool:
     """Distinct polymers are compatible iff their neighbourhoods are disjoint.
 

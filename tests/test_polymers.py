@@ -11,14 +11,14 @@ from mpmath import iv
 
 from hypercount import exact, polymers
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
-                        compatibility_sum, compatible, count_by_filter,
-                        enumerate_polymers, gamma_k, gen_linear_regular,
-                        kp_terms, make_polymer, partition_function,
-                        polymer_weight)
+                        compatibility_sum, compatible, enumerate_polymers,
+                        gamma_k, gen_linear_regular, kp_terms,
+                        partition_function, polymer_weight)
 
 from conftest import (girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
-from oracles import (compatibility_sum_fraction, count_link_graph,
+from oracles import (compatibility_sum_fraction, count_by_filter,
+                     count_link_graph, is_two_linked, make_polymer,
                      max_matching_size, polymer_count_bound_holds,
                      polymer_vertex_sets)
 
@@ -83,7 +83,7 @@ class TestEnumeration:
         expected = set()
         for size in range(1, 4):
             for S in itertools.combinations(verts, size):
-                if G.is_two_linked(S):
+                if is_two_linked(G, S):
                     expected.add(S)
         assert set(seen) == expected
 
