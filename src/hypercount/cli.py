@@ -135,7 +135,7 @@ def _cmd_polymers(args):
         "vertices": [str(v) for v in p.vertices],
         "order": p.order,
         "weight": p.weight,
-        "neighborhood_size": len(p.neighborhood),
+        "neighborhood_size": p.neighborhood_size,
     }) for p in polys]
     params = {"class": args.cls, "b": args.b}
     if root is not None:

@@ -7,15 +7,17 @@ at a time from the log series of the small polynomial Xi_C(z), the
 partition function of the subsets of C, with no clusters and no Ursell
 functions.  Every polymer is incompatible with itself, so compatible
 families are sets of polymers, as in `polymers.partition_function`.  It
-reads the polymers' per-class table (`polymers.class_table`): the subsets
-of C are the submasks of C's class-index mask, walked in increasing
-order, so each one's partial product extends that of the subset without
-the 2-linked piece of its lowest vertex, a piece grown on the table's
-distance-two masks.  The same masks key the weights and the partial
-products, and give d_C.  Every polymer carries its weight as an integer
-over a power of two, so the series run on integers over 2^|N(C)| and
-lcm(1..t), and one Fraction is built per call; polymers that agree on
-|N(C)|, |C|, d_C and the coefficients of Xi_C share one run of the series.
+reads each polymer's class indices, |N(C)| and weight, and the polymers'
+per-class table (`polymers.class_table`): the subsets of C are the
+submasks of C's class-index mask, walked in increasing order.  A subset
+that is a polymer takes its weight; any other is the 2-linked piece of its
+lowest vertex, grown on the table's distance-two masks, times the rest,
+met before it, and its weight is kept for the polymers after C.  The same
+masks key the weights and give d_C.  Every polymer carries its weight as
+an integer over a power of two, so the series run on integers over
+2^|N(C)| and lcm(1..t), and one Fraction is built per call; polymers that
+agree on |N(C)|, |C|, d_C and the coefficients of Xi_C share one run of
+the series.
 
 The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`)
 serves the `clusters` command and tests the truncation.  Clusters are
@@ -195,17 +197,18 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
     G._check_class(cls)
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
-    by_vertices = {p.vertices: p for p in pm.enumerate_polymers(G, cls, t)}
+    # polymers and supports are keyed by their sorted class indices
+    by_indices = {p.indices: p for p in pm.enumerate_polymers(G, cls, t)}
     cap = pm.MAX_POLYMERS
     clusters = []
-    for sup in by_vertices:
+    for sup in by_indices:
         support = frozenset(sup)
-        polymers = sorted(by_vertices[sub] for size in range(1, len(sup) + 1)
+        polymers = sorted(by_indices[sub] for size in range(1, len(sup) + 1)
                           for sub in combinations(sup, size)
-                          if sub in by_vertices)
+                          if sub in by_indices)
         suffix_cover = [frozenset()] * (len(polymers) + 1)
         for i in range(len(polymers) - 1, -1, -1):
-            suffix_cover[i] = suffix_cover[i + 1] | frozenset(polymers[i].vertices)
+            suffix_cover[i] = suffix_cover[i + 1] | frozenset(polymers[i].indices)
 
         def assign(i, budget, covered, chosen):
             if i == len(polymers) or budget == 0:  # nothing more to choose
@@ -222,11 +225,11 @@ def enumerate_clusters(G: Hypergraph, cls: int, t: int) -> list:
             max_mult = budget // p.order
             for m in range(max_mult + 1):
                 assign(i + 1, budget - m * p.order,
-                       covered | (frozenset(p.vertices) if m else frozenset()),
+                       covered | (frozenset(p.indices) if m else frozenset()),
                        chosen + [(p, m)] if m else chosen)
 
         assign(0, t, frozenset(), [])
-    clusters.sort(key=lambda c: ([p.vertices for p, _ in c.entries],
+    clusters.sort(key=lambda c: ([p.indices for p, _ in c.entries],
                                  [m for _, m in c.entries]))
     return clusters
 
@@ -259,46 +262,55 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     if t < 1:
         raise InputError("cluster size budget t must be at least 1")
     polymers = pm.enumerate_polymers(G, cls, t)
-    work = sum(1 << p.order for p in polymers) + len(polymers) * t * t
+    work = sum(1 << len(p.indices) for p in polymers) + len(polymers) * t * t
     if work > TRUNCATION_WORK_CAP:
         raise BudgetExceeded(
             f"the truncation at t={t} over {len(polymers)} polymers needs "
             f"about {work} steps, over the cap of {TRUNCATION_WORK_CAP}; "
             f"refusing rather than estimating")
-    *_, near = pm.class_table(G, cls)
-    masks = [sum(1 << v.idx for v in p.vertices) for p in polymers]
+    _, near = pm.class_table(G, cls)
+    masks = []  # each polymer's class-index mask
+    for p in polymers:
+        Cm = 0
+        for i in p.indices:
+            Cm |= 1 << i
+        masks.append(Cm)
+    # class-index mask -> the weight of that set as (m, e), m / 2^e: the
+    # polymers', and the product over its 2-linked pieces for each other
+    # set the walk meets
     weights = dict(zip(masks, (p.dyadic_weight for p in polymers)))
     lcm = math.lcm(*range(1, t + 1))
     totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)
     terms = {}  # (D, |C|, d_C, *A) -> the term of a polymer with that key
     for p, Cm in zip(polymers, masks):
-        c = p.order
-        D = len(p.neighborhood)
-        # the subset T of C, a submask of C's class-index mask, weighs
-        # val[T] / 2^D: the weight of the 2-linked piece of T's lowest
-        # vertex times the rest of T, which precedes T in the walk.  A
-        # piece P's exponent is at most |N(P)|, and the pieces of T have
-        # disjoint neighbourhoods within N(C), so their exponents sum to at
-        # most D, val[T] is an integer, and so is A[s] = 2^D [z^s] Xi_C.
-        val = {0: 1 << D}
+        c = len(p.indices)
+        D = p.neighborhood_size
+        # the subset T of C, a submask of C's class-index mask, adds its
+        # weight m / 2^e times 2^D to A[|T|].  A piece P's exponent is at
+        # most |N(P)|, and the pieces of T have disjoint neighbourhoods
+        # within N(C), so e <= D and A[s] = 2^D [z^s] Xi_C is an integer.
+        # A set that is no polymer splits into the 2-linked piece of its
+        # lowest vertex and the rest, a smaller submask met before it.
         A = [1 << D] + [0] * t
         sub = 0
         while sub != Cm:
             sub = (sub - Cm) & Cm  # the next submask, increasing
-            comp = frontier = sub & -sub
-            while frontier:
-                i = frontier.bit_length() - 1
-                frontier ^= 1 << i
-                grow = near[i] & sub & ~comp
-                comp |= grow
-                frontier |= grow
-            m, e = weights[comp]
-            val[sub] = v = m * val[sub ^ comp] >> e
-            A[sub.bit_count()] += v
-        around, rest = 0, Cm
-        while rest:
-            i = rest.bit_length() - 1
-            rest ^= 1 << i
+            w = weights.get(sub)
+            if w is None:
+                comp = frontier = sub & -sub
+                while frontier:
+                    i = frontier.bit_length() - 1
+                    frontier ^= 1 << i
+                    grow = near[i] & sub & ~comp
+                    comp |= grow
+                    frontier |= grow
+                m, e = weights[comp]
+                m2, e2 = weights[sub ^ comp]
+                weights[sub] = w = m * m2, e + e2
+            m, e = w
+            A[sub.bit_count()] += m << D - e
+        around = 0
+        for i in p.indices:
             around |= near[i]
         d = (around & ~Cm).bit_count()
         # the rest of C's term depends only on this key, and repeats are

@@ -4,21 +4,22 @@ This module is the ground-truth oracle the rest of the package is judged
 against, so everything here is exact integer arithmetic.  The main counter
 works on bitmask set systems.  A vertex in exactly one edge is private to
 it, so an edge with p private vertices contributes a factor 2^p, or
-2^p - 1 when all of its shared vertices are chosen.  A system of at most
-DIRECT_SHARED shared vertices, those in two or more edges, is summed
-directly over the at most 8 subsets of them, as the polymer weigher's
-small link graphs mostly are.  Otherwise one frontier sweep visits the
-shared vertices once each, in a greedy order that keeps few edges open,
-and keeps a table from partial states to integer counts; more than
-STATE_CAP live states refuse with BudgetExceeded.  A Hypergraph of more
-than hypergraph.COUNT_VERTEX_CAP vertices refuses at construction, and
+2^p - 1 when all of its shared vertices are chosen; an edge with no shared
+vertex is multiplied out first.  A system of at most DIRECT_SHARED shared
+vertices, those in two or more edges, is summed directly over the at most
+8 subsets of them, as the polymer weigher's small link graphs mostly
+are.  Otherwise one frontier sweep visits the shared vertices once each,
+in a greedy order that keeps few edges open, and keeps a table from
+partial states to integer counts; more than STATE_CAP live states refuse
+with BudgetExceeded.  A Hypergraph of more than
+hypergraph.COUNT_VERTEX_CAP vertices refuses at construction, and
 `count_subsets_avoiding` reads the same cap at call time for its raw
-vertex count.  `count_with_defect_class` counts the independent sets
-whose trace on one class has only small 2-linked pieces, one trace at a
-time, and refuses above DEFECT_VERTEX_CAP vertices.  All three caps are
-module constants.  `edge_masks(G)` gives the edges as bitmasks (bit i is
-`list(G.vertices())[i]`, class-major) and `class_mask(G, cls)` the bits of
-one class."""
+vertex count.  `count_with_defect_class` counts the independent sets whose
+trace on one class has only small 2-linked pieces, as a product over the
+class's 2-linked components, and refuses above DEFECT_VERTEX_CAP
+vertices.  All three caps are module constants.  `edge_masks(G)` gives the
+edges as bitmasks (bit i is `list(G.vertices())[i]`, class-major) and
+`class_mask(G, cls)` the bits of one class."""
 
 from __future__ import annotations
 
@@ -153,23 +154,21 @@ def _sweep(parts: list, private: list) -> int:
     return states[0]
 
 
-def _direct(shared: int, edges: list) -> int:
-    """The number of subsets of the union of the non-empty edge masks that
-    contain none of them, summed directly over the subsets X of the shared
-    vertices: the sum over X of the product over the edges of 2^p, or
-    2^p - 1 when all of the edge's shared vertices lie in X.  Keeps no
+def _direct(shared: int, parts: list, private: list) -> int:
+    """`_sweep`'s count summed directly over the subsets X of the shared
+    vertices `shared`: the sum over X of the product over the edges of 2^p,
+    or 2^p - 1 when all of the edge's shared vertices lie in X.  Keeps no
     state table, so STATE_CAP does not apply; the work is 2^|shared| times
     the number of edges."""
-    private = ~shared
     total = X = 0
     while True:
         out = shared & ~X
         term, shift = 1, 0
-        for e in edges:
-            if e & out:
-                shift += (e & private).bit_count()
+        for part, p in zip(parts, private):
+            if part & out:
+                shift += p
             else:
-                term *= (1 << (e & private).bit_count()) - 1
+                term *= (1 << p) - 1
         total += term << shift
         if X == shared:
             return total
@@ -178,26 +177,28 @@ def _direct(shared: int, edges: list) -> int:
 
 def _count_covered(edges: list) -> tuple:
     """The number of subsets of the union of the non-empty edge masks that
-    contain none of them, and that union.  With at most DIRECT_SHARED
-    shared vertices the count is `_direct`'s.  Otherwise an edge sharing no
-    vertex with another multiplies the count by 2^p - 1 and the others go
-    to the sweep, which alone can refuse over STATE_CAP.  A repeated edge
-    is fully shared, p = 0, so its copies agree."""
+    contain none of them, and that union.  An edge sharing no vertex with
+    another multiplies the count by 2^p - 1, p its vertex count; the others
+    go, as their parts on the shared vertices and their private vertex
+    counts, to `_direct` when there are at most DIRECT_SHARED shared
+    vertices and to the sweep, which alone can refuse over STATE_CAP,
+    otherwise.  A repeated edge is fully shared, p = 0, so its copies
+    agree."""
     covered = shared = 0
     for e in edges:
         shared |= covered & e
         covered |= e
-    if shared.bit_count() <= DIRECT_SHARED:
-        return _direct(shared, edges), covered
     count = 1
     parts, private = [], []
     for e in edges:
-        p = (e & ~shared).bit_count()
-        if e & shared:
-            parts.append(e & shared)
-            private.append(p)
+        part = e & shared
+        if part:
+            parts.append(part)
+            private.append((e ^ part).bit_count())
         else:
-            count *= (1 << p) - 1
+            count *= (1 << e.bit_count()) - 1
+    if shared.bit_count() <= DIRECT_SHARED:
+        return count * _direct(shared, parts, private), covered
     return count * _sweep(parts, private), covered
 
 
@@ -255,11 +256,18 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     """Exact number of independent sets I for which every 2-linked piece of
     the trace T of I on the given class has order at most b.
 
-    Walks the passing traces T, each grown from a passing one by a vertex
-    of higher index: a piece only grows with T, so no superset of a
-    failing trace passes.  The sets I with trace T are T plus the subsets
-    of the other classes that contain no residue e - T of an edge e
-    through T, which count_subsets_avoiding counts.  The pieces are
+    The sets I with trace T are T plus the subsets of the other classes
+    that contain no residue e - T of an edge e through T.  Different
+    2-linked components C of the class have disjoint neighbourhoods N(C),
+    and each piece of T lies in one of them, so the count is 2^(vertices
+    outside the class on no edge) times a product over the components of
+    the sum, over the passing traces T_C of C, of the subsets of N(C) with
+    no residue of an edge through T_C.  For a component of order at most b
+    every trace passes, and that sum counts the independent sets of the
+    edges through C on C and N(C): one count_subsets_avoiding call.  Any
+    other component walks its passing traces, each grown from a passing
+    one by a vertex of higher index: a piece only grows with T, so no
+    superset of a failing trace passes.  Components and pieces are
     flood-filled on masks of class indices built from
     Hypergraph.distance_two_neighbors, so the count shares nothing with
     the polymer enumeration and weights it is tested against but
@@ -275,24 +283,46 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     verts = G.class_vertices(cls)
     near = [sum(1 << u.idx for u in G.distance_two_neighbors(v))
             for v in verts]
-    residues = [[] for _ in verts]
+    through = [[] for _ in verts]
     for e, m in zip(G.edges, G._edge_masks):
-        residues[e[cls].idx].append(m & outside)
-    total = 0
-    stack = [(0, 0, [])]  # a passing trace, its least new index, residues
-    while stack:
-        T, start, res = stack.pop()
-        total += count_subsets_avoiding(n, res)
-        for i in range(start, len(verts)):
-            grown = T | 1 << i
-            piece = frontier = 1 << i
-            while frontier:
-                j = frontier & -frontier
-                frontier ^= j
-                new = near[j.bit_length() - 1] & grown & ~piece
-                piece |= new
-                frontier |= new
-            if piece.bit_count() <= b:
-                stack.append((grown, i + 1, res + residues[i]))
-    # the residues leave the class's own vertices free in every count
-    return total >> len(verts)
+        through[e[cls].idx].append(m)
+
+    def piece(T, i):  # the 2-linked piece of T that holds the index i
+        found = frontier = 1 << i
+        while frontier:
+            j = frontier & -frontier
+            frontier ^= j
+            new = near[j.bit_length() - 1] & T & ~found
+            found |= new
+            frontier |= new
+        return found
+
+    count, covered = 1, 0  # covered: the neighbourhood of the class
+    left = (1 << len(verts)) - 1
+    while left:
+        comp = piece(left, left.bit_length() - 1)
+        left ^= comp
+        members = [i for i in range(len(verts)) if comp >> i & 1]
+        edges = [m for i in members for m in through[i]]
+        around = 0
+        for m in edges:
+            around |= m & outside
+        covered |= around
+        if len(members) <= b:
+            count *= count_subsets_avoiding(n, edges) >> (
+                n - len(members) - around.bit_count())
+            continue
+        total = 0
+        stack = [(0, 0, [])]  # a passing trace, its least new member, residues
+        while stack:
+            T, start, res = stack.pop()
+            total += count_subsets_avoiding(n, res)
+            for pos in range(start, len(members)):
+                i = members[pos]
+                grown = T | 1 << i
+                if piece(grown, i).bit_count() <= b:
+                    stack.append((grown, pos + 1, res + [
+                        m & outside for m in through[i]]))
+        # each count leaves the vertices outside N(C) free
+        count *= total >> n - around.bit_count()
+    return count << n - len(verts) - covered.bit_count()

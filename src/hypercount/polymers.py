@@ -2,24 +2,26 @@
 compatibility relation, exact partition functions, and the
 convergence-condition sums at each root, taken over the same enumeration.
 
-Connected sets grow on one table per class (`class_table`), kept with the
-instance, whose distance-two neighbours are masks of class indices, and
-polymers are weighed where they are built: the residues of the edges
-through S go straight to the exact counter's sweep.  Every weight
-|IS(link graph)| / 2^|N(S)| is an integer m over a power of two 2^e, and
-each polymer carries its reduced (m, e) next to its neighbourhood.  The
-exact sums run on these integers and build one Fraction per result; every
-identity tested downstream holds bit-for-bit.
+The layer runs on class indices.  One table per class (`class_table`),
+built from the edges' integer positions and kept with the instance, holds
+for each class index the edges through it and its distance-two
+neighbours as one mask of class indices.  Connected sets grow on those
+masks, and each is weighed where it is built: the residues of the edges
+through S go straight to the exact counter, whose cover is N(S).  Every
+weight |IS(link graph)| / 2^|N(S)| is an integer m over a power of two
+2^e.  A `Polymer` is a lean record of the class, the sorted class
+indices, D = |N(S)| and the reduced (m, e); its vertices and its
+neighbourhood are derived on demand.  The exact sums run on these integers
+and build one Fraction per result; every identity tested downstream holds
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from . import exact
@@ -31,18 +33,47 @@ from .hypergraph import Hypergraph, Vertex
 MAX_POLYMERS = 20_000
 
 
-@dataclass(frozen=True)
 class Polymer:
-    """A 2-linked subset of one partition class with its neighbourhood and
-    its exact weight w(S) = m / 2^e as a reduced (m, e).
+    """A 2-linked subset S of one partition class of `graph`: the class,
+    the sorted class indices of S, D = |N(S)| and the exact weight
+    w(S) = m / 2^e as a reduced (m, e).
 
-    Equality and ordering are by the sorted vertex tuple, so streams of
-    polymers have a reproducible canonical order.
+    The vertices and the neighbourhood are derived on demand, the
+    neighbourhood from the class table on first use and then kept.
+    Equality, hashing and ordering are by the class and the index tuple,
+    which order as the sorted vertex tuple, so streams of polymers have a
+    reproducible canonical order.
     """
 
-    vertices: tuple
-    neighborhood: frozenset = field(compare=False, hash=False, repr=False)
-    dyadic_weight: tuple = field(compare=False, hash=False, repr=False)
+    __slots__ = ("cls", "indices", "neighborhood_size", "dyadic_weight",
+                 "graph", "_neighborhood")
+
+    def __init__(self, cls: int, indices: tuple, neighborhood_size: int,
+                 dyadic_weight: tuple, graph: Hypergraph):
+        self.cls = cls
+        self.indices = indices
+        self.neighborhood_size = neighborhood_size
+        self.dyadic_weight = dyadic_weight
+        self.graph = graph
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple(Vertex(self.cls, i) for i in self.indices)
+
+    @property
+    def neighborhood(self) -> frozenset:
+        """N(S): the vertices of the edges through S, less S."""
+        try:
+            return self._neighborhood
+        except AttributeError:
+            through, _ = class_table(self.graph, self.cls)
+            edges = self.graph.edges
+            out = set()
+            for i in self.indices:
+                for j in through[i]:
+                    out.update(edges[j])
+            self._neighborhood = frozenset(out.difference(self.vertices))
+            return self._neighborhood
 
     @property
     def weight(self) -> Fraction:
@@ -52,10 +83,23 @@ class Polymer:
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return len(self.indices)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polymer):
+            return NotImplemented
+        return self.cls == other.cls and self.indices == other.indices
+
+    def __hash__(self):
+        return hash((self.cls, self.indices))
 
     def __lt__(self, other: "Polymer"):
-        return self.vertices < other.vertices
+        return (self.cls, self.indices) < (other.cls, other.indices)
+
+    def __repr__(self) -> str:
+        return (f"Polymer(cls={self.cls}, indices={self.indices}, "
+                f"neighborhood_size={self.neighborhood_size}, "
+                f"dyadic_weight={self.dyadic_weight})")
 
     def __str__(self) -> str:
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
@@ -75,24 +119,29 @@ def compatible(S: Polymer, T: Polymer) -> bool:
 
 def class_table(G: Hypergraph, cls: int) -> tuple:
     """G's table of the class, built once per instance and class and kept
-    with it: per class index, the masks of the edges through the vertex
-    (the instance's exact.edge_masks, not copies), its neighbourhood, and
-    its distance-two neighbours as one mask of class indices, the OR over
-    its neighbours of the class vertices on an edge through each."""
+    with it, as two lists over the class indices: the positions in G.edges
+    (and in the instance's edge masks) of the edges through the vertex, and
+    its distance-two neighbours as one mask of class indices, the class
+    indices on an edge through one of its neighbours, less itself.  Both
+    come from the edges' integer (class, index) pairs."""
     tables = G._class_tables
     if cls not in tables:
-        verts = G.class_vertices(cls)
-        edges = [[] for _ in verts]
-        owners = {}  # vertex -> the class indices on an edge through it
-        for e, mask in zip(G.edges, G._edge_masks):
+        offsets = list(itertools.accumulate(G.sizes, initial=0))
+        through = [[] for _ in range(G.sizes[cls])]
+        owners = {}  # outer vertex position -> class indices on its edges
+        for j, e in enumerate(G.edges):
             i = e[cls].idx
-            edges[i].append(mask)
-            for x in e:
-                owners[x] = owners.get(x, 0) | 1 << i
-        nbs = [G.neighborhood([v]) for v in verts]
-        near = [reduce(or_, map(owners.get, nb), 0) & ~(1 << i)
-                for i, nb in enumerate(nbs)]
-        tables[cls] = edges, nbs, near
+            through[i].append(j)
+            for c, x in e:
+                if c != cls:
+                    owners.setdefault(offsets[c] + x, []).append(i)
+        near = []
+        for i, js in enumerate(through):
+            found = {u for j in js for c, x in G.edges[j] if c != cls
+                     for u in owners[offsets[c] + x]}
+            found.discard(i)
+            near.append(sum(1 << u for u in found))
+        tables[cls] = through, near
     return tables[cls]
 
 
@@ -150,7 +199,7 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
         roots = [root.idx]
     if b == 0:
         return []
-    *_, near = class_table(G, cls)
+    _, near = class_table(G, cls)
     cap = MAX_POLYMERS
     sets, barred = [], 0
     for start in roots:
@@ -165,18 +214,17 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
 def _weighed(G: Hypergraph, cls: int, sets: Iterable) -> list:
     """The sets of class indices as Polymers, sorted, each weighed as a
     reduced (m, e), w(S) = m / 2^e: its link graph's edges, the residues
-    e - e[cls] of the edges e through S, are counted over the D = |N(S)|
-    vertices they cover."""
-    edges, nbs, _ = class_table(G, cls)
-    verts, outside = G.class_vertices(cls), ~exact.class_mask(G, cls)
+    e - e[cls] of the edges e through S, are counted over the vertices
+    they cover, which are N(S)."""
+    through, _ = class_table(G, cls)
+    masks, outside = G._edge_masks, ~exact.class_mask(G, cls)
     out = []
     for idx in sorted(tuple(sorted(s)) for s in sets):
         count, cover = exact._count_covered(
-            [m & outside for i in idx for m in edges[i]])
+            [masks[j] & outside for i in idx for j in through[i]])
+        D = cover.bit_count()
         z = (count & -count).bit_length() - 1
-        out.append(Polymer(tuple(verts[i] for i in idx),
-                           frozenset().union(*[nbs[i] for i in idx]),
-                           (count >> z, cover.bit_count() - z)))
+        out.append(Polymer(cls, idx, D, (count >> z, D - z), G))
     return out
 
 
@@ -251,7 +299,8 @@ def compatibility_sum(weights: Sequence[tuple],
 
 
 def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
-    """Exact weighted sum over compatible polymer families of the class."""
+    """Exact weighted sum over compatible polymer families of the class;
+    each polymer's neighbourhood is assembled from the class table."""
     polymers = enumerate_polymers(G, cls, b)
     return compatibility_sum([p.dyadic_weight for p in polymers],
                              [p.neighborhood for p in polymers])
@@ -298,12 +347,13 @@ def kp_terms(G: Hypergraph, cls: int, b: int,
     if r == 0:
         raise InputError("summability sums are undefined at degree 0")
     polymers = enumerate_polymers(G, cls, b, root)
-    through = {u: [] for u in (G.class_vertices(cls) if root is None
-                               else [G._check_vertex(root)])}
+    # class index of each root -> the polymers containing it
+    through = {i: [] for i in (range(G.sizes[cls]) if root is None
+                               else [G._check_vertex(root).idx])}
     for p in polymers:
-        for u in p.vertices:
-            if u in through:
-                through[u].append(p)
+        for i in p.indices:
+            if i in through:
+                through[i].append(p)
     from mpmath import iv
 
     def interval(q: Fraction):
@@ -324,7 +374,7 @@ def kp_terms(G: Hypergraph, cls: int, b: int,
         rhs = Fraction(1, r ** 3)
         rhs_iv = interval(rhs)
         results = []
-        for u, found in through.items():
+        for i, found in through.items():
             by_order = {}
             for p in found:
                 by_order.setdefault(p.order, []).append(p.dyadic_weight)
@@ -336,7 +386,8 @@ def kp_terms(G: Hypergraph, cls: int, b: int,
                 lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
             # report float endpoints rounded outward so they stay true bounds
             results.append(KpTerms(
-                root=u, lhs_lower=math.nextafter(float(lhs.a), -math.inf),
+                root=Vertex(cls, i),
+                lhs_lower=math.nextafter(float(lhs.a), -math.inf),
                 lhs_upper=math.nextafter(float(lhs.b), math.inf), rhs=rhs,
                 holds=bool(lhs.b <= rhs_iv.a), polymers=tuple(found)))
     finally:

@@ -29,6 +29,16 @@ def two_shared(k: int = 3) -> Hypergraph:
     return Hypergraph.build(k, sizes, [e1, e2])
 
 
+def fan(shared: int) -> Hypergraph:
+    """The edges through 0:0 leave as link graph a path of shared + 1
+    edges alternating between classes 1 and 2, so the polymer {0:0} is
+    weighed over exactly `shared` shared vertices, and its shared + 2
+    vertices have F(shared + 4) independent sets (F(1) = F(2) = 1)."""
+    path = [(1 + j % 2, j // 2) for j in range(shared + 2)]
+    return Hypergraph.build(3, [1, (shared + 3) // 2, (shared + 2) // 2],
+                            [[(0, 0), a, b] for a, b in zip(path, path[1:])])
+
+
 def loose_path(m: int) -> Hypergraph:
     """Loose path of m 3-edges: edge i is {J_i, J_(i+1), (2, i)} with joint
     J_i = (i mod 2, i div 2), so consecutive edges share exactly one joint."""

@@ -395,7 +395,8 @@ def make_polymer(G: Hypergraph, vertices: Iterable) -> Polymer:
     nb = G.neighborhood(verts)
     count = count_link_graph(G.link_graph(verts))
     z = (count & -count).bit_length() - 1
-    return Polymer(verts, nb, (count >> z, len(nb) - z))
+    return Polymer(verts[0].cls, tuple(v.idx for v in verts), len(nb),
+                   (count >> z, len(nb) - z), G)
 
 
 # ----- helpers read only by the tests -------------------------------------------

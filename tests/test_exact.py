@@ -16,8 +16,9 @@ from hypercount import (BudgetExceeded, Hypergraph, Vertex, class_mask,
                         count_with_defect_class, edge_masks,
                         enumerate_polymers, gen_linear_regular)
 
-from conftest import (circulant, loose_path, matching, partite_hypergraphs,
-                      random_partite, random_uniform_system, two_shared)
+from conftest import (circulant, fan, loose_path, matching,
+                      partite_hypergraphs, random_partite,
+                      random_uniform_system, two_shared)
 import oracles
 from oracles import (count_by_filter, count_completions, count_link_graph,
                      defect_count_by_filter, independent_masks,
@@ -150,12 +151,7 @@ class TestDirectSum:
     @pytest.mark.parametrize("shared", [1, 2, 3, 4])
     def test_the_sweep_starts_at_four_shared_vertices(self, monkeypatch,
                                                       shared):
-        # the edges through (0, 0) leave as link graph a path of shared + 1
-        # edges alternating between classes 1 and 2, whose shared + 2
-        # vertices have F(shared + 4) independent sets (F(1) = F(2) = 1)
-        path = [(1 + j % 2, j // 2) for j in range(shared + 2)]
-        G = Hypergraph.build(3, [1, (shared + 3) // 2, (shared + 2) // 2],
-                             [[(0, 0), a, b] for a, b in zip(path, path[1:])])
+        G = fan(shared)
         fib = [0, 1]
         while len(fib) < shared + 5:
             fib.append(fib[-1] + fib[-2])
@@ -426,6 +422,42 @@ def test_defect_count_matches_the_filter(G):
         for b in range(4):
             assert count_with_defect_class(G, cls, b) == \
                 defect_count_by_filter(G, cls, b)
+
+
+@st.composite
+def sparse_classes(draw):
+    """(G, cls): k = 2..4, a class of 1..9 vertices and the others of 1..3,
+    at most 18 vertices, and at most 10 edges, so the class often splits
+    into several 2-linked components and holds isolated vertices."""
+    k = draw(st.integers(2, 4))
+    cls = draw(st.integers(0, k - 1))
+    sizes = [draw(st.integers(1, 9 if c == cls else 3)) for c in range(k)]
+    space = list(itertools.product(*[range(s) for s in sizes]))
+    picks = sorted(set(draw(st.lists(st.sampled_from(space), max_size=10))))
+    return Hypergraph.build(k, sizes, [list(enumerate(combo))
+                                       for combo in picks]), cls
+
+
+@given(sparse_classes(), st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_defect_count_factors_over_components(Gc, b):
+    # components of order <= b are counted whole, the others trace by trace
+    G, cls = Gc
+    for bound in sorted({b, 0, G.sizes[cls] - 1, 24} - {-1}):
+        assert count_with_defect_class(G, cls, bound) == \
+            defect_count_by_filter(G, cls, bound)
+
+
+@pytest.mark.parametrize("k, sizes, density", [
+    (2, (22, 2), 0.5), (3, (20, 2, 2), 0.3)])
+def test_defect_count_of_a_whole_component(k, sizes, density):
+    # class 0 of these 24-vertex instances is one component of 19 or 15
+    # vertices plus isolated ones; at b >= 20 every trace passes, each
+    # component is counted by one call, and every independent set counts
+    G = random_partite(k, sizes, density, 1)
+    total = count_independent_sets(G)
+    for b in (sizes[0], 23, 24):
+        assert count_with_defect_class(G, 0, b) == total
 
 
 @pytest.mark.parametrize("r", [2, 3])

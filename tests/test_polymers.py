@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
@@ -13,9 +13,9 @@ from hypercount import exact, polymers
 from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         compatibility_sum, compatible, enumerate_polymers,
                         gamma_k, gen_linear_regular, kp_terms,
-                        partition_function, polymer_weight)
+                        partition_function, polymer_weight, truncated_log_xi)
 
-from conftest import (girth5_instances, kp_instances, matching,
+from conftest import (fan, girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
 from oracles import (compatibility_sum_fraction, count_by_filter,
                      count_link_graph, is_two_linked, make_polymer,
@@ -179,6 +179,72 @@ def assert_weights_match_link_graphs(G):
             assert made == p
             assert made.neighborhood == nb
             assert made.dyadic_weight == (m, e)
+
+
+class TestClassIndexLayer:
+    """The class table and the lean polymer records against the
+    enumeration on Vertex sets and polymers weighed through link graphs."""
+
+    @given(weigher_instances())
+    # the residues of the edges through 0:0 share no vertex
+    @example(two_shared(4))
+    @example(Hypergraph.build(2, [2, 3], [[(0, 0), (1, 0)], [(0, 0), (1, 1)],
+                                          [(0, 1), (1, 1)]]))
+    # the weigher sums directly over 0 and 3 shared vertices, and sweeps 4
+    @example(fan(0))
+    @example(fan(3))
+    @example(fan(4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_vertex_set_oracle(self, G):
+        for cls in range(G.k):
+            _, near = polymers.class_table(G, cls)
+            assert near == [sum(1 << u.idx for u in
+                                G.distance_two_neighbors(v))
+                            for v in G.class_vertices(cls)]
+            for b in (1, 3):
+                found = enumerate_polymers(G, cls, b)
+                want = [make_polymer(G, S)
+                        for S in sorted(polymer_vertex_sets(G, cls, b))]
+                assert found == want
+                assert sorted(found[::-1]) == found
+                for p, q in zip(found, want):
+                    assert p.vertices == q.vertices
+                    assert p.neighborhood == q.neighborhood == \
+                        G.neighborhood(q.vertices)
+                    assert p.neighborhood_size == len(q.neighborhood)
+                    assert p.dyadic_weight == q.dyadic_weight
+                    assert p.weight == q.weight
+                    assert p.order == q.order == len(p.indices)
+                    assert str(p) == str(q)
+
+    def test_records_compare_by_class_and_indices(self):
+        G = random_partite(3, (3, 2, 3), 0.5, 1)
+        a, b = enumerate_polymers(G, 0, 1)[:2]
+        c = enumerate_polymers(G, 1, 1)[0]
+        assert a < b < c and not b < a
+        assert a == make_polymer(G, a.vertices) and a != b
+        assert len({a, b, c, make_polymer(G, a.vertices)}) == 3
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_the_cap_refuses_before_any_weighing(self, monkeypatch, index):
+        # the enumeration stops at MAX_POLYMERS + 1 sets, before the weigher
+        G = kp_instances()[index]
+        weighed = []
+        count_covered = exact._count_covered
+        monkeypatch.setattr(exact, "_count_covered",
+                            lambda e: weighed.append(e) or count_covered(e))
+        n = G.sizes[0]
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", n - 1)
+        for refused in (lambda: enumerate_polymers(G, 0, 2),
+                        lambda: truncated_log_xi(G, 0, 2),
+                        lambda: kp_terms(G, 0, 2)):
+            with pytest.raises(BudgetExceeded,
+                               match=f"^at least {n} polymers exceed"):
+                refused()
+        assert weighed == []
+        monkeypatch.setattr(polymers, "MAX_POLYMERS", n)
+        assert len(enumerate_polymers(G, 0, 1)) == n
+        assert len(weighed) == n
 
 
 class TestWeights:
