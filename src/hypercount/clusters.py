@@ -7,8 +7,8 @@ at a time from the log series of the small polynomial Xi_C(z), the
 partition function of the subsets of C, with no clusters and no Ursell
 functions.  Every polymer is incompatible with itself, so compatible
 families are sets of polymers, as in `polymers.partition_function`.  It
-reads each polymer's class indices, |N(C)| and weight, and the polymers'
-per-class table (`polymers.class_table`): the subsets of C are the
+reads each polymer's class indices, |N(C)| and weight, and the instance's
+per-class table (`Hypergraph.class_table`): the subsets of C are the
 submasks of C's class-index mask, walked in increasing order.  A subset
 that is a polymer takes its weight; any other is the 2-linked piece of its
 lowest vertex, grown on the table's distance-two masks, times the rest,
@@ -23,9 +23,11 @@ The cluster listing (`enumerate_clusters`, `cluster_weight`, `ursell`)
 serves the `clusters` command and tests the truncation.  Clusters are
 canonical multisets of polymers together with the number of orderings they
 represent, so sums over ordered polymer vectors are computed without
-factorial blowup.  The listing refuses, as the polymer enumeration does,
-above polymers.MAX_POLYMERS clusters.  Cluster weights are exact
-rationals; floats appear only at the log-domain boundary of the estimator.
+factorial blowup.  Their incompatibility graphs come from
+`polymers.compatible`, which reads the same distance-two masks.  The
+listing refuses, as the polymer enumeration does, above
+polymers.MAX_POLYMERS clusters.  Cluster weights are exact rationals;
+floats appear only at the log-domain boundary of the estimator.
 """
 
 from __future__ import annotations
@@ -268,7 +270,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             f"the truncation at t={t} over {len(polymers)} polymers needs "
             f"about {work} steps, over the cap of {TRUNCATION_WORK_CAP}; "
             f"refusing rather than estimating")
-    _, near = pm.class_table(G, cls)
+    _, near = G.class_table(cls)
     masks = []  # each polymer's class-index mask
     for p in polymers:
         Cm = 0

@@ -268,10 +268,10 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     other component walks its passing traces, each grown from a passing
     one by a vertex of higher index: a piece only grows with T, so no
     superset of a failing trace passes.  Components and pieces are
-    flood-filled on masks of class indices built from
-    Hypergraph.distance_two_neighbors, so the count shares nothing with
-    the polymer enumeration and weights it is tested against but
-    count_subsets_avoiding.  Refuses above DEFECT_VERTEX_CAP vertices."""
+    flood-filled on the distance-two masks of Hypergraph.class_table, the
+    table the polymer enumeration grows on; the independent reference the
+    count is tested against is the filter over all independent sets in
+    the tests' oracles.  Refuses above DEFECT_VERTEX_CAP vertices."""
     if b < 0:
         raise InputError("defect bound b must be non-negative")
     outside = ~class_mask(G, cls)
@@ -280,12 +280,8 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
         raise BudgetExceeded(
             f"the defect count has {n} vertices, over the cap of "
             f"{DEFECT_VERTEX_CAP}; refusing rather than estimating")
-    verts = G.class_vertices(cls)
-    near = [sum(1 << u.idx for u in G.distance_two_neighbors(v))
-            for v in verts]
-    through = [[] for _ in verts]
-    for e, m in zip(G.edges, G._edge_masks):
-        through[e[cls].idx].append(m)
+    positions, near = G.class_table(cls)
+    through = [[G._edge_masks[j] for j in js] for js in positions]
 
     def piece(T, i):  # the 2-linked piece of T that holds the index i
         found = frontier = 1 << i
@@ -298,11 +294,11 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
         return found
 
     count, covered = 1, 0  # covered: the neighbourhood of the class
-    left = (1 << len(verts)) - 1
+    left = (1 << len(near)) - 1
     while left:
         comp = piece(left, left.bit_length() - 1)
         left ^= comp
-        members = [i for i in range(len(verts)) if comp >> i & 1]
+        members = [i for i in range(len(near)) if comp >> i & 1]
         edges = [m for i in members for m in through[i]]
         around = 0
         for m in edges:
@@ -325,4 +321,4 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
                         m & outside for m in through[i]]))
         # each count leaves the vertices outside N(C) free
         count *= total >> n - around.bit_count()
-    return count << n - len(verts) - covered.bit_count()
+    return count << n - len(near) - covered.bit_count()

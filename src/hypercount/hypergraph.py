@@ -165,7 +165,7 @@ class Hypergraph:
 
     @cached_property
     def _class_tables(self) -> dict:
-        """Class -> polymers.class_table(self, class), filled on first use."""
+        """Class -> self.class_table(class), filled on first use."""
         return {}
 
     # ----- neighbourhoods and link graphs ----------------------------------
@@ -195,24 +195,33 @@ class Hypergraph:
 
     # ----- the same-class shared-neighbour ("distance two") structure ------
 
-    @cached_property
-    def _distance_two(self) -> dict:
-        adj = {v: set() for v in self.vertices()}
-        for v in self.vertices():
-            c = v.cls
-            for i in self.incidence[v]:
-                for x in self.edges[i]:
-                    if x == v:
-                        continue
-                    for j in self.incidence[x]:
-                        u = self.edges[j][c]
-                        if u != v:
-                            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
-
-    def distance_two_neighbors(self, v: Vertex) -> frozenset:
-        """Same-class vertices u != v whose neighbourhood meets that of v."""
-        return self._distance_two[self._check_vertex(v)]
+    def class_table(self, cls: int) -> tuple:
+        """The table of the class, built once per instance and class and
+        kept with it, as two lists over the class indices: the positions in
+        self.edges (and in the instance's edge masks) of the edges through
+        the vertex, and its distance-two neighbours as one mask of class
+        indices, the class indices on an edge through one of its
+        neighbours, less itself.  Both come from the edges' integer
+        (class, index) pairs."""
+        tables = self._class_tables
+        if cls not in tables:
+            offsets = list(itertools.accumulate(self.sizes, initial=0))
+            through = [[] for _ in range(self.sizes[cls])]
+            owners = {}  # outer vertex position -> class indices on its edges
+            for j, e in enumerate(self.edges):
+                i = e[cls].idx
+                through[i].append(j)
+                for c, x in e:
+                    if c != cls:
+                        owners.setdefault(offsets[c] + x, []).append(i)
+            near = []
+            for i, js in enumerate(through):
+                found = {u for j in js for c, x in self.edges[j] if c != cls
+                         for u in owners[offsets[c] + x]}
+                found.discard(i)
+                near.append(sum(1 << u for u in found))
+            tables[cls] = through, near
+        return tables[cls]
 
     # ----- global structure checks ------------------------------------------
 

@@ -297,20 +297,27 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
 
 def check_common_neighbor(G: Hypergraph) -> PropertyReport:
     """Every same-class pair with intersecting neighbourhoods must share
-    exactly one neighbour (the local signature of linear girth >= 5)."""
+    exactly one neighbour (the local signature of linear girth >= 5).  The
+    pairs v < u come from the class tables' distance-two masks in (class,
+    v, u) order, so a violation's witness is the least such pair."""
     checked = 0
     for cls in range(G.k):
-        for v in G.class_vertices(cls):
-            for u in G.distance_two_neighbors(v):
-                if u < v:
-                    continue
+        through, near = G.class_table(cls)
+        outer = [{x for j in js for x in G.edges[j] if x.cls != cls}
+                 for js in through]
+        for v, mask in enumerate(near):
+            higher = mask >> v + 1
+            while higher:
+                low = higher & -higher
+                higher ^= low
+                u = v + low.bit_length()
                 checked += 1
-                common = G.neighborhood([v]) & G.neighborhood([u])
+                common = outer[v] & outer[u]
                 if len(common) != 1:
                     return PropertyReport(
                         name="common-neighbor", verdict="violated",
                         params={"pairs_checked": checked},
-                        witness={"pair": [str(v), str(u)],
+                        witness={"pair": [f"{cls}:{v}", f"{cls}:{u}"],
                                  "common": sorted(str(x) for x in common)})
     return PropertyReport(name="common-neighbor", verdict="holds",
                           params={"pairs_checked": checked})

@@ -2,18 +2,18 @@
 compatibility relation, exact partition functions, and the
 convergence-condition sums at each root, taken over the same enumeration.
 
-The layer runs on class indices.  One table per class (`class_table`),
-built from the edges' integer positions and kept with the instance, holds
-for each class index the edges through it and its distance-two
-neighbours as one mask of class indices.  Connected sets grow on those
-masks, and each is weighed where it is built: the residues of the edges
-through S go straight to the exact counter, whose cover is N(S).  Every
-weight |IS(link graph)| / 2^|N(S)| is an integer m over a power of two
-2^e.  A `Polymer` is a lean record of the class, the sorted class
-indices, D = |N(S)| and the reduced (m, e); its vertices and its
-neighbourhood are derived on demand.  The exact sums run on these integers
-and build one Fraction per result; every identity tested downstream holds
-bit-for-bit.
+The layer runs on class indices.  The instance's table of the class
+(`Hypergraph.class_table`) holds for each class index the edges through
+it and its distance-two neighbours as one mask of class indices.
+Connected sets grow on those masks, and each is weighed where it is
+built: the residues of the edges through S go straight to the exact
+counter, whose cover is N(S).  Every weight |IS(link graph)| / 2^|N(S)|
+is an integer m over a power of two 2^e.  A `Polymer` is a lean record of
+the class, the sorted class indices, D = |N(S)| and the reduced (m, e).
+Compatibility reads the same masks: distinct polymers S, T of one class
+have meeting neighbourhoods iff T meets S or S's distance-two neighbours.
+The exact sums run on these integers and build one Fraction per result;
+every identity tested downstream holds bit-for-bit.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ class Polymer:
     the sorted class indices of S, D = |N(S)| and the exact weight
     w(S) = m / 2^e as a reduced (m, e).
 
-    The vertices and the neighbourhood are derived on demand, the
-    neighbourhood from the class table on first use and then kept.
-    Equality, hashing and ordering are by the class and the index tuple,
-    which order as the sorted vertex tuple, so streams of polymers have a
-    reproducible canonical order.
+    The vertices are derived on demand.  Equality, hashing and ordering
+    are by the class and the index tuple, which order as the sorted vertex
+    tuple, so streams of polymers have a reproducible canonical order.
     """
 
     __slots__ = ("cls", "indices", "neighborhood_size", "dyadic_weight",
-                 "graph", "_neighborhood")
+                 "graph")
 
     def __init__(self, cls: int, indices: tuple, neighborhood_size: int,
                  dyadic_weight: tuple, graph: Hypergraph):
@@ -59,21 +57,6 @@ class Polymer:
     @property
     def vertices(self) -> tuple:
         return tuple(Vertex(self.cls, i) for i in self.indices)
-
-    @property
-    def neighborhood(self) -> frozenset:
-        """N(S): the vertices of the edges through S, less S."""
-        try:
-            return self._neighborhood
-        except AttributeError:
-            through, _ = class_table(self.graph, self.cls)
-            edges = self.graph.edges
-            out = set()
-            for i in self.indices:
-                for j in through[i]:
-                    out.update(edges[j])
-            self._neighborhood = frozenset(out.difference(self.vertices))
-            return self._neighborhood
 
     @property
     def weight(self) -> Fraction:
@@ -106,43 +89,25 @@ class Polymer:
 
 
 def compatible(S: Polymer, T: Polymer) -> bool:
-    """Distinct polymers are compatible iff their neighbourhoods are disjoint.
-
+    """Distinct polymers are compatible iff their neighbourhoods are
+    disjoint, that is, iff T misses S and the distance-two neighbours of S.
     Every polymer is incompatible with itself, even when N(S) is empty (an
-    isolated vertex), so compatible families are sets of polymers.
-    """
-    return S != T and not (S.neighborhood & T.neighborhood)
+    isolated vertex), so compatible families are sets of polymers.  Refuses
+    polymers of different classes or instances with InputError."""
+    G = S.graph
+    if S.cls != T.cls or T.graph is not G and T.graph != G:
+        raise InputError(f"polymers {S} and {T} are not of one class of one "
+                         f"instance")
+    if S.indices == T.indices:
+        return False
+    _, near = G.class_table(S.cls)
+    met = 0
+    for j in T.indices:
+        met |= 1 << j
+    return not any((near[i] | 1 << i) & met for i in S.indices)
 
 
-# ----- the per-class table and connected sets in the distance-two structure --
-
-
-def class_table(G: Hypergraph, cls: int) -> tuple:
-    """G's table of the class, built once per instance and class and kept
-    with it, as two lists over the class indices: the positions in G.edges
-    (and in the instance's edge masks) of the edges through the vertex, and
-    its distance-two neighbours as one mask of class indices, the class
-    indices on an edge through one of its neighbours, less itself.  Both
-    come from the edges' integer (class, index) pairs."""
-    tables = G._class_tables
-    if cls not in tables:
-        offsets = list(itertools.accumulate(G.sizes, initial=0))
-        through = [[] for _ in range(G.sizes[cls])]
-        owners = {}  # outer vertex position -> class indices on its edges
-        for j, e in enumerate(G.edges):
-            i = e[cls].idx
-            through[i].append(j)
-            for c, x in e:
-                if c != cls:
-                    owners.setdefault(offsets[c] + x, []).append(i)
-        near = []
-        for i, js in enumerate(through):
-            found = {u for j in js for c, x in G.edges[j] if c != cls
-                     for u in owners[offsets[c] + x]}
-            found.discard(i)
-            near.append(sum(1 << u for u in found))
-        tables[cls] = through, near
-    return tables[cls]
+# ----- connected sets in the distance-two structure ----------------------------
 
 
 def _connected_sets(near, start, max_size, barred):
@@ -199,7 +164,7 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
         roots = [root.idx]
     if b == 0:
         return []
-    _, near = class_table(G, cls)
+    _, near = G.class_table(cls)
     cap = MAX_POLYMERS
     sets, barred = [], 0
     for start in roots:
@@ -216,7 +181,7 @@ def _weighed(G: Hypergraph, cls: int, sets: Iterable) -> list:
     reduced (m, e), w(S) = m / 2^e: its link graph's edges, the residues
     e - e[cls] of the edges e through S, are counted over the vertices
     they cover, which are N(S)."""
-    through, _ = class_table(G, cls)
+    through, _ = G.class_table(cls)
     masks, outside = G._edge_masks, ~exact.class_mask(G, cls)
     out = []
     for idx in sorted(tuple(sorted(s)) for s in sets):
@@ -237,15 +202,17 @@ def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
 
 
 def compatibility_sum(weights: Sequence[tuple],
-                      neighborhoods: Sequence[frozenset]) -> Fraction:
+                      near: Sequence[Sequence[int]]) -> Fraction:
     """Sum over all families of pairwise-compatible indices of the product
     of their weights (empty family contributes 1); the weights are (m, e)
-    pairs, w = m / 2^e with e >= 0, and indices i and j are incompatible
-    when they are equal or their neighbourhoods meet.
+    pairs, w = m / 2^e with e >= 0.  Every index is incompatible with
+    itself, and near[i] lists the other indices j incompatible with i, a
+    symmetric relation: j is in near[i] iff i is in near[j].
 
     One frontier sweep visits the indices once each, every component of
-    the incompatibility graph in breadth-first order from its lowest index.
-    A state is the set of later positions that some chosen index blocks;
+    the incompatibility graph in breadth-first order from its lowest index,
+    taking the neighbours of each index in the order near lists them.  A
+    state is the set of later positions that some chosen index blocks;
     each state maps to its integer count.  Each weight m_i / 2^e_i is
     rewritten over the common 2^E, E the largest e_i, so after p positions
     every count is an integer over 2^(E p) and one Fraction is built at the
@@ -254,12 +221,6 @@ def compatibility_sum(weights: Sequence[tuple],
     """
     n = len(weights)
     E = max((e for _, e in weights), default=0)
-    through = {}  # outer vertex -> the indices whose neighbourhood holds it
-    for i, nb in enumerate(neighborhoods):
-        for v in nb:
-            through.setdefault(v, []).append(i)
-    near = [sorted({j for v in nb for j in through[v]} - {i})
-            for i, nb in enumerate(neighborhoods)]
     order = []
     queued = [False] * n
     for lowest in range(n):
@@ -299,11 +260,29 @@ def compatibility_sum(weights: Sequence[tuple],
 
 
 def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
-    """Exact weighted sum over compatible polymer families of the class;
-    each polymer's neighbourhood is assembled from the class table."""
+    """Exact weighted sum over compatible polymer families of the class:
+    the polymers incompatible with S are the others holding a class index
+    of S or a distance-two neighbour of one."""
     polymers = enumerate_polymers(G, cls, b)
+    _, near = G.class_table(cls)
+    holders = [[] for _ in near]  # class index -> the polymers holding it
+    for pos, p in enumerate(polymers):
+        for i in p.indices:
+            holders[i].append(pos)
+    incompatible = []
+    for pos, p in enumerate(polymers):
+        reach = 0
+        for i in p.indices:
+            reach |= near[i] | 1 << i
+        found = set()
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            found.update(holders[low.bit_length() - 1])
+        found.discard(pos)
+        incompatible.append(sorted(found))
     return compatibility_sum([p.dyadic_weight for p in polymers],
-                             [p.neighborhood for p in polymers])
+                             incompatible)
 
 
 # ----- convergence-condition sums ----------------------------------------------

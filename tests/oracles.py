@@ -6,8 +6,9 @@ counts and Def(b) verdicts), literal enumerations (Ursell functions over
 edge subsets, clusters of an abstract polymer model), a transfer matrix
 along a loose path, the independence polynomial of a path, a memoised
 recursion for the compatibility sum, the term-by-term `Fraction` form of
-`truncated_log_xi`, the polymer enumeration on Vertex sets, and 2-linked
-pieces and polymers built from Vertex sets.  It also holds helpers that
+`truncated_log_xi`, the same-class distance-two neighbours of a Vertex,
+the polymer enumeration on Vertex sets, and 2-linked pieces and polymers
+built from Vertex sets.  It also holds helpers that
 only the tests read: the completion formula for a defect set,
 independent-set counts and maximum matchings of link graphs, the
 printed-formula pair sum and its gap, the polymer-count bound, the
@@ -278,7 +279,7 @@ def truncated_log_xi_fraction(G: Hypergraph, cls: int, t: int) -> Fraction:
     sums in d_C."""
     polymers = enumerate_polymers(G, cls, t)
     weights = {p.vertices: polymer_weight(G, p) for p in polymers}
-    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    adj = {v: distance_two_neighbors(G, v) for v in G.class_vertices(cls)}
     total = Fraction(0)
     for p in polymers:
         C = p.vertices
@@ -308,6 +309,21 @@ def truncated_log_xi_fraction(G: Hypergraph, cls: int, t: int) -> Fraction:
 # ----- polymer enumeration on vertex sets ---------------------------------------
 
 
+def distance_two_neighbors(G: Hypergraph, v) -> frozenset:
+    """Same-class vertices u != v whose neighbourhood meets that of v, by
+    walking G.incidence: the class-cls vertex of every edge through a
+    neighbour of v."""
+    v = G._check_vertex(v)
+    out = set()
+    for i in G.incidence[v]:
+        for x in G.edges[i]:
+            if x != v:
+                out.update(G.edges[j][v.cls] for j in G.incidence[x])
+    out.discard(v)
+    return frozenset(out)
+
+
+
 def _connected_sets(adj, start, max_size, barred):
     """Yield every connected set containing `start` and no vertex of
     `barred` other than `start`, exactly once, by the exclusive-neighbourhood
@@ -333,9 +349,9 @@ def _connected_sets(adj, start, max_size, barred):
 def polymer_vertex_sets(G: Hypergraph, cls: int, b: int, root=None) -> list:
     """The sorted vertex tuples of the 2-linked sets of the class with
     1 <= |S| <= b (and root in S when given), grown on
-    `Hypergraph.distance_two_neighbors` from each set's least vertex among
+    `distance_two_neighbors` from each set's least vertex among
     the roots, in growth order."""
-    adj = {v: G.distance_two_neighbors(v) for v in G.class_vertices(cls)}
+    adj = {v: distance_two_neighbors(G, v) for v in G.class_vertices(cls)}
     roots = G.class_vertices(cls) if root is None else [root]
     out, barred = [], set()
     for start in roots:
@@ -368,7 +384,7 @@ def two_linked_components(G: Hypergraph, T: Iterable) -> list:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in G.distance_two_neighbors(v):
+            for u in distance_two_neighbors(G, v):
                 if u in tset and u not in comp:
                     comp.add(u)
                     stack.append(u)

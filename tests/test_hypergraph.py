@@ -14,7 +14,8 @@ from hypercount import hypergraph
 from hypercount.errors import BudgetExceeded
 
 from conftest import matching, partite_hypergraphs, two_shared
-from oracles import is_loose_cycle, loose_cycle_gadget, two_linked_components
+from oracles import (distance_two_neighbors, is_loose_cycle,
+                     loose_cycle_gadget, two_linked_components)
 
 
 V = Vertex
@@ -89,7 +90,7 @@ class TestLinkGraph:
         # plus two residues meeting in the shared vertex, 7 vertices for k=3
         G = gen_linear_regular(3, 6, 2, seed=0, min_girth=5)
         v = V(0, 0)
-        u = sorted(G.distance_two_neighbors(v))[0]
+        u = sorted(distance_two_neighbors(G, v))[0]
         L = G.link_graph([v, u])
         assert len(L.vertices) == 7
         edges = sorted(L.edges, key=sorted)
@@ -105,20 +106,22 @@ class TestLinkGraph:
 
 
 class TestDistanceTwo:
+    """The class table's distance-two masks of class indices."""
+
     def test_single_edge_has_none(self, edge3):
-        assert edge3.distance_two_neighbors(V(0, 0)) == frozenset()
+        assert edge3.class_table(0)[1] == [0]
 
     def test_shared_neighbor_forces_adjacency(self):
         G = Hypergraph.build(3, [2, 1, 2],
                              [[(0, 0), (1, 0), (2, 0)],
                               [(0, 1), (1, 0), (2, 1)]])
-        assert G.distance_two_neighbors(V(0, 0)) == {V(0, 1)}
+        assert G.class_table(0)[1] == [0b10, 0b01]
 
     def test_girth5_degree(self):
         k, r = 3, 2
         G = gen_linear_regular(k, 6, r, seed=1, min_girth=5)
-        for v in G.class_vertices(0):
-            assert len(G.distance_two_neighbors(v)) == (k - 1) * r * (r - 1)
+        for mask in G.class_table(0)[1]:
+            assert mask.bit_count() == (k - 1) * r * (r - 1)
 
 
 class TestTwoLinkedComponents:
@@ -454,7 +457,7 @@ def test_two_linked_partition(G):
         assert sorted(v for c in comps for v in c) == sorted(T)
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:
-                assert all(u not in G.distance_two_neighbors(v)
+                assert all(u not in distance_two_neighbors(G, v)
                            for v in a for u in b)
 
 
@@ -466,7 +469,7 @@ def test_multiple_shared_neighbors_force_short_cycle(G):
         return
     for cls in range(G.k):
         for v in G.class_vertices(cls):
-            for u in G.distance_two_neighbors(v):
+            for u in distance_two_neighbors(G, v):
                 common = G.neighborhood([v]) & G.neighborhood([u])
                 if len(common) >= 2:
                     assert girth_at_most(G, 4)

@@ -18,7 +18,8 @@ from hypercount import (BudgetExceeded, GenerationError, Hypergraph,
                         check_reg, digest, gen_linear_regular, girth_at_most,
                         lab)
 
-from oracles import loose_cycle_gadget, most_in_every_class_by_filter
+from oracles import (distance_two_neighbors, loose_cycle_gadget,
+                     most_in_every_class_by_filter)
 
 V = Vertex
 
@@ -482,6 +483,38 @@ class TestCommonNeighbor:
     def test_single_edge_vacuous(self, edge3):
         rep = check_common_neighbor(edge3)
         assert rep.holds and rep.params["pairs_checked"] == 0
+
+    def test_witness_is_the_least_violating_pair(self):
+        # 0:0 shares two neighbours with 0:2 and with 0:8; the pairs are
+        # checked in (class, v, u) order, so 0:0, 0:2 is the witness
+        G = gen_linear_regular(3, 11, 2, seed=9)
+        rep = check_common_neighbor(G)
+        assert rep.verdict == "violated"
+        assert rep.witness == {"pair": ["0:0", "0:2"],
+                               "common": ["1:8", "2:3"]}
+        assert rep.params == {"pairs_checked": 1}
+
+    @pytest.mark.parametrize("n", [4, 6, 9, 12])
+    def test_matches_the_pairs_over_vertex_neighbourhoods(self, n):
+        # the pairs v < u at distance two in (class, v, u) order, with the
+        # common neighbours from G.neighborhood
+        for seed in range(6):
+            G = gen_linear_regular(3, n, 2, seed=seed)
+            pairs = [(v, u) for v in G.vertices()
+                     for u in sorted(distance_two_neighbors(G, v)) if u > v]
+            rep = check_common_neighbor(G)
+            for checked, (v, u) in enumerate(pairs, 1):
+                common = G.neighborhood([v]) & G.neighborhood([u])
+                if len(common) != 1:
+                    assert rep.verdict == "violated"
+                    assert rep.witness == {
+                        "pair": [str(v), str(u)],
+                        "common": sorted(str(x) for x in common)}
+                    assert rep.params == {"pairs_checked": checked}
+                    break
+            else:
+                assert rep.holds
+                assert rep.params == {"pairs_checked": len(pairs)}
 
 
 class TestOtherChecks:

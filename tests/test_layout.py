@@ -3,6 +3,7 @@ read nothing from the environment, run without numpy, and load mpmath only
 with the command that uses it."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from hypercount import gen_linear_regular, serialize_text
+from hypercount import gen_linear_regular, hypergraph, serialize_text
 from hypercount.cli import main
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercount"
+TRACING = PACKAGE.parents[1] / "bench" / "tracing.py"
 
 HEAVY = ("numpy", "mpmath")
 
@@ -68,6 +70,26 @@ def test_no_module_reads_the_environment():
                 offenders += [f"{path.name}:{node.lineno} {alias.name}"
                               for alias in node.names if alias.name in reads]
     assert offenders == []
+
+
+def test_every_traced_binding_resolves():
+    # the benchmark's tracer rebinds each (module, attribute) of its SPANS
+    # through owner.__dict__, so a traced name that leaves the package must
+    # fail here, not only in a traced benchmark run
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
+    [spans] = [node.value for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["SPANS"]]
+    bindings = [b for value in spans.values
+                for b in ast.literal_eval(value.elts[0])]
+    assert len(bindings) >= len(spans.values) > 0
+    missing = []
+    for owner_name, attr in bindings:
+        owner = (hypergraph.Hypergraph if owner_name == "Hypergraph" else
+                 importlib.import_module(f"hypercount.{owner_name}"))
+        if attr not in owner.__dict__:
+            missing.append(f"{owner_name}.{attr}")
+    assert missing == []
 
 
 def test_import_loads_neither_numpy_nor_mpmath():

@@ -18,9 +18,9 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
 from conftest import (fan, girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
 from oracles import (compatibility_sum_fraction, count_by_filter,
-                     count_link_graph, is_two_linked, make_polymer,
-                     max_matching_size, polymer_count_bound_holds,
-                     polymer_vertex_sets)
+                     count_link_graph, distance_two_neighbors, is_two_linked,
+                     make_polymer, max_matching_size,
+                     polymer_count_bound_holds, polymer_vertex_sets)
 
 V = Vertex
 
@@ -43,6 +43,14 @@ def dyadic_items(draw):
     return draw(st.lists(st.tuples(
         st.tuples(st.integers(0, 40), st.integers(0, 6)),
         st.sampled_from(pool)), max_size=14))
+
+
+def meeting(neighborhoods):
+    """compatibility_sum's `near` for indices that are incompatible when
+    their neighbourhoods meet: near[i] lists the other indices whose
+    neighbourhood meets the i-th."""
+    return [[j for j, other in enumerate(neighborhoods) if j != i and nb & other]
+            for i, nb in enumerate(neighborhoods)]
 
 
 class TestEnumeration:
@@ -107,8 +115,8 @@ class TestEnumeration:
 
 
 class TestEnumerationOracle:
-    """enumerate_polymers against the enumeration on Vertex sets over
-    Hypergraph.distance_two_neighbors."""
+    """enumerate_polymers against the enumeration on Vertex sets over the
+    oracle's distance_two_neighbors."""
 
     @given(partite_hypergraphs(max_k=3, max_size=4), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
@@ -161,10 +169,19 @@ def weigher_instances(draw):
                                        for combo in sorted(picks)])
 
 
+# 0:2 and 1:1 lie in no edge, so their polymers have empty neighbourhoods
+WITH_ISOLATED = Hypergraph.build(3, [3, 2, 1], [[(0, 0), (1, 0), (2, 0)],
+                                               [(0, 1), (1, 0), (2, 0)]])
+# at k = 2 every residue is one vertex; 1:2 lies in no edge
+K2 = Hypergraph.build(2, [2, 3], [[(0, 0), (1, 0)], [(0, 0), (1, 1)],
+                                  [(0, 1), (1, 1)]])
+
+
 def assert_weights_match_link_graphs(G):
     """Every polymer of order <= 3 carries, as a reduced (m, e), what its
-    link graph gives through the exact counter, and G's neighbourhood of
-    it; make_polymer on the same vertices carries the same."""
+    link graph gives through the exact counter, and the size of G's
+    neighbourhood of it; make_polymer on the same vertices carries the
+    same."""
     for cls in range(G.k):
         for p in enumerate_polymers(G, cls, 3):
             m, e = p.dyadic_weight
@@ -173,11 +190,11 @@ def assert_weights_match_link_graphs(G):
                             2 ** len(nb))
             assert Fraction(m, 1 << e) == want
             assert m % 2 == 1 or e == 0
-            assert p.neighborhood == nb
+            assert p.neighborhood_size == len(nb)
             assert p.weight == polymer_weight(G, p) == want
             made = make_polymer(G, p.vertices)
             assert made == p
-            assert made.neighborhood == nb
+            assert made.neighborhood_size == len(nb)
             assert made.dyadic_weight == (m, e)
 
 
@@ -197,9 +214,9 @@ class TestClassIndexLayer:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_vertex_set_oracle(self, G):
         for cls in range(G.k):
-            _, near = polymers.class_table(G, cls)
+            _, near = G.class_table(cls)
             assert near == [sum(1 << u.idx for u in
-                                G.distance_two_neighbors(v))
+                                distance_two_neighbors(G, v))
                             for v in G.class_vertices(cls)]
             for b in (1, 3):
                 found = enumerate_polymers(G, cls, b)
@@ -209,9 +226,8 @@ class TestClassIndexLayer:
                 assert sorted(found[::-1]) == found
                 for p, q in zip(found, want):
                     assert p.vertices == q.vertices
-                    assert p.neighborhood == q.neighborhood == \
-                        G.neighborhood(q.vertices)
-                    assert p.neighborhood_size == len(q.neighborhood)
+                    assert p.neighborhood_size == q.neighborhood_size == \
+                        len(G.neighborhood(q.vertices))
                     assert p.dyadic_weight == q.dyadic_weight
                     assert p.weight == q.weight
                     assert p.order == q.order == len(p.indices)
@@ -267,7 +283,8 @@ class TestWeights:
         # two disjoint (k-1)-edges on the 2(k-1) vertices of N(pair)
         assert pair.dyadic_weight == (((1 << k - 1) - 1) ** 2, 2 * (k - 1))
         alone = make_polymer(G, [V(0, 2)])
-        assert alone.neighborhood == frozenset()
+        assert alone.neighborhood_size == 0
+        assert G.neighborhood(alone.vertices) == frozenset()
         assert alone.dyadic_weight == (1, 0)
 
     def test_single_edge_weight(self, edge3):
@@ -283,7 +300,7 @@ class TestWeights:
     def test_girth5_pair_weight(self):
         G = gen_linear_regular(3, 6, 2, seed=0, min_girth=5)
         v = V(0, 0)
-        u = sorted(G.distance_two_neighbors(v))[0]
+        u = sorted(distance_two_neighbors(G, v))[0]
         p = make_polymer(G, [v, u])
         w = polymer_weight(G, p)
         assert w == Fraction(45, 128)
@@ -312,7 +329,7 @@ class TestCompatibility:
         # an isolated vertex has N(S) empty and is still self-incompatible
         G = Hypergraph.build(3, [2, 1, 1], [[(0, 0), (1, 0), (2, 0)]])
         q = make_polymer(G, [V(0, 1)])
-        assert not q.neighborhood and not compatible(q, q)
+        assert not G.neighborhood(q.vertices) and not compatible(q, q)
         assert compatible(q, make_polymer(G, [V(0, 0)]))
 
     def test_shared_neighbor_incompatible(self):
@@ -326,6 +343,36 @@ class TestCompatibility:
         G = matching(3, 2)
         p, q = (make_polymer(G, [v]) for v in G.class_vertices(0))
         assert compatible(p, q)
+
+    @given(weigher_instances())
+    @example(WITH_ISOLATED)
+    @example(K2)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_meeting_neighborhoods(self, G):
+        # the class-index form against N(S) and N(T) as Vertex sets
+        for cls in range(G.k):
+            polys = enumerate_polymers(G, cls, 3)
+            nb = {p: G.neighborhood(p.vertices) for p in polys}
+            for S in polys:
+                for T in polys:
+                    assert compatible(S, T) == (S != T and not nb[S] & nb[T])
+
+    def test_refuses_across_classes_and_instances(self):
+        G = random_partite(3, (3, 2, 3), 0.5, 1)
+        p = enumerate_polymers(G, 0, 1)[0]
+        q = enumerate_polymers(G, 1, 1)[0]
+        for S, T in ((p, q), (q, p)):
+            with pytest.raises(InputError, match="not of one class"):
+                compatible(S, T)
+        other = enumerate_polymers(random_partite(3, (3, 2, 3), 0.5, 2),
+                                   0, 1)[0]
+        assert other == p and other.graph != p.graph
+        with pytest.raises(InputError, match="not of one class"):
+            compatible(p, other)
+        # an equal instance built again is the same instance
+        same = enumerate_polymers(Hypergraph.build(G.k, G.sizes, G.edges),
+                                  0, 1)[0]
+        assert not compatible(p, same)
 
 
 class TestPartitionFunction:
@@ -361,6 +408,19 @@ class TestPartitionFunction:
                                 total += prod
                     assert partition_function(G, cls, b) == total
 
+    @given(weigher_instances())
+    @example(WITH_ISOLATED)
+    @example(K2)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fraction_form_over_neighborhoods(self, G):
+        for cls in range(G.k):
+            for b in (1, 2, 3):
+                polys = enumerate_polymers(G, cls, b)
+                assert partition_function(G, cls, b) == \
+                    compatibility_sum_fraction(
+                        [p.weight for p in polys],
+                        [G.neighborhood(p.vertices) for p in polys])
+
     def test_budget_refusal(self, monkeypatch):
         G = random_partite(3, (4, 4, 4), 0.5, 3)
         monkeypatch.setattr(polymers, "MAX_POLYMERS", 2)
@@ -393,7 +453,7 @@ class TestPartitionFunction:
             families += [(fam + (i,), prod * weights[i])
                          for fam, prod in families
                          if all(not sets[j] & nb for j in fam)]
-        assert compatibility_sum([w for w, _ in items], sets) == \
+        assert compatibility_sum([w for w, _ in items], meeting(sets)) == \
             sum(prod for _, prod in families)
 
     @given(dyadic_items(), st.data())
@@ -402,17 +462,20 @@ class TestPartitionFunction:
         # the sweep's order, and so its states, follow the indices
         shuffled = data.draw(st.permutations(items))
         assert compatibility_sum([w for w, _ in shuffled],
-                                 [nb for _, nb in shuffled]) == \
-            compatibility_sum([w for w, _ in items], [nb for _, nb in items])
+                                 meeting([nb for _, nb in shuffled])) == \
+            compatibility_sum([w for w, _ in items],
+                              meeting([nb for _, nb in items]))
 
     def test_compatibility_sum_matches_fraction_form(self):
         for k, n, r, G in girth5_instances():
             for cls in range(k):
                 polys = enumerate_polymers(G, cls, 3)
                 w = [p.weight for p in polys]
-                nb = [p.neighborhood for p in polys]
-                assert compatibility_sum([p.dyadic_weight for p in polys],
-                                         nb) == compatibility_sum_fraction(w, nb)
+                nb = [G.neighborhood(p.vertices) for p in polys]
+                assert partition_function(G, cls, 3) == \
+                    compatibility_sum([p.dyadic_weight for p in polys],
+                                      meeting(nb)) == \
+                    compatibility_sum_fraction(w, nb)
 
     @pytest.mark.parametrize("b", [1, 2])
     @pytest.mark.parametrize("index", range(len(kp_instances())))
@@ -422,9 +485,11 @@ class TestPartitionFunction:
         for cls in range(G.k):
             polys = enumerate_polymers(G, cls, b)
             w = [p.weight for p in polys]
-            nb = [p.neighborhood for p in polys]
-            assert compatibility_sum([p.dyadic_weight for p in polys],
-                                     nb) == compatibility_sum_fraction(w, nb)
+            nb = [G.neighborhood(p.vertices) for p in polys]
+            assert partition_function(G, cls, b) == \
+                compatibility_sum([p.dyadic_weight for p in polys],
+                                  meeting(nb)) == \
+                compatibility_sum_fraction(w, nb)
 
     def test_state_cap_refusal(self, monkeypatch):
         G = kp_instances()[1]
@@ -560,7 +625,7 @@ class TestMatching:
     def test_pair_link_graph(self):
         G = gen_linear_regular(3, 6, 2, seed=0, min_girth=5)
         v = V(0, 0)
-        u = sorted(G.distance_two_neighbors(v))[0]
+        u = sorted(distance_two_neighbors(G, v))[0]
         L = G.link_graph([v, u])
         assert max_matching_size(L) == 3
         # oracle: enumerate all edge subsets
@@ -595,7 +660,8 @@ class TestWeightAndCountBounds:
         k, r = 3, 2
         for cls in range(G.k):
             for p in enumerate_polymers(G, cls, 3):
-                beta = Fraction(len(p.neighborhood), r * p.order) - (k - 2)
+                beta = Fraction(len(G.neighborhood(p.vertices)),
+                                r * p.order) - (k - 2)
                 if beta <= 0:
                     continue
                 m = max_matching_size(G.link_graph(p.vertices))
