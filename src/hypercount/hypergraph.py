@@ -202,7 +202,8 @@ class Hypergraph:
         the vertex, and its distance-two neighbours as one mask of class
         indices, the class indices on an edge through one of its
         neighbours, less itself.  Both come from the edges' integer
-        (class, index) pairs."""
+        (class, index) pairs; a class out of range raises InputError."""
+        self._check_class(cls)
         tables = self._class_tables
         if cls not in tables:
             offsets = list(itertools.accumulate(self.sizes, initial=0))

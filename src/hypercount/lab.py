@@ -298,21 +298,22 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
 def check_common_neighbor(G: Hypergraph) -> PropertyReport:
     """Every same-class pair with intersecting neighbourhoods must share
     exactly one neighbour (the local signature of linear girth >= 5).  The
-    pairs v < u come from the class tables' distance-two masks in (class,
-    v, u) order, so a violation's witness is the least such pair."""
+    pairs v < u are walked in (class, v, u) order, on lists linear in the
+    class's edges, so a violation's witness is the least such pair."""
     checked = 0
     for cls in range(G.k):
-        through, near = G.class_table(cls)
-        outer = [{x for j in js for x in G.edges[j] if x.cls != cls}
-                 for js in through]
-        for v, mask in enumerate(near):
-            higher = mask >> v + 1
-            while higher:
-                low = higher & -higher
-                higher ^= low
-                u = v + low.bit_length()
+        outer = [set() for _ in range(G.sizes[cls])]
+        owners = {}  # outer vertex -> class indices on its edges
+        for e in G.edges:
+            v = e[cls].idx
+            for x in e:
+                if x.cls != cls:
+                    outer[v].add(x)
+                    owners.setdefault(x, []).append(v)
+        for v, mine in enumerate(outer):
+            for u in sorted({u for x in mine for u in owners[x] if u > v}):
                 checked += 1
-                common = outer[v] & outer[u]
+                common = mine & outer[u]
                 if len(common) != 1:
                     return PropertyReport(
                         name="common-neighbor", verdict="violated",

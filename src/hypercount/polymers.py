@@ -98,13 +98,18 @@ def compatible(S: Polymer, T: Polymer) -> bool:
     if S.cls != T.cls or T.graph is not G and T.graph != G:
         raise InputError(f"polymers {S} and {T} are not of one class of one "
                          f"instance")
-    if S.indices == T.indices:
-        return False
     _, near = G.class_table(S.cls)
-    met = 0
-    for j in T.indices:
-        met |= 1 << j
-    return not any((near[i] | 1 << i) & met for i in S.indices)
+    return not _reach(near, S.indices) & sum(1 << j for j in T.indices)
+
+
+def _reach(near, indices) -> int:
+    """A polymer's class indices and their distance-two neighbours, as one
+    mask: another polymer of the class is incompatible with it iff it
+    holds one of them."""
+    reach = 0
+    for i in indices:
+        reach |= near[i] | 1 << i
+    return reach
 
 
 # ----- connected sets in the distance-two structure ----------------------------
@@ -271,9 +276,7 @@ def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
             holders[i].append(pos)
     incompatible = []
     for pos, p in enumerate(polymers):
-        reach = 0
-        for i in p.indices:
-            reach |= near[i] | 1 << i
+        reach = _reach(near, p.indices)
         found = set()
         while reach:
             low = reach & -reach

@@ -123,6 +123,12 @@ class TestDistanceTwo:
         for mask in G.class_table(0)[1]:
             assert mask.bit_count() == (k - 1) * r * (r - 1)
 
+    @pytest.mark.parametrize("cls", [-1, 3])
+    def test_class_out_of_range(self, edge3, cls):
+        with pytest.raises(InputError):
+            edge3.class_table(cls)
+        assert cls not in edge3._class_tables
+
 
 class TestTwoLinkedComponents:
     def test_singleton(self, edge3):
