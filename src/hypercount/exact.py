@@ -18,12 +18,11 @@ vertex count.  `count_with_defect_class` counts the independent sets whose
 trace on one class has only small 2-linked pieces, as a product over the
 class's 2-linked components, and refuses above DEFECT_VERTEX_CAP
 vertices.  All three caps are module constants.  `edge_masks(G)` gives the
-edges as bitmasks (bit i is `list(G.vertices())[i]`, class-major) and
+edges as bitmasks (bit x is the vertex of class-major id x) and
 `class_mask(G, cls)` the bits of one class."""
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .errors import BudgetExceeded, InputError
@@ -231,17 +230,16 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
 
 
 def edge_masks(G: Hypergraph) -> list:
-    """The edges of G as bitmasks over its vertices: bit i stands for
-    list(G.vertices())[i].  That order is class-major, so each class is a
+    """The edges of G as bitmasks over its vertices: bit x stands for the
+    vertex of id x.  That order is class-major, so each class is a
     contiguous range of bits (see class_mask)."""
-    offsets = list(itertools.accumulate(G.sizes, initial=0))
-    return [sum(1 << (offsets[v.cls] + v.idx) for v in e) for e in G.edges]
+    return [sum(map((1).__lshift__, e)) for e in G.ids]
 
 
 def class_mask(G: Hypergraph, cls: int) -> int:
     """The bits of the given class in edge_masks' vertex order."""
     G._check_class(cls)
-    return ((1 << G.sizes[cls]) - 1) << sum(G.sizes[:cls])
+    return ((1 << G.sizes[cls]) - 1) << G.offsets[cls]
 
 
 def count_independent_sets(G: Hypergraph) -> int:

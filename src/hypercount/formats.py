@@ -14,7 +14,10 @@ produce byte-identical text and digests.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
+import re
 import sys
 from typing import Optional, TextIO, Union
 
@@ -23,6 +26,8 @@ from .hypergraph import Hypergraph
 
 
 def parse_text(text: str) -> Hypergraph:
+    """Parse the text format, handing the edges to Hypergraph.from_ids as
+    ids; an error names the first faulty line."""
     k = None
     sizes = None
     edges = []
@@ -43,39 +48,53 @@ def parse_text(text: str) -> Hypergraph:
             if len(sizes) != k:
                 raise InputError(f"line {lineno}: header gives {len(sizes)} "
                                  f"class sizes for k={k}")
+            offsets = list(itertools.accumulate(sizes, initial=0))
+            canonical = re.compile(
+                "e " + " ".join(f"{c}:([0-9]+)" for c in range(k)))
         elif line.startswith("e "):
             if k is None:
                 raise InputError(f"line {lineno}: edge before header")
-            toks = line.split()[1:]
-            if len(toks) != k:
-                raise InputError(
-                    f"line {lineno}: edge has {len(toks)} vertices, expected {k}")
-            edge = []
-            for tok in toks:
-                try:
-                    c, i = tok.split(":")
-                    edge.append((int(c), int(i)))
-                except ValueError:
-                    raise InputError(f"line {lineno}: bad vertex token {tok!r}")
-            for c, i in edge:
-                if not (0 <= c < k and 0 <= i < sizes[c]):
-                    raise InputError(f"line {lineno}: vertex {c}:{i} out of range")
-            if sorted(c for c, _ in edge) != list(range(k)):
-                raise InputError(
-                    f"line {lineno}: edge must meet every class exactly once")
-            key = tuple(sorted(edge))
-            if key in seen:
+            # an edge in the canonical form needs only its range check
+            match = canonical.fullmatch(line)
+            idx = match and tuple(map(int, match.groups()))
+            if not (idx and all(map(operator.lt, idx, sizes))):
+                idx = _edge_indices(line, lineno, k, sizes)
+            ids = tuple(map(operator.add, idx, offsets))
+            if ids in seen:
                 raise InputError(f"line {lineno}: duplicate edge")
-            seen.add(key)
-            edges.append(tuple(edge))
+            seen.add(ids)
+            edges.append(ids)
         else:
             raise InputError(f"line {lineno}: unrecognized record {line!r}")
     if k is None:
         raise InputError("missing header line 'k=<int> sizes=...'")
     try:
-        return Hypergraph(k, sizes, tuple(edges))
+        return Hypergraph.from_ids(k, sizes, edges)
     except InputError as exc:
         raise InputError(f"invalid hypergraph: {exc}")
+
+
+def _edge_indices(line, lineno, k, sizes) -> list:
+    """The vertex indices of an edge record in any form, in class order."""
+    toks = line.split()[1:]
+    if len(toks) != k:
+        raise InputError(
+            f"line {lineno}: edge has {len(toks)} vertices, expected {k}")
+    edge = []
+    for tok in toks:
+        try:
+            c, i = tok.split(":")
+            edge.append((int(c), int(i)))
+        except ValueError:
+            raise InputError(f"line {lineno}: bad vertex token {tok!r}")
+    for c, i in edge:
+        if not (0 <= c < k and 0 <= i < sizes[c]):
+            raise InputError(f"line {lineno}: vertex {c}:{i} out of range")
+    edge.sort()
+    if [c for c, _ in edge] != list(range(k)):
+        raise InputError(
+            f"line {lineno}: edge must meet every class exactly once")
+    return [i for _, i in edge]
 
 
 def _json_int(value) -> int:
@@ -127,15 +146,20 @@ def load(source: Union[str, TextIO, None] = None) -> Hypergraph:
 
 
 def serialize_text(G: Hypergraph, comment: Optional[str] = None) -> str:
-    lines = []
-    if comment:
-        lines.extend(f"# {c}" for c in comment.splitlines())
-    lines.append(f"k={G.k} sizes=" + ",".join(str(s) for s in G.sizes))
-    for e in G.edges:
-        lines.append("e " + " ".join(f"{c}:{i}" for c, i in e))
-    return "\n".join(lines) + "\n"
+    head = "".join(f"# {c}\n" for c in comment.splitlines()) if comment else ""
+    return head + G._text
 
 
 def digest(G: Hypergraph) -> str:
     """SHA-256 of the canonical text serialization."""
-    return hashlib.sha256(serialize_text(G).encode()).hexdigest()
+    return hashlib.sha256(G._text.encode()).hexdigest()
+
+
+def canonical_text(G: Hypergraph) -> str:
+    """The text of G without a comment: the header, then the edges in
+    their canonical order.  Hypergraph keeps it, so serialize_text and
+    digest build it once per instance."""
+    line = "e " + " ".join(f"{c}:{{}}" for c in range(G.k)) + "\n"
+    return (f"k={G.k} sizes={','.join(map(str, G.sizes))}\n"
+            + "".join(line.format(*map(operator.sub, e, G.offsets))
+                      for e in G.ids))

@@ -1,14 +1,17 @@
 """k-partite k-uniform hypergraphs and the structural primitives built on them.
 
-Vertices are addressed as (class, index) pairs.  Every edge meets every
-partition class exactly once, so an edge is stored as a class-major sorted
-tuple of vertices.  A Hypergraph is immutable after construction; all
-operations are pure functions over it.
+Vertices are (class, index) pairs to callers and class-major integer ids
+inside: (c, i) is offsets[c] + i, the bit order of exact.edge_masks.  Every
+edge meets every class once, so it is stored as its ids in class order.
+Ids sort as the pairs do; the checks and the loose-cycle search run on ids
+and build Vertex pairs only for a witness they return.  A Hypergraph is
+immutable after construction; all operations are pure functions over it.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -39,9 +42,6 @@ class Vertex(NamedTuple):
         return f"{self.cls}:{self.idx}"
 
 
-Edge = tuple  # sorted tuple of Vertex, one per class
-
-
 @dataclass(frozen=True)
 class LinkGraph:
     """(k-1)-uniform residue structure of a single-class vertex set S.
@@ -67,9 +67,12 @@ class LinkGraph:
             raise InputError("link graph vertex set must equal the union of its edges")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hypergraph:
     """k-partite k-uniform hypergraph with fixed class sizes.
+
+    `ids` holds each edge as its k ids in class order, the edges sorted;
+    `edges`, the same edges as Vertex tuples, is built on first read.
 
     Invariants (checked at construction):
       * every edge has exactly one vertex in each of the k classes;
@@ -80,41 +83,66 @@ class Hypergraph:
 
     k: int
     sizes: tuple
-    edges: tuple
+    ids: tuple
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise InputError(f"uniformity k={self.k} must be at least 2")
-        if len(self.sizes) != self.k:
-            raise InputError(f"expected {self.k} class sizes, got {len(self.sizes)}")
-        if any(s < 1 for s in self.sizes):
+    def __init__(self, k: int, sizes: Sequence[int], edges: Iterable[Iterable]):
+        """From edges given as (class, index) pairs, in any order."""
+        def pair_ids(offsets):
+            for e in edges:
+                ce = sorted(Vertex(*v) for v in e)
+                if [v.cls for v in ce] != list(range(k)):
+                    raise InputError(
+                        f"edge {[str(v) for v in ce]} must contain exactly "
+                        f"one vertex per class")
+                for v in ce:
+                    if not 0 <= v.idx < sizes[v.cls]:
+                        raise InputError(f"vertex {v} out of range for class "
+                                         f"size {sizes[v.cls]}")
+                yield tuple(o + i for o, (_, i) in zip(offsets, ce))
+        self._validate(k, sizes, pair_ids)
+
+    @classmethod
+    def from_ids(cls, k: int, sizes: Sequence[int],
+                 ids: Iterable[Sequence[int]]) -> "Hypergraph":
+        """From edges given as their k class-major ids in class order."""
+        G = cls.__new__(cls)
+        G._validate(k, sizes, lambda offsets: ids)
+        return G
+
+    def _validate(self, k, sizes, edges_of) -> None:
+        """The validation both constructors share: checks the shape and the
+        vertex cap, then the edges `edges_of(offsets)` yields, and stores
+        them."""
+        sizes = tuple(sizes)
+        if k < 2:
+            raise InputError(f"uniformity k={k} must be at least 2")
+        if len(sizes) != k:
+            raise InputError(f"expected {k} class sizes, got {len(sizes)}")
+        if any(s < 1 for s in sizes):
             raise InputError("class sizes must be positive")
-        check_vertex_cap(sum(self.sizes))
-        canon = []
-        for e in self.edges:
-            ce = tuple(sorted(Vertex(*v) for v in e))
-            classes = [v.cls for v in ce]
-            if classes != list(range(self.k)):
-                raise InputError(
-                    f"edge {[str(v) for v in ce]} must contain exactly one "
-                    f"vertex per class"
-                )
-            for v in ce:
-                if not 0 <= v.idx < self.sizes[v.cls]:
-                    raise InputError(f"vertex {v} out of range for class size "
-                                     f"{self.sizes[v.cls]}")
-            canon.append(ce)
-        canon.sort()
+        check_vertex_cap(sum(sizes))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "sizes", sizes)
+        offsets = self.offsets
+        canon = sorted(map(tuple, edges_of(offsets)))
+        # one id per class in class order: column c lies in class c's range
+        flat = list(itertools.chain.from_iterable(canon))
+        if set(map(len, canon)) - {k} or not all(
+                lo <= min(flat[c::k], default=lo)
+                and max(flat[c::k], default=lo) < hi
+                for c, (lo, hi) in enumerate(zip(offsets, offsets[1:]))):
+            raise InputError("every edge must give one id per class, in "
+                             "class order")
         for a, b in zip(canon, canon[1:]):
             if a == b:
-                raise InputError(f"duplicate edge {[str(v) for v in a]}")
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "edges", tuple(canon))
+                raise InputError(
+                    f"duplicate edge {[str(self.vertex(x)) for x in a]}")
+        object.__setattr__(self, "ids", tuple(canon))
 
     @classmethod
     def build(cls, k: int, sizes: Sequence[int], edges: Iterable[Iterable]) -> "Hypergraph":
         """Construct from any iterable of edges given as (class, index) pairs."""
-        return cls(k, tuple(sizes), tuple(tuple(e) for e in edges))
+        return cls(k, sizes, edges)
 
     # ----- basic accessors -------------------------------------------------
 
@@ -124,7 +152,22 @@ class Hypergraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ids)
+
+    @cached_property
+    def offsets(self) -> tuple:
+        """The first id of each class, then the vertex count."""
+        return tuple(itertools.accumulate(self.sizes, initial=0))
+
+    def vertex(self, x: int) -> Vertex:
+        """The vertex of id x."""
+        c = bisect_right(self.offsets, x) - 1
+        return Vertex(c, x - self.offsets[c])
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The edges as sorted tuples of Vertex, in the order of `ids`."""
+        return tuple(tuple(map(self.vertex, e)) for e in self.ids)
 
     def vertices(self) -> Iterator[Vertex]:
         for c, s in enumerate(self.sizes):
@@ -145,17 +188,8 @@ class Hypergraph:
             raise InputError(f"vertex {v} out of range")
         return v
 
-    @cached_property
-    def incidence(self) -> dict:
-        """Vertex -> tuple of incident edge indices (empty for isolated vertices)."""
-        inc = {v: [] for v in self.vertices()}
-        for i, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(i)
-        return {v: tuple(ix) for v, ix in inc.items()}
-
     def degree(self, v: Vertex) -> int:
-        return len(self.incidence[self._check_vertex(v)])
+        return len(self._ids_through([v])[1])
 
     @cached_property
     def _edge_masks(self) -> list:
@@ -164,32 +198,39 @@ class Hypergraph:
         return exact.edge_masks(self)
 
     @cached_property
+    def _text(self) -> str:
+        """formats.canonical_text(self), for the instance's output and digest."""
+        from . import formats  # formats imports this module
+        return formats.canonical_text(self)
+
+    @cached_property
     def _class_tables(self) -> dict:
         """Class -> self.class_table(class), filled on first use."""
         return {}
 
     # ----- neighbourhoods and link graphs ----------------------------------
 
+    def _ids_through(self, S: Iterable) -> tuple:
+        """The vertices of S, checked, and the edges through S, as ids."""
+        S = frozenset(self._check_vertex(v) for v in S)
+        xs = {self.offsets[v.cls] + v.idx for v in S}
+        return S, [e for e in self.ids if not xs.isdisjoint(e)]
+
     def neighborhood(self, S: Iterable) -> frozenset:
         """All vertices covered by an edge meeting S, minus S itself."""
-        S = frozenset(self._check_vertex(v) for v in S)
-        out = set()
-        for v in S:
-            for i in self.incidence[v]:
-                out.update(self.edges[i])
-        return frozenset(out - S)
+        S, edges = self._ids_through(S)
+        return frozenset(map(self.vertex, {x for e in edges for x in e})) - S
 
     def link_graph(self, S: Iterable) -> LinkGraph:
         """Residue (k-1)-graph of a non-empty subset S of a single class."""
-        S = frozenset(self._check_vertex(v) for v in S)
+        S, edges = self._ids_through(S)
         if not S:
             raise InputError("link graph requires a non-empty vertex set")
         if len({v.cls for v in S}) != 1:
             raise InputError("link graph requires S within a single class")
-        edges = set()
-        for v in S:
-            for i in self.incidence[v]:
-                edges.add(frozenset(self.edges[i]) - S)
+        cls = next(iter(S)).cls
+        edges = {frozenset(self.vertex(x) for x in e[:cls] + e[cls + 1:])
+                 for e in edges}
         vertices = frozenset().union(*edges) if edges else frozenset()
         return LinkGraph(self.k - 1, vertices, frozenset(edges))
 
@@ -198,27 +239,25 @@ class Hypergraph:
     def class_table(self, cls: int) -> tuple:
         """The table of the class, built once per instance and class and
         kept with it, as two lists over the class indices: the positions in
-        self.edges (and in the instance's edge masks) of the edges through
+        self.ids (and in the instance's edge masks) of the edges through
         the vertex, and its distance-two neighbours as one mask of class
         indices, the class indices on an edge through one of its
-        neighbours, less itself.  Both come from the edges' integer
-        (class, index) pairs; a class out of range raises InputError."""
+        neighbours, less itself.  Both come from the edges' ids; a class
+        out of range raises InputError."""
         self._check_class(cls)
         tables = self._class_tables
         if cls not in tables:
-            offsets = list(itertools.accumulate(self.sizes, initial=0))
+            first = self.offsets[cls]
             through = [[] for _ in range(self.sizes[cls])]
-            owners = {}  # outer vertex position -> class indices on its edges
-            for j, e in enumerate(self.edges):
-                i = e[cls].idx
+            owners = {}  # vertex id -> class indices on its edges
+            for j, e in enumerate(self.ids):
+                i = e[cls] - first
                 through[i].append(j)
-                for c, x in e:
-                    if c != cls:
-                        owners.setdefault(offsets[c] + x, []).append(i)
+                for x in e:
+                    owners.setdefault(x, []).append(i)
             near = []
             for i, js in enumerate(through):
-                found = {u for j in js for c, x in self.edges[j] if c != cls
-                         for u in owners[offsets[c] + x]}
+                found = {u for j in js for x in self.ids[j] for u in owners[x]}
                 found.discard(i)
                 near.append(sum(1 << u for u in found))
             tables[cls] = through, near
@@ -238,27 +277,25 @@ class Hypergraph:
         pass over the k(k-1)/2 pairs of each edge, indexed by the first edge
         holding each pair, finds for every e_j the least such e_i.
         """
+        n = self.num_vertices
         first = {}
         best = None
-        for j, e in enumerate(self.edges):
-            for pair in itertools.combinations(e, 2):
-                i = first.setdefault(pair, j)
+        for j, e in enumerate(self.ids):
+            for u, v in itertools.combinations(e, 2):
+                i = first.setdefault(u * n + v, j)
                 if i != j and (best is None or i < best[0]):
                     best = (i, j)
         if best is None:
             return None
-        return (self.edges[best[0]], self.edges[best[1]])
+        return tuple(tuple(map(self.vertex, self.ids[i])) for i in best)
 
     def regular_degree(self) -> Optional[int]:
         """The common vertex degree r, or None if degrees differ."""
-        degs = [[0] * s for s in self.sizes]
-        for e in self.edges:
-            for c, i in e:
-                degs[c][i] += 1
-        values = set().union(*degs)
-        if len(values) == 1:
-            return values.pop()
-        return None
+        degrees = [0] * self.num_vertices
+        for x in itertools.chain.from_iterable(self.ids):
+            degrees[x] += 1
+        values = set(degrees)
+        return values.pop() if len(values) == 1 else None
 
 
 # ----- loose cycles and girth -----------------------------------------------
@@ -304,7 +341,7 @@ def find_loose_cycle(G: Hypergraph, max_length: int) -> Optional[list]:
     """
     if max_length < 3:
         raise InputError("loose cycles have length at least 3")
-    edge_sets = [frozenset(e) for e in G.edges]
+    edge_sets = [frozenset(e) for e in G.ids]
     incidence = {}
     parent = {}  # union-find forest over the vertices of the prefix
 
@@ -321,7 +358,7 @@ def find_loose_cycle(G: Hypergraph, max_length: int) -> Optional[list]:
         if len(roots) < len(cand):
             cycle = _cycle_through(edge_sets, incidence, cand, max_length, tick)
             if cycle is not None:
-                return cycle
+                return [G.vertex(x) for x in cycle]
         joined = roots.pop()
         for r in roots:
             parent[r] = joined

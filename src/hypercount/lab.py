@@ -82,8 +82,7 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
         # rng.choice draws exactly as it would from a fresh scan of `capacity`
         avail = [list(range(c * n, (c + 1) * n)) for c in range(k)]
         covered = set()  # u * N + v for the ids u < v of an accepted edge
-        edge_sets = []
-        incidence = {}
+        edges, edge_sets, incidence = [], [], {}
         ok = True
         for j in range(total_edges):
             placed = False
@@ -96,18 +95,18 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
                 # also rejects a duplicate edge
                 if not covered.isdisjoint(pairs):
                     continue
-                cand_set = frozenset(cand)
                 # accepted prefixes have no short loose cycle, so a new one
                 # must pass through the candidate
-                if girth_bounded and find_loose_cycle_through(
-                        edge_sets, incidence, cand_set,
-                        min_girth - 1) is not None:
-                    continue
-                covered.update(pairs)
                 if girth_bounded:
+                    cand_set = frozenset(cand)
+                    if find_loose_cycle_through(edge_sets, incidence, cand_set,
+                                                min_girth - 1) is not None:
+                        continue
                     for v in cand:
                         incidence.setdefault(v, []).append(len(edge_sets))
-                edge_sets.append(cand_set)
+                    edge_sets.append(cand_set)
+                covered.update(pairs)
+                edges.append(tuple(cand))
                 for a, v in zip(avail, cand):
                     capacity[v] -= 1
                     if capacity[v] == 0:
@@ -119,9 +118,7 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
                 ok = False
                 break
         if ok:
-            G = Hypergraph(k, tuple([n] * k),
-                           tuple(tuple(map(divmod, e, [n] * k))
-                                 for e in edge_sets))
+            G = Hypergraph.from_ids(k, [n] * k, edges)
             assert G.regular_degree() == r
             assert G.is_linear()
             if girth_bounded:
@@ -174,9 +171,9 @@ def _expansion_check(G, name, factor, max_size, seed):
     exhaustive = top <= EXPANSION_EXHAUSTIVE_SIZE
     masks, left = edge_masks(G), EXPANSION_WORK
     for cls in range(G.k):
-        verts, outside = G.class_vertices(cls), ~class_mask(G, cls)
-        nbs = [reduce(int.__or__, (masks[j] for j in G.incidence[v]), 0)
-               & outside for v in verts]
+        nbs, first, outside = [0] * n, G.offsets[cls], ~class_mask(G, cls)
+        for e, m in zip(G.ids, masks):
+            nbs[e[cls] - first] |= m & outside
         for s in range(1, top + 1):
             sampled = s > EXPANSION_EXHAUSTIVE_SIZE
             cost = s * (EXPANSION_SAMPLES if sampled else math.comb(n, s))
@@ -193,7 +190,7 @@ def _expansion_check(G, name, factor, max_size, seed):
                     low, ratio = nb, Fraction(nb, r * s)
                     worst = ratio if worst is None else min(worst, ratio)
                     if ratio < factor:
-                        witness = {"S": [str(verts[i]) for i in sorted(S)],
+                        witness = {"S": [f"{cls}:{i}" for i in sorted(S)],
                                    "neighborhood_size": nb,
                                    "required": factor * r * s}
                         return PropertyReport(
@@ -249,21 +246,20 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
     if min(G.sizes) <= b:
         return PropertyReport(name=f"Def({b})", verdict="holds",
                               params=params | {"vacuous": True})
-    order = list(G.vertices())
+    num = G.num_vertices
     class_masks = [class_mask(G, cls) for cls in range(G.k)]
 
     def report(verdict, found=None):
         witness = None if found is None else [
-            str(v) for i, v in enumerate(order) if found >> i & 1]
+            str(G.vertex(x)) for x in range(num) if found >> x & 1]
         return PropertyReport(name=f"Def({b})", verdict=verdict,
                               params=params, witness=witness)
 
-    if G.num_vertices <= exact.DEFECT_VERTEX_CAP:
+    if num <= exact.DEFECT_VERTEX_CAP:
         F = max(range(G.k), key=G.sizes.__getitem__)
         joins = [(m & class_masks[F], m & ~class_masks[F])
                  for m in edge_masks(G)]  # (the vertex in F, the rest)
-        offsets = list(itertools.accumulate(G.sizes, initial=0))
-        choices = [[sum(1 << offsets[c] + i for i in pick) for pick in
+        choices = [[sum(1 << G.offsets[c] + i for i in pick) for pick in
                     itertools.combinations(range(G.sizes[c]), b + 1)]
                    for c in range(G.k) if c != F]
         for picks in itertools.product(*choices):
@@ -277,16 +273,15 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
         return report("holds")
     # best-effort local search beyond the cap; `chosen` stays
     # independent, so only an edge through the tried vertex can fill up
-    index = {v: i for i, v in enumerate(order)}
-    through = [[] for _ in order]
-    for e, m in zip(G.edges, edge_masks(G)):
-        for v in e:
-            through[index[v]].append(m)
-    per_round = len(order) + sum(map(len, through))
+    through = [[] for _ in range(num)]
+    for e, m in zip(G.ids, edge_masks(G)):
+        for x in e:
+            through[x].append(m)
+    per_round = num + sum(map(len, through))
     rng = random.Random(seed)
     for _ in range(SEARCH_TESTS // per_round):
         chosen = 0
-        for i in rng.sample(range(len(order)), len(order)):
+        for i in rng.sample(range(num), num):
             trial = chosen | (1 << i)
             if all((trial & m) != m for m in through[i]):
                 chosen = trial
@@ -303,13 +298,12 @@ def check_common_neighbor(G: Hypergraph) -> PropertyReport:
     checked = 0
     for cls in range(G.k):
         outer = [set() for _ in range(G.sizes[cls])]
-        owners = {}  # outer vertex -> class indices on its edges
-        for e in G.edges:
-            v = e[cls].idx
-            for x in e:
-                if x.cls != cls:
-                    outer[v].add(x)
-                    owners.setdefault(x, []).append(v)
+        owners = {}  # outer vertex id -> class indices on its edges
+        for e in G.ids:
+            v = e[cls] - G.offsets[cls]
+            for x in e[:cls] + e[cls + 1:]:
+                outer[v].add(x)
+                owners.setdefault(x, []).append(v)
         for v, mine in enumerate(outer):
             for u in sorted({u for x in mine for u in owners[x] if u > v}):
                 checked += 1
@@ -319,7 +313,8 @@ def check_common_neighbor(G: Hypergraph) -> PropertyReport:
                         name="common-neighbor", verdict="violated",
                         params={"pairs_checked": checked},
                         witness={"pair": [f"{cls}:{v}", f"{cls}:{u}"],
-                                 "common": sorted(str(x) for x in common)})
+                                 "common": sorted(str(G.vertex(x))
+                                                  for x in common)})
     return PropertyReport(name="common-neighbor", verdict="holds",
                           params={"pairs_checked": checked})
 

@@ -8,7 +8,9 @@ along a loose path, the independence polynomial of a path, a memoised
 recursion for the compatibility sum, the term-by-term `Fraction` form of
 `truncated_log_xi`, the same-class distance-two neighbours of a Vertex,
 the polymer enumeration on Vertex sets, and 2-linked pieces and polymers
-built from Vertex sets.  It also holds helpers that
+built from Vertex sets.  The Vertex-keyed incidence, the canonical sort
+of Vertex edges and the edge masks from Vertex pairs are what Hypergraph
+kept before it stored class-major ids.  It also holds helpers that
 only the tests read: the completion formula for a defect set,
 independent-set counts and maximum matchings of link graphs, the
 printed-formula pair sum and its gap, the polymer-count bound, the
@@ -19,6 +21,7 @@ JSON serialization that parse_json reads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -306,19 +309,48 @@ def truncated_log_xi_fraction(G: Hypergraph, cls: int, t: int) -> Fraction:
     return total
 
 
+# ----- the Vertex forms of an instance ------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def incidence(G: Hypergraph) -> dict:
+    """Vertex -> tuple of the positions in G.edges of its edges (empty for
+    an isolated vertex)."""
+    inc = {v: [] for v in G.vertices()}
+    for i, e in enumerate(G.edges):
+        for v in e:
+            inc[v].append(i)
+    return {v: tuple(ix) for v, ix in inc.items()}
+
+
+def canonical_edges(k: int, edges: Iterable[Iterable]) -> tuple:
+    """The edges, given as (class, index) pairs, as sorted tuples of Vertex
+    in sorted order, after checking that each meets every class once."""
+    canon = sorted(tuple(sorted(Vertex(*v) for v in e)) for e in edges)
+    assert all([v.cls for v in e] == list(range(k)) for e in canon)
+    return tuple(canon)
+
+
+def vertex_edge_masks(G: Hypergraph) -> list:
+    """exact.edge_masks from the Vertex edges: bit i is list(G.vertices())[i]."""
+    offsets = [sum(G.sizes[:c]) for c in range(G.k)]
+    return [sum(1 << (offsets[v.cls] + v.idx) for v in e) for e in G.edges]
+
+
 # ----- polymer enumeration on vertex sets ---------------------------------------
 
 
 def distance_two_neighbors(G: Hypergraph, v) -> frozenset:
     """Same-class vertices u != v whose neighbourhood meets that of v, by
-    walking G.incidence: the class-cls vertex of every edge through a
-    neighbour of v."""
+    walking the Vertex incidence: the class-cls vertex of every edge
+    through a neighbour of v."""
     v = G._check_vertex(v)
+    inc = incidence(G)
     out = set()
-    for i in G.incidence[v]:
+    for i in inc[v]:
         for x in G.edges[i]:
             if x != v:
-                out.update(G.edges[j][v.cls] for j in G.incidence[x])
+                out.update(G.edges[j][v.cls] for j in inc[x])
     out.discard(v)
     return frozenset(out)
 

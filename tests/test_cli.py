@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercount import loads, serialize_text
+from hypercount import digest, loads, serialize_text
 from hypercount.cli import _COMMANDS, _build_parser, main
 
 from conftest import (circulant, kp_instances, loose_path, matching,
@@ -692,3 +692,68 @@ class TestDeterminism:
             del payload["timings"]
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+# each kind of command the benchmark workloads run, with its arguments past
+# the input (None: a generate command, which reads no input)
+WORKLOAD_COMMANDS = [
+    ("generate", "--k", "3", "--n", "9", "--r", "2", "--seed", "1"),
+    ("generate", "--k", "3", "--n", "9", "--r", "2", "--seed", "0",
+     "--min-girth", "5"),
+    ("exact-count",),
+    ("compare", "--t", "1"),
+    ("compare", "--t", "2"),
+    ("estimate", "--t", "2"),
+    ("log-xi-trunc", "--class", "1", "--t", "3"),
+    ("xi", "--class", "2", "--b", "2"),
+    ("kp-check", "--class", "0", "--b", "2"),
+]
+
+
+class TestVertexView:
+    """The hot paths run on the instance's ids: G.edges, the Vertex tuples,
+    is built only for printers, --root and the tests."""
+
+    @pytest.mark.parametrize("argv", WORKLOAD_COMMANDS + [
+        WORKLOAD_COMMANDS[1] + ("--out", "inst.hg")], ids=" ".join)
+    def test_workload_commands_never_build_the_vertex_view(
+            self, capsys, monkeypatch, tmp_path, argv):
+        from hypercount import Hypergraph, gen_linear_regular
+        path = tmp_path / "girth5.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 9, 2, seed=0,
+                                                          min_girth=5)))
+        if argv[0] != "generate":
+            argv += ("-i", str(path))
+        elif "--out" in argv:
+            argv = argv[:-1] + (str(tmp_path / argv[-1]),)
+
+        def refuse(G):
+            raise AssertionError("G.edges was built")
+
+        monkeypatch.setattr(Hypergraph, "edges", property(refuse))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert out
+
+    def test_generate_serializes_once(self, capsys, monkeypatch, tmp_path):
+        # the file and the digest share one canonical text
+        from hypercount import formats
+        calls = []
+        real = formats.canonical_text
+
+        def spy(G):
+            calls.append(G)
+            return real(G)
+
+        monkeypatch.setattr(formats, "canonical_text", spy)
+        dest = tmp_path / "gen.hg"
+        for argv in (("--out", str(dest)), ()):
+            code, out, _ = run_cli(capsys, "--json", "generate", "--k", "3",
+                                   "--n", "5", "--r", "2", "--seed", "3",
+                                   *argv)
+            assert code == 0
+            payload = json.loads(out)
+        assert len(calls) == 2
+        text = payload["results"]["text"]
+        assert dest.read_text() == text
+        assert payload["digest"] == digest(loads(text))

@@ -14,7 +14,7 @@ from hypercount import hypergraph
 from hypercount.errors import BudgetExceeded
 
 from conftest import matching, partite_hypergraphs, two_shared
-from oracles import (distance_two_neighbors, is_loose_cycle,
+from oracles import (distance_two_neighbors, incidence, is_loose_cycle,
                      loose_cycle_gadget, two_linked_components)
 
 
@@ -48,11 +48,14 @@ class TestConstruction:
                            (V(0, 1), V(1, 0), V(2, 1)))
 
     def test_incidence_rebuild(self, edge3):
+        # the class tables' edge positions are the Vertex incidence
         rebuilt = {v: [] for v in edge3.vertices()}
         for i, e in enumerate(edge3.edges):
             for v in e:
                 rebuilt[v].append(i)
-        assert {v: tuple(ix) for v, ix in rebuilt.items()} == edge3.incidence
+        assert {v: tuple(ix) for v, ix in rebuilt.items()} == incidence(edge3)
+        assert all(edge3.class_table(v.cls)[0][v.idx] == ix
+                   for v, ix in rebuilt.items())
 
 
 class TestNeighborhood:
@@ -267,7 +270,7 @@ def _least_node_cap(monkeypatch, search):
 
 def _through_search(G, cand, max_length):
     return find_loose_cycle_through([frozenset(e) for e in G.edges],
-                                    G.incidence, frozenset(cand), max_length)
+                                    incidence(G), frozenset(cand), max_length)
 
 
 class TestGirthThroughEdge:
@@ -405,6 +408,30 @@ def test_loose_cycle_search_matches_oracle(G):
             assert len(w) <= (G.k - 1) * limit
 
 
+def _first_cycle_on_vertices(G, max_length):
+    """The replay of find_loose_cycle on Vertex labels, searching through
+    every edge: the witness through the first edge that closes a cycle."""
+    sets, inc = [frozenset(e) for e in G.edges], {}
+    for i, cand in enumerate(sets):
+        w = find_loose_cycle_through(sets, inc, cand, max_length)
+        if w is not None:
+            return w
+        for v in cand:
+            inc.setdefault(v, []).append(i)
+    return None
+
+
+@given(partite_hypergraphs(max_k=4, max_size=3))
+@example(loose_cycle_gadget(3, seed=1, padding=2))
+@example(loose_cycle_gadget(4, seed=2))
+@settings(max_examples=120, deadline=None)
+def test_loose_cycle_witness_as_on_vertex_labels(G):
+    # ids sort as Vertex pairs do, so the search on ids finds the witness
+    # the search on Vertex labels finds, vertex for vertex
+    for limit in (3, 4, 5):
+        assert find_loose_cycle(G, limit) == _first_cycle_on_vertices(G, limit)
+
+
 def test_loose_cycle_oracle_on_known_instances():
     gadget = loose_cycle_gadget(3)
     assert _brute_has_loose_cycle(gadget, 4) and not _brute_has_loose_cycle(gadget, 3)
@@ -420,9 +447,10 @@ def test_loose_cycle_oracle_on_known_instances():
 @settings(max_examples=150, deadline=None)
 def test_regular_degree_matches_incidence(G):
     # the definition: one degree shared by every vertex, isolated ones too
-    degrees = {len(G.incidence[v]) for v in G.vertices()}
+    degrees = {len(ix) for ix in incidence(G).values()}
     expect = degrees.pop() if len(degrees) == 1 else None
     assert G.regular_degree() == expect
+    assert all(G.degree(v) == len(ix) for v, ix in incidence(G).items())
 
 
 @given(partite_hypergraphs())
