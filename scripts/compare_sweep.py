@@ -13,11 +13,11 @@ import sys
 from hypercount import (closed_form_t1, count_independent_sets,
                         estimate_count, gen_linear_regular)
 from hypercount.errors import GenerationError
-from hypercount.logdomain import LogValue, relative_error
+from hypercount.logdomain import log_of, relative_error
 
 
 def rel_error(log_est: float, exact: int) -> float:
-    return relative_error(log_est, LogValue.of(exact).log)
+    return relative_error(log_est, log_of(exact))
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ from .hypergraph import (Hypergraph, LinkGraph, Vertex, find_loose_cycle,
 from .lab import (PropertyReport, check_common_neighbor, check_def,
                   check_exp1, check_exp2, check_girth, check_linear,
                   check_reg, gen_linear_regular)
-from .logdomain import LogValue, log_sum_exp
+from .logdomain import format_log, log_of, log_sum_exp
 from .polymers import (KpTerms, Polymer, compatibility_sum, compatible,
                        enumerate_polymers, kp_terms, partition_function,
                        polymer_weight)

@@ -21,8 +21,8 @@ from typing import Optional
 from . import clusters as cl
 from . import exact, formats, formulas, lab, polymers
 from .errors import BudgetExceeded, GenerationError, InputError
-from .hypergraph import Hypergraph, Vertex, girth_at_most
-from .logdomain import LogValue, relative_error
+from .hypergraph import Vertex, girth_at_most
+from .logdomain import format_log, log_of, relative_error
 
 
 def _fmt(v):
@@ -109,26 +109,19 @@ def _fraction(name: str, text: str) -> Fraction:
     return value
 
 
-def _load(args) -> Hypergraph:
-    return formats.load(args.input)
-
-
 # ----- command handlers -----------------------------------------------------
 
 
-def _cmd_exact_count(args):
-    G = _load(args)
+def _cmd_exact_count(args, G):
     return G, {}, {"count": exact.count_independent_sets(G)}, []
 
 
-def _cmd_defect_count(args):
-    G = _load(args)
+def _cmd_defect_count(args, G):
     count = exact.count_with_defect_class(G, args.cls, args.b)
     return G, {"class": args.cls, "b": args.b}, {"count": count}, []
 
 
-def _cmd_polymers(args):
-    G = _load(args)
+def _cmd_polymers(args, G):
     root = _vertex(args.root) if args.root else None
     polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root)
     rows = [("polymer", {
@@ -143,15 +136,13 @@ def _cmd_polymers(args):
     return G, params, {"count": len(polys)}, rows
 
 
-def _cmd_xi(args):
-    G = _load(args)
+def _cmd_xi(args, G):
     value = polymers.partition_function(G, args.cls, args.b)
     return (G, {"class": args.cls, "b": args.b},
-            {"xi": value, "log_xi": LogValue.of(value).log}, [])
+            {"xi": value, "log_xi": log_of(value)}, [])
 
 
-def _cmd_kp_check(args):
-    G = _load(args)
+def _cmd_kp_check(args, G):
     root = _vertex(args.root) if args.root else None
     found = polymers.kp_terms(G, args.cls, args.b, root=root)
     rows = [("root", {
@@ -166,8 +157,7 @@ def _cmd_kp_check(args):
              "roots": len(found)}, rows)
 
 
-def _cmd_clusters(args):
-    G = _load(args)
+def _cmd_clusters(args, G):
     found = cl.enumerate_clusters(G, args.cls, args.t)
     rows = []
     for c in found:
@@ -182,45 +172,64 @@ def _cmd_clusters(args):
             {"count": len(found)}, rows)
 
 
-def _cmd_log_xi_trunc(args):
-    G = _load(args)
+def _cmd_log_xi_trunc(args, G):
     value = cl.truncated_log_xi(G, args.cls, args.t)
     return (G, {"class": args.cls, "t": args.t},
             {"log_xi_truncated": value,
              "log_xi_truncated_float": float(value)}, [])
 
 
-def _cmd_estimate(args):
-    G = _load(args)
+def _exponent_rows(est: cl.CountEstimate) -> list:
+    return [("class_exponent", {"class": c, "exponent": x})
+            for c, x in est.class_exponents]
+
+
+def _cmd_estimate(args, G):
     est = cl.estimate_count(G, args.t)
     results = {
         "log_value": est.log_value,
-        "log10_value": est.value.log10,
-        "value": str(est.value),
+        "log10_value": est.log_value / math.log(10),
+        "value": format_log(est.log_value),
     }
-    rows = [("class_exponent", {"class": c, "exponent": x})
-            for c, x in est.class_exponents]
-    return G, {"t": args.t}, results, rows
+    return G, {"t": args.t}, results, _exponent_rows(est)
 
 
-def _cmd_closed_form(args):
-    G = _load(args)
+def _closed_forms(G, sizes) -> tuple:
+    """The paper's closed forms of the given sizes on G, tested in order:
+    the common degree r, the forms whose hypotheses hold as {size:
+    estimate}, and the InputError of the first hypothesis that fails, or
+    None.  Each hypothesis is tested once, the size-2 girth only when size
+    2 is asked for; formulas checks k >= 3, n >= 1 and r >= 1."""
     r = G.regular_degree()
-    if r is None or len(set(G.sizes)) != 1:
-        raise InputError("closed forms require a regular hypergraph with "
-                         "equal class sizes")
-    if not G.is_linear():
-        raise InputError("closed forms require a linear hypergraph")
-    if args.t == 2 and girth_at_most(G, 4):
-        raise InputError("the size-2 closed form requires no loose cycle "
-                         "shorter than 5")
-    n = G.sizes[0]
+    forms = {}
+    try:
+        if r is None or len(set(G.sizes)) != 1:
+            raise InputError("closed forms require a regular hypergraph "
+                             "with equal class sizes")
+        if not G.is_linear():
+            raise InputError("closed forms require a linear hypergraph")
+        n = G.sizes[0]
+        if 1 in sizes:
+            forms[1] = formulas.closed_form_t1(G.k, n, r)
+        if 2 in sizes:
+            if girth_at_most(G, 4):
+                raise InputError("the size-2 closed form requires no loose "
+                                 "cycle shorter than 5")
+            forms[2] = formulas.closed_form_t2(G.k, n, r)
+    except InputError as exc:
+        return r, forms, exc
+    return r, forms, None
+
+
+def _cmd_closed_form(args, G):
+    r, forms, failure = _closed_forms(G, (args.t,))
+    if failure is not None:
+        raise failure
+    est = forms[args.t]
     if args.t == 1:
-        est = formulas.closed_form_t1(G.k, n, r)
         results = {"exponent": est.exponent, "log_value": est.log_value,
-                   "value": str(est.value)}
+                   "value": format_log(est.log_value)}
     else:
-        est = formulas.closed_form_t2(G.k, n, r)
         results = {
             "printed_exponent": est.exponent,
             "printed_log_value": est.log_value,
@@ -228,7 +237,7 @@ def _cmd_closed_form(args):
             "corrected_log_value": est.corrected_log_value,
             "delta": est.correction_delta,
         }
-    return G, {"t": args.t, "k": G.k, "n": n, "r": r}, results, []
+    return G, {"t": args.t, "k": G.k, "n": G.sizes[0], "r": r}, results, []
 
 
 def _report_rows(report: lab.PropertyReport):
@@ -248,30 +257,26 @@ def _report_rows(report: lab.PropertyReport):
     return results, rows
 
 
-def _cmd_check(args):
-    G = _load(args)
-    kind = args.property
-    if kind == "reg":
-        rep = lab.check_reg(G, args.t)
-    elif kind in ("exp1", "exp2"):
-        check, name = ((lab.check_exp1, "alpha") if kind == "exp1"
-                       else (lab.check_exp2, "beta"))
-        rep = check(G, _fraction(name, getattr(args, name)), seed=args.seed)
-    elif kind == "def":
-        rep = lab.check_def(G, args.b, seed=args.seed)
-    elif kind == "linear":
-        rep = lab.check_linear(G)
-    elif kind == "girth":
-        rep = lab.check_girth(G, args.min_girth)
-    elif kind == "common-neighbor":
-        rep = lab.check_common_neighbor(G)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown property {kind!r}")
-    results, rows = _report_rows(rep)
-    return G, {"property": kind}, results, rows
+# property name -> its check on the instance and the parsed arguments
+_CHECKS = {
+    "reg": lambda G, args: lab.check_reg(G, args.t),
+    "exp1": lambda G, args: lab.check_exp1(
+        G, _fraction("alpha", args.alpha), seed=args.seed),
+    "exp2": lambda G, args: lab.check_exp2(
+        G, _fraction("beta", args.beta), seed=args.seed),
+    "def": lambda G, args: lab.check_def(G, args.b, seed=args.seed),
+    "linear": lambda G, args: lab.check_linear(G),
+    "girth": lambda G, args: lab.check_girth(G, args.min_girth),
+    "common-neighbor": lambda G, args: lab.check_common_neighbor(G),
+}
 
 
-def _cmd_generate(args):
+def _cmd_check(args, G):
+    results, rows = _report_rows(_CHECKS[args.property](G, args))
+    return G, {"property": args.property}, results, rows
+
+
+def _cmd_generate(args, G):
     G = lab.gen_linear_regular(args.k, args.n, args.r, args.seed,
                                min_girth=args.min_girth)
     comment = (f"generated k={args.k} n={args.n} r={args.r} seed={args.seed}"
@@ -292,35 +297,27 @@ def _cmd_generate(args):
     return None, {}, {}, []
 
 
-def _cmd_compare(args):
-    G = _load(args)
+def _cmd_compare(args, G):
     count = exact.count_independent_sets(G)
     est = cl.estimate_count(G, args.t)
-    log_exact = LogValue.of(count).log
+    log_exact = log_of(count)
     results = {
         "exact": count,
         "estimate_log": est.log_value,
-        "estimate": str(est.value),
+        "estimate": format_log(est.log_value),
         "exact_log": log_exact,
         "relative_error": relative_error(est.log_value, log_exact),
     }
-    rows = [("class_exponent", {"class": c, "exponent": x})
-            for c, x in est.class_exponents]
-    r = G.regular_degree()
-    # the closed forms hold for linear r-regular instances with r >= 1
-    if r and len(set(G.sizes)) == 1 and G.is_linear():
-        n = G.sizes[0]
-        t1 = formulas.closed_form_t1(G.k, n, r)
-        results["closed_form_t1_log"] = t1.log_value
-        results["closed_form_t1_rel_error"] = relative_error(t1.log_value,
-                                                             log_exact)
-        if args.t >= 2 and not girth_at_most(G, 4):
-            # the size-2 closed form presumes no loose cycle shorter than 5
-            t2 = formulas.closed_form_t2(G.k, n, r)
-            results["closed_form_t2_printed_log"] = t2.log_value
-            results["closed_form_t2_corrected_log"] = t2.corrected_log_value
-            results["closed_form_t2_delta"] = t2.correction_delta
-    return G, {"t": args.t}, results, rows
+    _, forms, _ = _closed_forms(G, (1, 2) if args.t >= 2 else (1,))
+    if 1 in forms:
+        results["closed_form_t1_log"] = forms[1].log_value
+        results["closed_form_t1_rel_error"] = relative_error(
+            forms[1].log_value, log_exact)
+    if 2 in forms:
+        results["closed_form_t2_printed_log"] = forms[2].log_value
+        results["closed_form_t2_corrected_log"] = forms[2].corrected_log_value
+        results["closed_form_t2_delta"] = forms[2].correction_delta
+    return G, {"t": args.t}, results, _exponent_rows(est)
 
 
 # ----- parser ------------------------------------------------------------------
@@ -348,8 +345,7 @@ _COMMANDS = {
     "closed-form": (_cmd_closed_form, True,
                     (_arg("--t", type=int, choices=(1, 2), required=True),)),
     "check": (_cmd_check, True, (
-        _arg("property", choices=("reg", "exp1", "exp2", "def", "linear",
-                                  "girth", "common-neighbor")),
+        _arg("property", choices=tuple(_CHECKS)),
         _arg("--t", type=int, default=1),
         _arg("--alpha", default="1/4"),
         _arg("--beta", default="1/4"),
@@ -409,9 +405,11 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(_command_of(argv)).parse_args(argv)
+    handler, needs_input, _ = _COMMANDS[args.command]
     start = time.perf_counter()
     try:
-        G, params, results, rows = _COMMANDS[args.command][0](args)
+        G = formats.load(args.input) if needs_input else None
+        G, params, results, rows = handler(args, G)
     except InputError as exc:
         print(f"error=input {exc}", file=sys.stderr)
         return 2

@@ -40,8 +40,8 @@ from typing import Iterable, Sequence
 
 from . import polymers as pm
 from .errors import BudgetExceeded, InputError
-from .hypergraph import Hypergraph
-from .logdomain import LogValue, log_sum_exp
+from .hypergraph import Hypergraph, linked_piece
+from .logdomain import log_sum_exp
 from .polymers import Polymer, compatible, refuse_cap
 from .polymers import polymer_weight  # noqa: F401 (bench/tracing.py)
 
@@ -282,7 +282,8 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
     # set the walk meets
     weights = dict(zip(masks, (p.dyadic_weight for p in polymers)))
     lcm = math.lcm(*range(1, t + 1))
-    totals = {}  # D -> the polymers with |N(C)| = D, summed times lcm 2^(D t)
+    top = max((p.neighborhood_size for p in polymers), default=0)
+    total = 0  # the polymers' terms, summed times lcm 2^(top t)
     terms = {}  # (D, |C|, d_C, *A) -> the term of a polymer with that key
     for p, Cm in zip(polymers, masks):
         c = len(p.indices)
@@ -299,13 +300,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             sub = (sub - Cm) & Cm  # the next submask, increasing
             w = weights.get(sub)
             if w is None:
-                comp = frontier = sub & -sub
-                while frontier:
-                    i = frontier.bit_length() - 1
-                    frontier ^= 1 << i
-                    grow = near[i] & sub & ~comp
-                    comp |= grow
-                    frontier |= grow
+                comp = linked_piece(near, sub, (sub & -sub).bit_length() - 1)
                 m, e = weights[comp]
                 m2, e2 = weights[sub ^ comp]
                 weights[sub] = w = m * m2, e + e2
@@ -331,7 +326,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
                     acc -= M[i] * A[s - i] << D * (s - i - 1)
                 M[s] = acc
             # l_s = M[s] / (s 2^(D s))
-            #     = M[s] (lcm / s) 2^(D (t-s)) / (lcm 2^(D t))
+            #     = M[s] (lcm / s) 2^(D (t-s) + (top-D) t) / (lcm 2^(top t))
             term = 0
             for s in range(c, t + 1):
                 # sum_{j<=m} (-1)^j binom(d, j) = (-1)^m binom(d-1, m),
@@ -339,11 +334,9 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
                 sign_sum = ((-1) ** (s - c) * math.comb(d - 1, s - c)
                             if d else 1)
                 term += (M[s] * (lcm // s) << D * (t - s)) * sign_sum
-            terms[key] = term
-        totals[D] = totals.get(D, 0) + term
-    top = max(totals, default=0)
-    return Fraction(sum(v << (top - D) * t for D, v in totals.items()),
-                    lcm << top * t)
+            terms[key] = term = term << (top - D) * t
+        total += term
+    return Fraction(total, lcm << top * t)
 
 
 # ----- the estimator -------------------------------------------------------------
@@ -356,10 +349,6 @@ class CountEstimate:
 
     class_exponents: tuple  # (cls, Fraction) pairs
     log_value: float
-
-    @property
-    def value(self) -> LogValue:
-        return LogValue.from_log(self.log_value)
 
 
 def estimate_count(G: Hypergraph, t: int) -> CountEstimate:

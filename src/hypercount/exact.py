@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .errors import BudgetExceeded, InputError
 from . import hypergraph
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, linked_piece
 
 # live states of the frontier sweep before it refuses; a system of at most
 # DIRECT_SHARED shared vertices is summed without the sweep and never
@@ -266,10 +266,11 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     other component walks its passing traces, each grown from a passing
     one by a vertex of higher index: a piece only grows with T, so no
     superset of a failing trace passes.  Components and pieces are
-    flood-filled on the distance-two masks of Hypergraph.class_table, the
-    table the polymer enumeration grows on; the independent reference the
-    count is tested against is the filter over all independent sets in
-    the tests' oracles.  Refuses above DEFECT_VERTEX_CAP vertices."""
+    flood-filled by linked_piece on the distance-two masks of
+    Hypergraph.class_table, the table the polymer enumeration grows on;
+    the independent reference the count is tested against is the filter
+    over all independent sets in the tests' oracles.  Refuses above
+    DEFECT_VERTEX_CAP vertices."""
     if b < 0:
         raise InputError("defect bound b must be non-negative")
     outside = ~class_mask(G, cls)
@@ -281,20 +282,10 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     positions, near = G.class_table(cls)
     through = [[G._edge_masks[j] for j in js] for js in positions]
 
-    def piece(T, i):  # the 2-linked piece of T that holds the index i
-        found = frontier = 1 << i
-        while frontier:
-            j = frontier & -frontier
-            frontier ^= j
-            new = near[j.bit_length() - 1] & T & ~found
-            found |= new
-            frontier |= new
-        return found
-
     count, covered = 1, 0  # covered: the neighbourhood of the class
     left = (1 << len(near)) - 1
     while left:
-        comp = piece(left, left.bit_length() - 1)
+        comp = linked_piece(near, left, left.bit_length() - 1)
         left ^= comp
         members = [i for i in range(len(near)) if comp >> i & 1]
         edges = [m for i in members for m in through[i]]
@@ -314,7 +305,7 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
             for pos in range(start, len(members)):
                 i = members[pos]
                 grown = T | 1 << i
-                if piece(grown, i).bit_count() <= b:
+                if linked_piece(near, grown, i).bit_count() <= b:
                     stack.append((grown, pos + 1, res + [
                         m & outside for m in through[i]]))
         # each count leaves the vertices outside N(C) free

@@ -19,7 +19,7 @@ import json
 import operator
 import re
 import sys
-from typing import Optional, TextIO, Union
+from typing import Optional
 
 from .errors import InputError
 from .hypergraph import Hypergraph
@@ -128,13 +128,11 @@ def loads(text: str) -> Hypergraph:
     return parse_text(text)
 
 
-def load(source: Union[str, TextIO, None] = None) -> Hypergraph:
-    """Read from a path, an open stream, '-' or None for stdin.  A path that
-    cannot be read, or does not hold UTF-8 text, raises InputError."""
-    if source is None or source == "-":
+def load(source: str) -> Hypergraph:
+    """Read from a path, or from stdin for '-'.  A path that cannot be read,
+    or does not hold UTF-8 text, raises InputError."""
+    if source == "-":
         return loads(sys.stdin.read())
-    if not isinstance(source, str):
-        return loads(source.read())
     try:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()

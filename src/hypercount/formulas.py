@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .logdomain import LogValue
 
 
 def gamma_k(k: int) -> Fraction:
@@ -34,10 +33,6 @@ class ClosedFormEstimate:
     corrected_exponent: Optional[Fraction] = None
     corrected_log_value: Optional[float] = None
     correction_delta: Optional[Fraction] = None
-
-    @property
-    def value(self) -> LogValue:
-        return LogValue.from_log(self.log_value)
 
 
 def _assemble_log(k: int, n: int, exponent: Fraction) -> float:

@@ -298,6 +298,20 @@ class Hypergraph:
         return values.pop() if len(values) == 1 else None
 
 
+def linked_piece(near: Sequence[int], T: int, i: int) -> int:
+    """The 2-linked piece of the class-index mask T that holds the index i:
+    a flood fill within T on the distance-two masks `near` of
+    Hypergraph.class_table."""
+    piece = frontier = 1 << i
+    while frontier:
+        j = frontier.bit_length() - 1
+        frontier ^= 1 << j
+        grow = near[j] & T & ~piece
+        piece |= grow
+        frontier |= grow
+    return piece
+
+
 # ----- loose cycles and girth -----------------------------------------------
 
 

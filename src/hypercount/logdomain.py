@@ -1,14 +1,14 @@
-"""Log-domain representation for counts too large for floating point.
+"""Log-domain arithmetic for counts too large for floating point.
 
 Quantities like 2^((k-1)n) * exp(...) overflow doubles almost immediately,
-so estimates are carried as natural logarithms and only combined through
-log-sum-exp.
+so estimates are carried as plain float natural logarithms: log_of takes
+the logarithm of an exact count, log_sum_exp combines logarithms,
+relative_error compares them and format_log renders one for printing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -35,36 +35,25 @@ def relative_error(log_estimate: float, log_exact: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """A non-negative real stored as its natural logarithm."""
+def log_of(x: Number) -> float:
+    """The natural logarithm of a non-negative int, Fraction or float of
+    any size: -inf at 0, ValueError below it."""
+    if x < 0:
+        raise ValueError("log_of takes non-negative reals")
+    if x == 0:
+        return float("-inf")
+    if isinstance(x, Fraction):
+        # math.log takes ints of any size, but not a Fraction over the float
+        # range
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
 
-    log: float
 
-    @classmethod
-    def of(cls, x: Number) -> "LogValue":
-        if x < 0:
-            raise ValueError("LogValue represents non-negative reals")
-        if x == 0:
-            return cls(float("-inf"))
-        if isinstance(x, Fraction):
-            # math.log takes ints of any size, but not a Fraction over
-            # the float range
-            return cls(math.log(x.numerator) - math.log(x.denominator))
-        return cls(math.log(x))
-
-    @classmethod
-    def from_log(cls, log: float) -> "LogValue":
-        return cls(float(log))
-
-    @property
-    def log10(self) -> float:
-        return self.log / math.log(10)
-
-    def __str__(self) -> str:
-        if self.log == float("-inf"):
-            return "0"
-        exp10 = self.log10
-        mantissa = 10 ** (exp10 - math.floor(exp10))
-        return f"{mantissa:.6f}e{math.floor(exp10):+d}"
-
+def format_log(log: float) -> str:
+    """The real exp(log) in scientific notation with a six-digit mantissa,
+    or '0' at -inf."""
+    if log == float("-inf"):
+        return "0"
+    exp10 = log / math.log(10)
+    mantissa = 10 ** (exp10 - math.floor(exp10))
+    return f"{mantissa:.6f}e{math.floor(exp10):+d}"

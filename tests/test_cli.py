@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from hypercount import digest, loads, serialize_text
+from hypercount import (digest, formats, gen_linear_regular, loads,
+                        serialize_text)
 from hypercount.cli import _COMMANDS, _build_parser, main
 
 from conftest import (circulant, kp_instances, loose_path, matching,
@@ -656,17 +657,26 @@ class TestParser:
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_every_command_dispatches_to_its_handler(self, monkeypatch, name):
+        # main loads the instance once, for exactly the commands that read
+        # --input, and hands it to the handler
         handler, needs_input, specs = _COMMANDS[name]
         assert handler.__name__ == "_cmd_" + name.replace("-", "_")
-        calls = []
+        instance = object()
+        sources, calls = [], []
 
-        def record(args):
-            calls.append(args.command)
+        def load(source):
+            sources.append(source)
+            return instance
+
+        def record(args, G):
+            calls.append((args.command, G))
             return None, {}, {}, []
 
+        monkeypatch.setattr(formats, "load", load)
         monkeypatch.setitem(_COMMANDS, name, (record, needs_input, specs))
         assert main(minimal_argv(name)) == 0
-        assert calls == [name]
+        assert sources == (["-"] if needs_input else [])
+        assert calls == [(name, instance if needs_input else None)]
 
 
 class TestDeterminism:
@@ -692,6 +702,58 @@ class TestDeterminism:
             del payload["timings"]
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+# instances for the closed-form gate -> whether the size-1 and the size-2
+# closed form hold on them
+GATE_INSTANCES = {
+    "irregular": ("k=3 sizes=2,1,1\ne 0:0 1:0 2:0\n", (False, False)),
+    "unequal": ("k=3 sizes=1,2,2\n", (False, False)),
+    # 2-regular with equal class sizes, but two edges share two vertices
+    "nonlinear": ("k=3 sizes=2,2,2\ne 0:0 1:0 2:0\ne 0:0 1:0 2:1\n"
+                  "e 0:1 1:1 2:0\ne 0:1 1:1 2:1\n", (False, False)),
+    "loose-4-cycle": (serialize_text(gen_linear_regular(3, 4, 2, seed=1)),
+                      (True, False)),
+    "edgeless": ("k=3 sizes=2,2,2\n", (False, False)),
+    "girth-5": (serialize_text(gen_linear_regular(3, 6, 2, seed=7,
+                                                  min_girth=5)),
+                (True, True)),
+    "matching": (serialize_text(matching(3, 50)), (True, True)),
+}
+
+
+class TestClosedFormGate:
+    """compare reports exactly the closed forms that closed-form answers
+    on the same instance, with the same values."""
+
+    @pytest.mark.parametrize("name", sorted(GATE_INSTANCES))
+    def test_compare_reports_what_closed_form_answers(self, capsys, tmp_path,
+                                                      name):
+        text, expected = GATE_INSTANCES[name]
+        path = tmp_path / "inst.hg"
+        path.write_text(text)
+
+        def fields(*argv):
+            code, out, _ = run_cli(capsys, *argv, "-i", str(path))
+            return code, kv(out)
+
+        (code1, t1), (code2, t2) = (fields("closed-form", "--t", t)
+                                    for t in ("1", "2"))
+        assert (code1 == 0, code2 == 0) == expected
+        _, compared = fields("compare", "--t", "2")
+        assert ("closed_form_t1_log" in compared) == (code1 == 0)
+        assert ("closed_form_t2_printed_log" in compared) == (code2 == 0)
+        if code1 == 0:
+            assert compared["closed_form_t1_log"] == t1["log_value"]
+        if code2 == 0:
+            assert compared["closed_form_t2_printed_log"] == (
+                t2["printed_log_value"])
+            assert compared["closed_form_t2_corrected_log"] == (
+                t2["corrected_log_value"])
+            assert compared["closed_form_t2_delta"] == t2["delta"]
+        _, compared = fields("compare", "--t", "1")
+        assert ("closed_form_t1_log" in compared) == (code1 == 0)
+        assert not any(key.startswith("closed_form_t2_") for key in compared)
 
 
 # each kind of command the benchmark workloads run, with its arguments past
