@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 import time
@@ -58,6 +57,8 @@ def _all_digits():
 def _emit(args, command, digest, params, results, rows, elapsed):
     """rows: list of (rowname, dict) printed one line per entry."""
     if args.json:
+        import json  # only JSON output needs it
+
         def deep(v):
             if isinstance(v, dict):
                 return {k: deep(x) for k, x in v.items()}

@@ -33,10 +33,9 @@ floats appear only at the log-domain boundary of the estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import polymers as pm
 from .errors import BudgetExceeded, InputError
@@ -116,8 +115,7 @@ def ursell(n: int, edges: Iterable) -> Fraction:
 # ----- clusters -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """Canonical multiset of polymers whose incompatibility graph is
     connected.  `entries` pairs each distinct polymer with its multiplicity,
     sorted by polymer;  ordering_count is the number of ordered vectors the
@@ -342,8 +340,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
 # ----- the estimator -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountEstimate:
+class CountEstimate(NamedTuple):
     """Log-domain estimate of the number of independent sets, together with
     the exact per-class exponents."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import operator
 import re
 import sys
@@ -105,6 +104,7 @@ def _json_int(value) -> int:
 
 
 def parse_json(text: str) -> Hypergraph:
+    import json  # only JSON input needs it
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,9 +8,8 @@ carries both the printed pair-cluster count and the enumeration-derived one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError
 
@@ -23,8 +22,7 @@ def gamma_k(k: int) -> Fraction:
     return Fraction(1 << (k - 1), (1 << (k - 1)) - 1)
 
 
-@dataclass(frozen=True)
-class ClosedFormEstimate:
+class ClosedFormEstimate(NamedTuple):
     """log_value = log(k) + (k-1) n log(2) + exponent, carried exactly in the
     exponent and as a float at the log boundary."""
 

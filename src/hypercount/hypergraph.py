@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -42,8 +41,13 @@ class Vertex(NamedTuple):
         return f"{self.cls}:{self.idx}"
 
 
-@dataclass(frozen=True)
-class LinkGraph:
+class _LinkGraphFields(NamedTuple):
+    uniformity: int
+    vertices: frozenset
+    edges: frozenset
+
+
+class LinkGraph(_LinkGraphFields):
     """(k-1)-uniform residue structure of a single-class vertex set S.
 
     Vertices are the neighbourhood of S; edges are the residues e minus S
@@ -51,23 +55,25 @@ class LinkGraph:
     counts are insensitive to edge multiplicity).
     """
 
-    uniformity: int
-    vertices: frozenset
-    edges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        for e in self.edges:
-            if len(e) != self.uniformity:
+    def __new__(cls, uniformity: int, vertices: frozenset, edges: frozenset):
+        for e in edges:
+            if len(e) != uniformity:
                 raise InputError(
                     f"link edge {sorted(e)} has {len(e)} vertices, "
-                    f"expected {self.uniformity}"
+                    f"expected {uniformity}"
                 )
-        covered = frozenset().union(*self.edges) if self.edges else frozenset()
-        if covered != self.vertices:
+        covered = frozenset().union(*edges) if edges else frozenset()
+        if covered != vertices:
             raise InputError("link graph vertex set must equal the union of its edges")
+        return super().__new__(cls, uniformity, vertices, edges)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, init=False)
 class Hypergraph:
     """k-partite k-uniform hypergraph with fixed class sizes.
 
@@ -79,6 +85,10 @@ class Hypergraph:
       * all vertex indices are within their class size;
       * edges are pairwise distinct;
       * there are at most COUNT_VERTEX_CAP vertices (else BudgetExceeded).
+
+    Equality, hash and repr are on (k, sizes, ids); setting or deleting an
+    attribute raises AttributeError.  The cached views live in the
+    instance's __dict__, which cached_property fills directly.
     """
 
     k: int
@@ -138,6 +148,27 @@ class Hypergraph:
                 raise InputError(
                     f"duplicate edge {[str(self.vertex(x)) for x in a]}")
         object.__setattr__(self, "ids", tuple(canon))
+
+    def _key(self) -> tuple:
+        return self.k, self.sizes, self.ids
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(k={self.k!r}, "
+                f"sizes={self.sizes!r}, ids={self.ids!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def build(cls, k: int, sizes: Sequence[int], edges: Iterable[Iterable]) -> "Hypergraph":

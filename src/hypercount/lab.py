@@ -20,10 +20,9 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, GenerationError, InputError
 from . import exact
@@ -41,13 +40,26 @@ EXPANSION_SAMPLES = 10_000  # seeded random sets per larger expansion set size
 EXPANSION_WORK = 1_000_000  # set sizes summed over all tested expansion sets
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class _PropertyReportFields(NamedTuple):
     name: str
     verdict: str  # "holds" | "violated" | "unknown"
-    params: dict = field(default_factory=dict)
-    witness: Optional[object] = None
-    worst_ratio: Optional[Fraction] = None
+    params: dict
+    witness: Optional[object]
+    worst_ratio: Optional[Fraction]
+
+
+class PropertyReport(_PropertyReportFields):
+    """A property check's verdict; `params` is a new dict per report unless
+    one is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, verdict: str, params: Optional[dict] = None,
+                witness: Optional[object] = None,
+                worst_ratio: Optional[Fraction] = None):
+        return super().__new__(cls, name, verdict,
+                               {} if params is None else params,
+                               witness, worst_ratio)
 
     @property
     def holds(self) -> bool:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import exact
 from .errors import BudgetExceeded, InputError
@@ -291,8 +290,7 @@ def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
 # ----- convergence-condition sums ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class KpTerms:
+class KpTerms(NamedTuple):
     """Per-root summability data: the exact-weight, interval-evaluated sum
     of w(S) * exp(f(S) + g(S)) over polymers containing the root, against
     the 1/r^3 target.

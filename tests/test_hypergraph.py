@@ -2,20 +2,23 @@
 adjacency, 2-linked pieces, linearity, regularity, loose-cycle girth."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 
-from hypercount import (Hypergraph, InputError, Vertex, check_girth,
-                        check_linear, find_loose_cycle,
+from hypercount import (Hypergraph, InputError, LinkGraph, Vertex,
+                        check_girth, check_linear, find_loose_cycle,
                         find_loose_cycle_through, gen_linear_regular,
-                        girth_at_most)
+                        girth_at_most, loads, parse_json, parse_text,
+                        serialize_text)
 from hypercount import hypergraph
 from hypercount.errors import BudgetExceeded
 
 from conftest import matching, partite_hypergraphs, two_shared
 from oracles import (distance_two_neighbors, incidence, is_loose_cycle,
-                     loose_cycle_gadget, two_linked_components)
+                     loose_cycle_gadget, serialize_json,
+                     two_linked_components)
 
 
 V = Vertex
@@ -56,6 +59,58 @@ class TestConstruction:
         assert {v: tuple(ix) for v, ix in rebuilt.items()} == incidence(edge3)
         assert all(edge3.class_table(v.cls)[0][v.idx] == ix
                    for v, ix in rebuilt.items())
+
+
+class TestRecordSemantics:
+    """A Hypergraph compares, hashes and prints as the record (k, sizes,
+    ids), whatever built it, and cannot be changed."""
+
+    EDGES = [[(2, 0), (0, 0), (1, 1)], [(0, 1), (1, 0), (2, 0)]]
+    REPR = "Hypergraph(k=3, sizes=(2, 2, 1), ids=((0, 3, 4), (1, 2, 4)))"
+
+    def built(self):
+        G = Hypergraph(3, [2, 2, 1], self.EDGES)
+        return [G, Hypergraph.build(3, (2, 2, 1), reversed(self.EDGES)),
+                Hypergraph.from_ids(3, [2, 2, 1], [[1, 2, 4], (0, 3, 4)]),
+                parse_text(serialize_text(G)), parse_json(serialize_json(G)),
+                loads(serialize_json(G))]
+
+    def test_every_constructor_gives_one_record(self):
+        for G in self.built():
+            assert repr(G) == self.REPR
+            assert G == self.built()[0]
+            assert hash(G) == hash((3, (2, 2, 1), ((0, 3, 4), (1, 2, 4))))
+
+    def test_other_records_differ(self):
+        G = self.built()[0]
+        assert G != Hypergraph(3, [2, 2, 1], self.EDGES[:1])
+        assert G != Hypergraph(3, [2, 2, 2], self.EDGES)
+        assert G != (G.k, G.sizes, G.ids)
+        assert G.__eq__(object()) is NotImplemented
+
+    def test_attributes_cannot_be_set_or_deleted(self):
+        G = self.built()[0]
+        assert G.edges == ((V(0, 0), V(1, 1), V(2, 0)),
+                           (V(0, 1), V(1, 0), V(2, 0)))
+        for name in ("k", "ids", "edges", "spare"):
+            with pytest.raises(AttributeError,
+                               match=f"cannot assign to field '{name}'"):
+                setattr(G, name, None)
+            with pytest.raises(AttributeError,
+                               match=f"cannot delete field '{name}'"):
+                delattr(G, name)
+        assert repr(G) == self.REPR and "spare" not in vars(G)
+
+    def test_cached_views_fill(self):
+        G = Hypergraph(3, [2, 2, 1], self.EDGES)
+        views = ("edges", "_edge_masks", "_text", "_class_tables")
+        assert not set(views) & set(vars(G))
+        assert G._edge_masks == [0b11001, 0b10110]
+        assert G._text == serialize_text(G)
+        assert G.edges[0] == (V(0, 0), V(1, 1), V(2, 0))
+        G.class_table(0)
+        assert set(views) <= set(vars(G)) and 0 in G._class_tables
+        assert repr(G) == self.REPR
 
 
 class TestNeighborhood:
@@ -100,6 +155,28 @@ class TestLinkGraph:
         sharing = [(a, b) for i, a in enumerate(edges)
                    for b in edges[i + 1:] if a & b]
         assert len(sharing) == 1 and len(sharing[0][0] & sharing[0][1]) == 1
+
+    FAULTS = [
+        (2, {V(1, 0)}, {frozenset({V(1, 0)})},
+         "link edge [Vertex(cls=1, idx=0)] has 1 vertices, expected 2"),
+        (2, {V(1, 0), V(2, 0), V(2, 1)}, {frozenset({V(1, 0), V(2, 0)})},
+         "link graph vertex set must equal the union of its edges"),
+    ]
+
+    @pytest.mark.parametrize("uniformity, vertices, edges, message", FAULTS)
+    def test_refuses_with_its_messages(self, uniformity, vertices, edges,
+                                       message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            LinkGraph(uniformity, frozenset(vertices), frozenset(edges))
+
+    @pytest.mark.parametrize("uniformity, vertices, edges, message", FAULTS)
+    def test_replace_validates(self, edge3, uniformity, vertices, edges,
+                               message):
+        L = edge3.link_graph([V(0, 0)])
+        assert L._replace(uniformity=2) == L
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            L._replace(uniformity=uniformity, vertices=frozenset(vertices),
+                       edges=frozenset(edges))
 
     def test_requires_single_class(self, edge3):
         with pytest.raises(InputError):

@@ -533,6 +533,26 @@ class TestOtherChecks:
         assert rep.verdict == "violated" and rep.witness
 
 
+class TestPropertyReport:
+    def test_default_params_are_one_dict_per_report(self):
+        a, b = lab.PropertyReport("a", "holds"), lab.PropertyReport("b", "holds")
+        a.params["t"] = 1
+        assert a.params == {"t": 1} and b.params == {}
+        assert lab.PropertyReport("c", "holds").params == {}
+        assert repr(b) == ("PropertyReport(name='b', verdict='holds', "
+                           "params={}, witness=None, worst_ratio=None)")
+
+    def test_records_are_named_tuples(self):
+        # _replace and _asdict stand where dataclasses.replace and asdict did
+        report = lab.PropertyReport("a", "violated", {"pairs": 2},
+                                    witness="w")
+        again = report._replace(verdict="holds")
+        assert again.holds and again.params is report.params
+        assert report._asdict() == {"name": "a", "verdict": "violated",
+                                    "params": {"pairs": 2}, "witness": "w",
+                                    "worst_ratio": None}
+
+
 class TestDegreeRootBound:
     def test_exhaustive_expansion_implies_degree_bound(self, monkeypatch):
         # with full small-set expansion and k >= 3, n >= 3 the degree obeys

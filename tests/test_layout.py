@@ -1,9 +1,10 @@
 """Package layout: modules talk to each other through public names only,
-read nothing from the environment, run without numpy, and load mpmath only
-with the command that uses it."""
+read nothing from the environment, run without numpy, and load mpmath and
+json only with the commands that use them."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -14,18 +15,24 @@ import pytest
 from hypercount import gen_linear_regular, hypergraph, serialize_text
 from hypercount.cli import main
 
+from oracles import serialize_json
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercount"
 TRACING = PACKAGE.parents[1] / "bench" / "tracing.py"
 
-HEAVY = ("numpy", "mpmath")
+# modules a command loads only when it uses them
+LAZY = ("numpy", "mpmath", "json")
+# ... and the modules no part of the package needs at run time (the
+# records are NamedTuples, not dataclasses)
+NOT_AT_IMPORT = LAZY + ("dataclasses", "inspect")
 
-# blocks numpy from import, runs the CLI on argv, then prints the heavy
-# modules it loaded
+# blocks numpy from import, runs the CLI on argv, then prints the lazily
+# loaded modules it loaded
 CHILD = ("import sys\n"
          "sys.modules['numpy'] = None\n"
          "from hypercount.cli import main\n"
          "code = main(sys.argv[1:])\n"
-         f"print('loaded=' + ','.join(m for m in {HEAVY!r} "
+         f"print('loaded=' + ','.join(m for m in {LAZY!r} "
          "if sys.modules.get(m) is not None))\n"
          "sys.exit(code)\n")
 
@@ -92,32 +99,47 @@ def test_every_traced_binding_resolves():
     assert missing == []
 
 
-def test_import_loads_neither_numpy_nor_mpmath():
+def test_import_loads_only_what_every_command_needs():
     child = fresh_python("-c", "import sys, hypercount.cli, hypercount; "
-                         f"print([m for m in {HEAVY!r} if m in sys.modules])")
+                         f"print([m for m in {NOT_AT_IMPORT!r} "
+                         "if m in sys.modules])")
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    pytest.param(("defect-count", "--class", "0", "--b", "1"), "",
+def untimed(out: str) -> list:
+    """The lines of a command's output less its timing, which differs from
+    run to run: the last text line, or the JSON line's "timings"."""
+    *lines, last = out.splitlines()
+    if last.startswith("elapsed="):
+        return lines
+    payload = json.loads(last)
+    assert set(payload.pop("timings")) == {"elapsed_s"}
+    return [*lines, payload]
+
+
+@pytest.mark.parametrize("argv, fmt, loaded", [
+    pytest.param(("defect-count", "--class", "0", "--b", "1"), "text", "",
                  id="defect-count"),
-    pytest.param(("check", "def", "--b", "1"), "", id="check-def"),
-    pytest.param(("kp-check", "--class", "0", "--b", "2"), "mpmath",
+    pytest.param(("check", "def", "--b", "1"), "text", "", id="check-def"),
+    pytest.param(("kp-check", "--class", "0", "--b", "2"), "text", "mpmath",
                  id="kp-check"),
+    pytest.param(("--json", "estimate", "--t", "1"), "text", "json",
+                 id="json-output"),
+    pytest.param(("exact-count",), "json", "json", id="json-input"),
 ])
 def test_commands_load_what_they_use_from_a_cold_start(capsys, tmp_path,
-                                                       argv, loaded):
+                                                       argv, fmt, loaded):
     # a fresh process that cannot import numpy prints what the command
-    # prints in this one, and loads only the module the command uses
-    path = tmp_path / "inst.hg"
-    path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=1)))
+    # prints in this one, and loads only the modules the command uses
+    G = gen_linear_regular(3, 4, 2, seed=1)
+    path = tmp_path / f"inst.{fmt}"
+    path.write_text(serialize_json(G) if fmt == "json" else serialize_text(G))
     argv = (*argv, "-i", str(path))
     assert main(list(argv)) == 0
-    warm = capsys.readouterr().out.splitlines()
+    warm = capsys.readouterr().out
     child = fresh_python("-c", CHILD, *argv)
     assert child.returncode == 0, child.stderr
-    cold = child.stdout.splitlines()
-    assert cold[-1] == f"loaded={loaded}"
-    assert cold[-2].startswith("elapsed=") and warm[-1].startswith("elapsed=")
-    assert cold[:-2] == warm[:-1]
+    cold, _, modules = child.stdout.rstrip("\n").rpartition("\n")
+    assert modules == f"loaded={loaded}"
+    assert untimed(cold) == untimed(warm)
