@@ -12,8 +12,11 @@ is an integer m over a power of two 2^e.  A `Polymer` is a lean record of
 the class, the sorted class indices, D = |N(S)| and the reduced (m, e).
 Compatibility reads the same masks: distinct polymers S, T of one class
 have meeting neighbourhoods iff T meets S or S's distance-two neighbours.
-The exact sums run on these integers and build one Fraction per result;
-every identity tested downstream holds bit-for-bit.
+So the partition function sweeps the class indices once, as sites, each
+polymer placed at its lowest site.  The exact sums run on these integers
+and build one Fraction per result; every identity tested downstream holds
+bit-for-bit.  The convergence-condition bounds are exact dyadic sums too:
+mpmath only encloses exp(f_s + g_s) once per polymer order.
 """
 
 from __future__ import annotations
@@ -111,6 +114,14 @@ def _reach(near, indices) -> int:
     return reach
 
 
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 # ----- connected sets in the distance-two structure ----------------------------
 
 
@@ -205,99 +216,104 @@ def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
 # ----- exact partition function ------------------------------------------------
 
 
-def compatibility_sum(weights: Sequence[tuple],
-                      near: Sequence[Sequence[int]]) -> Fraction:
-    """Sum over all families of pairwise-compatible indices of the product
-    of their weights (empty family contributes 1); the weights are (m, e)
-    pairs, w = m / 2^e with e >= 0.  Every index is incompatible with
-    itself, and near[i] lists the other indices j incompatible with i, a
-    symmetric relation: j is in near[i] iff i is in near[j].
+def compatibility_sum(weights: Sequence[tuple], covers: Sequence[int],
+                      reaches: Sequence[int]) -> Fraction:
+    """Sum over all families of pairwise-compatible items of the product of
+    their weights (empty family contributes 1); the weights are (m, e)
+    pairs, w = m / 2^e with e >= 0.  Item j covers the sites (bit positions)
+    of the non-empty mask covers[j] and reaches those of reaches[j], which
+    holds covers[j]: j is incompatible with i iff covers[j] meets
+    reaches[i], a symmetric relation, so every item is incompatible with
+    itself.
 
-    One frontier sweep visits the indices once each, every component of
-    the incompatibility graph in breadth-first order from its lowest index,
-    taking the neighbours of each index in the order near lists them.  A
-    state is the set of later positions that some chosen index blocks;
-    each state maps to its integer count.  Each weight m_i / 2^e_i is
-    rewritten over the common 2^E, E the largest e_i, so after p positions
-    every count is an integer over 2^(E p) and one Fraction is built at the
-    end.  Refuses with BudgetExceeded when more than exact.STATE_CAP states
-    are live.
+    One sweep visits the sites in ascending order, so callers number near
+    sites closely, and places each item at its lowest site.  A state is the
+    mask of later sites that the items placed so far cover or reach; each
+    state maps to its integer count.  At a site in the state nothing can be
+    placed; otherwise each item placed there whose other sites miss the
+    state may join.  Each weight m_i / 2^e_i is rewritten over the common
+    2^E, E the largest e_i, so after p sites every count is an integer over
+    2^(E p) and one Fraction is built at the end.  Refuses with
+    BudgetExceeded when more than exact.STATE_CAP states are live.
     """
-    n = len(weights)
     E = max((e for _, e in weights), default=0)
-    order = []
-    queued = [False] * n
-    for lowest in range(n):
-        if queued[lowest]:
-            continue
-        queued[lowest] = True
-        queue = [lowest]
-        for i in queue:
-            for j in near[i]:
-                if not queued[j]:
-                    queued[j] = True
-                    queue.append(j)
-        order += queue
-    pos = {i: p for p, i in enumerate(order)}
+    n = max((cover.bit_length() for cover in covers), default=0)
+    # site -> (other sites, later reached sites, weight * 2^E) of each item
+    # placed there
+    placed = [[] for _ in range(n)]
+    for (m, e), cover, reach in zip(weights, covers, reaches):
+        low = cover & -cover
+        placed[low.bit_length() - 1].append(
+            (cover ^ low, reach & -(low << 1), m << (E - e)))
     cap = exact.STATE_CAP
     states = {0: 1}
-    for p, i in enumerate(order):
+    for p, here in enumerate(placed):
         bit = 1 << p
-        blocks = sum(1 << pos[j] for j in near[i] if pos[j] > p)
-        m, e = weights[i]
-        num = m << (E - e)
         nxt = {}
         for key, count in states.items():
-            blocked = key & bit
-            key ^= blocked
+            if key & bit:  # covered or reached: nothing is placed here
+                key ^= bit
+                nxt[key] = nxt.get(key, 0) + (count << E)
+                continue
             nxt[key] = nxt.get(key, 0) + (count << E)
-            if not blocked:  # a blocked index can only be skipped
-                key |= blocks
-                nxt[key] = nxt.get(key, 0) + count * num
+            for rest, reach, num in here:
+                if not key & rest:
+                    joined = key | reach
+                    nxt[joined] = nxt.get(joined, 0) + count * num
         if len(nxt) > cap:
             raise BudgetExceeded(
-                f"the compatibility sum swept {p + 1} of {n} polymers and "
+                f"the compatibility sum swept {p + 1} of {n} sites and "
                 f"held {len(nxt)} live states, over the cap of {cap}; "
                 f"refusing rather than estimating")
         states = nxt
-    return Fraction(states[0], 1 << E * n)
+    # reached sites past the last covered one block nothing
+    return Fraction(sum(states.values()), 1 << E * n)
 
 
 def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
-    """Exact weighted sum over compatible polymer families of the class:
-    the polymers incompatible with S are the others holding a class index
-    of S or a distance-two neighbour of one."""
+    """Exact weighted sum over compatible polymer families of the class.
+    The sites are the class indices, numbered breadth-first over their
+    distance-two neighbours from each lowest index not yet numbered; a
+    polymer covers its own indices and reaches those and their distance-two
+    neighbours."""
     polymers = enumerate_polymers(G, cls, b)
     _, near = G.class_table(cls)
-    holders = [[] for _ in near]  # class index -> the polymers holding it
-    for pos, p in enumerate(polymers):
-        for i in p.indices:
-            holders[i].append(pos)
-    incompatible = []
-    for pos, p in enumerate(polymers):
-        reach = _reach(near, p.indices)
-        found = set()
-        while reach:
-            low = reach & -reach
-            reach ^= low
-            found.update(holders[low.bit_length() - 1])
-        found.discard(pos)
-        incompatible.append(sorted(found))
-    return compatibility_sum([p.dyadic_weight for p in polymers],
-                             incompatible)
+    site = [-1] * len(near)  # class index -> its site
+    numbered = 0
+    for lowest in range(len(near)):
+        if site[lowest] >= 0:
+            continue
+        site[lowest] = numbered
+        queue = [lowest]
+        for i in queue:
+            for j in _bits(near[i]):
+                if site[j] < 0:
+                    site[j] = numbered + len(queue)
+                    queue.append(j)
+        numbered += len(queue)
+    near_sites = [0] * len(near)
+    for i, mask in enumerate(near):
+        near_sites[site[i]] = sum(1 << site[j] for j in _bits(mask))
+    covers, reaches = [], []
+    for p in polymers:
+        sites = [site[i] for i in p.indices]
+        covers.append(sum(1 << s for s in sites))
+        reaches.append(_reach(near_sites, sites))
+    return compatibility_sum([p.dyadic_weight for p in polymers], covers,
+                             reaches)
 
 
 # ----- convergence-condition sums ----------------------------------------------
 
 
 class KpTerms(NamedTuple):
-    """Per-root summability data: the exact-weight, interval-evaluated sum
-    of w(S) * exp(f(S) + g(S)) over polymers containing the root, against
+    """Per-root summability data: bounds on the sum of w(S) * exp(f(S) +
+    g(S)) over polymers containing the root, from exact weights, against
     the 1/r^3 target.
 
-    The `holds` flag is rigorous when True (the sum's upper bound is below
-    a lower bound of the target); the condition is only guaranteed by the
-    theory for large instances, so small instances legitimately fail.
+    The `holds` flag is rigorous when True (the sum's upper bound is at most
+    the target); the condition is only guaranteed by the theory for large
+    instances, so small instances legitimately fail.
     """
 
     root: Vertex
@@ -308,6 +324,16 @@ class KpTerms(NamedTuple):
     polymers: tuple  # the polymers containing the root, in canonical order
 
 
+def _float_toward_zero(v: int, x: int) -> float:
+    """v * 2^x, v >= 0, as a float rounded toward zero to 53 bits, as
+    mpmath's float() rounds; past the float range it is inf."""
+    cut = max(v.bit_length() - 53, 0)
+    try:
+        return math.ldexp(v >> cut, x + cut)
+    except OverflowError:
+        return math.inf
+
+
 def kp_terms(G: Hypergraph, cls: int, b: int,
              root: Optional[Vertex] = None) -> list:
     """Evaluate the summability inequality at each class vertex, in class
@@ -316,10 +342,13 @@ def kp_terms(G: Hypergraph, cls: int, b: int,
     The polymers are enumerate_polymers(G, cls, b, root), so the command
     refuses where that enumeration does, and each weight goes to every
     root it contains.  f(S) = (k-1)|S|/r and g(S) = log(gamma_k) * r *
-    log(2|S|) depend on |S| only, so they are computed once per order s; at
-    each root the exact weights are summed per order (as integers over a
-    power of two) and each order takes one interval product W_s * exp(f_s
-    + g_s), rounded outward, so `holds` is conservative.
+    log(2|S|) depend on |S| only, so exp(f_s + g_s) is enclosed once per
+    order s, by 160-bit interval arithmetic, and its two end points are
+    read exactly, as integers over a common power of two.  At each root
+    the exact weights are summed per order, W_s, and each bound is the
+    exact sum of W_s times one end point, again an integer over a power of
+    two.  The float bounds are those sums rounded toward zero and then one
+    step outward, and `holds` compares the upper sum with 1/r^3 exactly.
     """
     r = G.regular_degree()
     if r is None:
@@ -334,43 +363,46 @@ def kp_terms(G: Hypergraph, cls: int, b: int,
         for i in p.indices:
             if i in through:
                 through[i].append(p)
-    from mpmath import iv
+    from mpmath import iv, mp
 
-    def interval(q: Fraction):
-        return iv.mpf(q.numerator) / iv.mpf(q.denominator)
-
-    # 160 bits are ample for the conservative comparisons below; the
-    # caller's precision comes back afterwards
+    # order s -> the end points of exp(f_s + g_s) as (man, exp) pairs; 160
+    # bits are ample, and the caller's precision comes back afterwards
+    ends = {}
     prec, iv.prec = iv.prec, 160
     try:
         k = G.k
         top = iv.mpf(2) ** (k - 1)
         log_gamma = iv.log(top) - iv.log(top - 1)
-        boost = {}  # order s -> exp(f_s + g_s) as an interval
-        for s in {p.order for p in polymers}:
-            f = Fraction(k - 1, r) * s
-            g = log_gamma * r * iv.log(iv.mpf(2 * s))
-            boost[s] = iv.exp(interval(f) + g)
-        rhs = Fraction(1, r ** 3)
-        rhs_iv = interval(rhs)
-        results = []
-        for i, found in through.items():
-            by_order = {}
-            for p in found:
-                by_order.setdefault(p.order, []).append(p.dyadic_weight)
-            lhs = iv.mpf(0)
-            for s, pairs in sorted(by_order.items()):
-                # num / 2^e is the exact sum W_s of the order-s weights
-                e = max(d for _, d in pairs)
-                num = sum(m << (e - d) for m, d in pairs)
-                lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
-            # report float endpoints rounded outward so they stay true bounds
-            results.append(KpTerms(
-                root=Vertex(cls, i),
-                lhs_lower=math.nextafter(float(lhs.a), -math.inf),
-                lhs_upper=math.nextafter(float(lhs.b), math.inf), rhs=rhs,
-                holds=bool(lhs.b <= rhs_iv.a), polymers=tuple(found)))
+        with mp.workprec(160):
+            for s in {p.order for p in polymers}:
+                f = Fraction(k - 1, r) * s
+                g = log_gamma * r * iv.log(iv.mpf(2 * s))
+                boost = iv.exp(iv.mpf(f.numerator) / iv.mpf(f.denominator)
+                               + g)
+                ends[s] = (mp.mpf(boost.a).man_exp, mp.mpf(boost.b).man_exp)
     finally:
         iv.prec = prec
+    # the end points as integers times 2^x0 and the weights over 2^E, so
+    # every bound is an integer times 2^x
+    x0 = min((x for pair in ends.values() for _, x in pair), default=0)
+    scaled = {s: [man << (x - x0) for man, x in pair]
+              for s, pair in ends.items()}
+    E = max((p.dyadic_weight[1] for p in polymers), default=0)
+    x = x0 - E
+    rhs = Fraction(1, r ** 3)
+    results = []
+    for i, found in through.items():
+        sums = {}  # order s -> W_s * 2^E
+        for p in found:
+            m, e = p.dyadic_weight
+            sums[p.order] = sums.get(p.order, 0) + (m << (E - e))
+        lower = sum(w * scaled[s][0] for s, w in sums.items())
+        upper = sum(w * scaled[s][1] for s, w in sums.items())
+        # report float end points rounded outward so they stay true bounds
+        results.append(KpTerms(
+            root=Vertex(cls, i),
+            lhs_lower=math.nextafter(_float_toward_zero(lower, x), -math.inf),
+            lhs_upper=math.nextafter(_float_toward_zero(upper, x), math.inf),
+            rhs=rhs, holds=upper * r ** 3 << max(x, 0) <= 1 << max(-x, 0),
+            polymers=tuple(found)))
     return results
-

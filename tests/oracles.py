@@ -5,13 +5,14 @@ the vectorized 2^|V| subset filter (independent-set counts, defect
 counts and Def(b) verdicts), literal enumerations (Ursell functions over
 edge subsets, clusters of an abstract polymer model), a transfer matrix
 along a loose path, the independence polynomial of a path, a memoised
-recursion for the compatibility sum, the term-by-term `Fraction` form of
-`truncated_log_xi`, the same-class distance-two neighbours of a Vertex,
-the polymer enumeration on Vertex sets, and 2-linked pieces and polymers
-built from Vertex sets.  The Vertex-keyed incidence, the canonical sort
-of Vertex edges and the edge masks from Vertex pairs are what Hypergraph
-kept before it stored class-major ids.  It also holds helpers that
-only the tests read: the completion formula for a defect set,
+recursion for the compatibility sum, the per-root interval loop that
+bounded the summability sums before `kp_terms` summed them on integers,
+the term-by-term `Fraction` form of `truncated_log_xi`, the same-class
+distance-two neighbours of a Vertex, the polymer enumeration on Vertex
+sets, and 2-linked pieces and polymers built from Vertex sets.  The
+Vertex-keyed incidence, the canonical sort of Vertex edges and the edge
+masks from Vertex pairs are what Hypergraph kept before it stored
+class-major ids.  It also holds helpers that only the tests read: the completion formula for a defect set,
 independent-set counts and maximum matchings of link graphs, the
 printed-formula pair sum and its gap, the polymer-count bound, the
 expansion parameter alpha(k, t), a gadget with a loose 4-cycle by
@@ -222,7 +223,7 @@ def compatibility_sum_fraction(weights: Sequence[Fraction],
     """The compatibility sum by an independent recursion, with one Fraction
     operation per term: branch on the highest index of each component of
     the incompatibility graph, memoised by mask.  It shares no code with
-    the frontier sweep of `polymers.compatibility_sum`."""
+    the site sweep of `polymers.compatibility_sum`."""
     n = len(weights)
     incompat = [0] * n
     for i in range(n):
@@ -261,6 +262,55 @@ def compatibility_sum_fraction(weights: Sequence[Fraction],
         return memo[mask]
 
     return total((1 << n) - 1)
+
+
+def kp_bounds_by_intervals(G: Hypergraph, cls: int, b: int,
+                           root=None) -> list:
+    """(lhs_lower, lhs_upper, holds) at each root of `kp_terms`, in its
+    order, by 160-bit interval arithmetic throughout: per root and order,
+    the exact weight sum W_s as an interval times the interval
+    exp(f_s + g_s), summed with outward rounding; the float end points are
+    rounded outward once more, and `holds` compares the interval's upper
+    end with the lower end of 1/r^3."""
+    r = G.regular_degree()
+    polymers = enumerate_polymers(G, cls, b, root)
+    through = {i: [] for i in (range(G.sizes[cls]) if root is None
+                               else [root.idx])}
+    for p in polymers:
+        for i in p.indices:
+            if i in through:
+                through[i].append(p)
+
+    def interval(q: Fraction):
+        return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+
+    prec, iv.prec = iv.prec, 160
+    try:
+        k = G.k
+        top = iv.mpf(2) ** (k - 1)
+        log_gamma = iv.log(top) - iv.log(top - 1)
+        boost = {}
+        for s in {p.order for p in polymers}:
+            f = Fraction(k - 1, r) * s
+            g = log_gamma * r * iv.log(iv.mpf(2 * s))
+            boost[s] = iv.exp(interval(f) + g)
+        rhs_iv = interval(Fraction(1, r ** 3))
+        results = []
+        for found in through.values():
+            by_order = {}
+            for p in found:
+                by_order.setdefault(p.order, []).append(p.dyadic_weight)
+            lhs = iv.mpf(0)
+            for s, pairs in sorted(by_order.items()):
+                e = max(d for _, d in pairs)
+                num = sum(m << (e - d) for m, d in pairs)
+                lhs += iv.mpf(num) / iv.mpf(1 << e) * boost[s]
+            results.append((math.nextafter(float(lhs.a), -math.inf),
+                            math.nextafter(float(lhs.b), math.inf),
+                            bool(lhs.b <= rhs_iv.a)))
+    finally:
+        iv.prec = prec
+    return results
 
 
 def log_series_fraction(coeffs: Sequence[Fraction], t: int) -> list:

@@ -580,13 +580,16 @@ class TestExitCodes:
     def test_compatibility_sum_state_cap_refusal(self, capsys, tmp_path,
                                                  monkeypatch):
         from hypercount import exact
-        monkeypatch.setattr(exact, "STATE_CAP", 7)
         path = tmp_path / "inst.hg"
         path.write_text(serialize_text(kp_instances()[1]))
-        code, out, err = run_cli(capsys, "xi", "-i", str(path),
-                                 "--class", "0", "--b", "2")
+        args = ("xi", "-i", str(path), "--class", "0", "--b", "2")
+        monkeypatch.setattr(exact, "STATE_CAP", 8)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == "" and "\nxi=" in out
+        monkeypatch.setattr(exact, "STATE_CAP", 7)
+        code, out, err = run_cli(capsys, *args)
         assert code == 3 and out == "" and err.startswith("error=budget")
-        assert "swept 7 of 20 polymers and held 8 live states" in err
+        assert "swept 2 of 7 sites and held 8 live states" in err
 
     def test_long_polymer_growth_refuses_at_the_cap(self, capsys, tmp_path,
                                                     monkeypatch):

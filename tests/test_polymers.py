@@ -19,7 +19,7 @@ from conftest import (fan, girth5_instances, kp_instances, matching,
                       partite_hypergraphs, random_partite, two_shared)
 from oracles import (compatibility_sum_fraction, count_by_filter,
                      count_link_graph, distance_two_neighbors, is_two_linked,
-                     make_polymer, max_matching_size,
+                     kp_bounds_by_intervals, make_polymer, max_matching_size,
                      polymer_count_bound_holds, polymer_vertex_sets)
 
 V = Vertex
@@ -46,11 +46,42 @@ def dyadic_items(draw):
 
 
 def meeting(neighborhoods):
-    """compatibility_sum's `near` for indices that are incompatible when
-    their neighbourhoods meet: near[i] lists the other indices whose
+    """compatibility_sum's covers and reaches for indices that are
+    incompatible when their neighbourhoods meet: the i-th index covers
+    site i alone and reaches it and the sites of the other indices whose
     neighbourhood meets the i-th."""
-    return [[j for j, other in enumerate(neighborhoods) if j != i and nb & other]
-            for i, nb in enumerate(neighborhoods)]
+    covers = [1 << i for i in range(len(neighborhoods))]
+    reaches = [sum(1 << j for j, other in enumerate(neighborhoods)
+                   if j == i or nb & other)
+               for i, nb in enumerate(neighborhoods)]
+    return covers, reaches
+
+
+@st.composite
+def site_items(draw):
+    """Up to 10 items on at most 8 sites: a weight (m, e), a non-empty
+    cover drawn from a pool of at most 5 site masks, so repeated covers are
+    common, and the reach of that cover in a random graph on the sites,
+    where isolated sites and sites no item covers are common."""
+    n = draw(st.integers(1, 8))
+    near = [0] * n
+    for s, t in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=8)):
+        if s != t:
+            near[s] |= 1 << t
+            near[t] |= 1 << s
+    pool = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1,
+                         max_size=5))
+    items = []
+    for weight, cover in draw(st.lists(st.tuples(
+            st.tuples(st.integers(0, 40), st.integers(0, 6)),
+            st.sampled_from(pool)), max_size=10)):
+        reach = cover
+        for s in range(n):
+            if cover >> s & 1:
+                reach |= near[s]
+        items.append((weight, cover, reach))
+    return items
 
 
 class TestEnumeration:
@@ -453,7 +484,7 @@ class TestPartitionFunction:
             families += [(fam + (i,), prod * weights[i])
                          for fam, prod in families
                          if all(not sets[j] & nb for j in fam)]
-        assert compatibility_sum([w for w, _ in items], meeting(sets)) == \
+        assert compatibility_sum([w for w, _ in items], *meeting(sets)) == \
             sum(prod for _, prod in families)
 
     @given(dyadic_items(), st.data())
@@ -462,9 +493,27 @@ class TestPartitionFunction:
         # the sweep's order, and so its states, follow the indices
         shuffled = data.draw(st.permutations(items))
         assert compatibility_sum([w for w, _ in shuffled],
-                                 meeting([nb for _, nb in shuffled])) == \
+                                 *meeting([nb for _, nb in shuffled])) == \
             compatibility_sum([w for w, _ in items],
-                              meeting([nb for _, nb in items]))
+                              *meeting([nb for _, nb in items]))
+
+    @given(site_items())
+    @example([])
+    @example([((1, 0), 0b1, 0b1), ((3, 2), 0b1, 0b1), ((5, 1), 0b100, 0b100)])
+    @example([((1, 1), 0b101, 0b111), ((1, 1), 0b10, 0b111),
+              ((2, 3), 0b101, 0b111), ((7, 3), 0b1000, 0b1000)])
+    @settings(max_examples=150, deadline=None)
+    def test_compatibility_sum_over_items_of_several_sites(self, items):
+        # every family of items whose covers miss each other's reaches,
+        # listed one by one
+        families = [((), Fraction(1))]
+        for i, ((m, e), cover, _) in enumerate(items):
+            families += [(fam + (i,), prod * Fraction(m, 1 << e))
+                         for fam, prod in families
+                         if all(not cover & items[j][2] for j in fam)]
+        weights, covers, reaches = zip(*items) if items else ((), (), ())
+        assert compatibility_sum(weights, covers, reaches) == \
+            sum(prod for _, prod in families)
 
     def test_compatibility_sum_matches_fraction_form(self):
         for k, n, r, G in girth5_instances():
@@ -474,7 +523,7 @@ class TestPartitionFunction:
                 nb = [G.neighborhood(p.vertices) for p in polys]
                 assert partition_function(G, cls, 3) == \
                     compatibility_sum([p.dyadic_weight for p in polys],
-                                      meeting(nb)) == \
+                                      *meeting(nb)) == \
                     compatibility_sum_fraction(w, nb)
 
     @pytest.mark.parametrize("b", [1, 2])
@@ -488,7 +537,7 @@ class TestPartitionFunction:
             nb = [G.neighborhood(p.vertices) for p in polys]
             assert partition_function(G, cls, b) == \
                 compatibility_sum([p.dyadic_weight for p in polys],
-                                  meeting(nb)) == \
+                                  *meeting(nb)) == \
                 compatibility_sum_fraction(w, nb)
 
     def test_state_cap_refusal(self, monkeypatch):
@@ -498,8 +547,8 @@ class TestPartitionFunction:
         assert partition_function(G, 0, 2) == expected
         monkeypatch.setattr(exact, "STATE_CAP", 7)
         with pytest.raises(BudgetExceeded, match=(
-                r"^the compatibility sum swept 7 of 20 polymers and held 8 "
-                r"live states, over the cap of 7; refusing")):
+                r"^the compatibility sum swept 2 of 7 sites and held 8 live "
+                r"states, over the cap of 7; refusing")):
             partition_function(G, 0, 2)
 
 
@@ -550,6 +599,17 @@ class TestKpTerms:
             assert term_by_term.b <= res.lhs_upper
             assert res.polymers == tuple(
                 enumerate_polymers(G, 0, b, root=root))
+
+    def test_matches_the_interval_loop(self):
+        # the bounds summed on integers are the ones that interval
+        # arithmetic throughout gave, at every root
+        instances = kp_instances() + tuple(G for *_, G in girth5_instances())
+        for G in instances:
+            for cls in range(G.k):
+                for b in range(4):
+                    assert [(res.lhs_lower, res.lhs_upper, res.holds)
+                            for res in kp_terms(G, cls, b)] == \
+                        kp_bounds_by_intervals(G, cls, b)
 
     def test_requires_regular(self):
         with pytest.raises(InputError):
