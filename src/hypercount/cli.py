@@ -3,8 +3,8 @@
 Output is line-oriented `key=value` by default (`--json` for structured
 output).  Exact rationals are printed exactly; log-domain floats with 12
 significant digits.  Exit codes: 0 ok, 2 input error, 3 budget refusal,
-4 generation failure.  Timings are reported but excluded from the
-determinism contract.
+4 generation failure, 141 standard output closed by its reader.  Timings
+are reported but excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -403,8 +404,25 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+# exit code when the reader closes standard output early: what a shell
+# reports for a process that SIGPIPE ends (128 + 13), so `set -o pipefail`
+# treats `hypercount ... | head -1` as it treats any other filter
+CLOSED_PIPE = 141
+
+
 def main(argv: Optional[list] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more can be written: point stdout at the null device, so
+        # that the interpreter's own flush at exit finds no pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
+    return code
+
+
+def _run(argv: list) -> int:
     args = _build_parser(_command_of(argv)).parse_args(argv)
     handler, needs_input, _ = _COMMANDS[args.command]
     start = time.perf_counter()

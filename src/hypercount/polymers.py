@@ -12,10 +12,11 @@ is an integer m over a power of two 2^e.  A `Polymer` is a lean record of
 the class, the sorted class indices, D = |N(S)| and the reduced (m, e).
 Compatibility reads the same masks: distinct polymers S, T of one class
 have meeting neighbourhoods iff T meets S or S's distance-two neighbours.
-So the partition function sweeps the class indices once, as sites, each
-polymer placed at its lowest site.  The exact sums run on these integers
-and build one Fraction per result; every identity tested downstream holds
-bit-for-bit.  The convergence-condition bounds are exact dyadic sums too:
+So the partition function sweeps the class indices once, as sites
+numbered by least boundary growth, each polymer placed at its lowest site,
+and a state holds a bit only for each site still live.  The exact sums run
+on these integers and build one Fraction per result; every identity tested
+downstream holds bit-for-bit.  The convergence-condition bounds are exact dyadic sums too:
 mpmath only encloses exp(f_s + g_s) once per polymer order.
 """
 
@@ -216,6 +217,21 @@ def polymer_weight(G: Hypergraph, S: Polymer) -> Fraction:
 # ----- exact partition function ------------------------------------------------
 
 
+def _capped(items, nxt: dict, cap: int, p: int, n: int):
+    """The (state, count) pairs of `items`, one at a time while `nxt` holds
+    at most `cap` states; once it holds more, before the next pair or after
+    the last, refuses with BudgetExceeded, naming site p + 1 of n."""
+    for item in items:
+        if len(nxt) > cap:
+            break
+        yield item
+    if len(nxt) > cap:
+        raise BudgetExceeded(
+            f"the compatibility sum held {len(nxt)} live states at site "
+            f"{p + 1} of {n}, over the cap of {cap}; refusing rather than "
+            f"estimating")
+
+
 def compatibility_sum(weights: Sequence[tuple], covers: Sequence[int],
                       reaches: Sequence[int]) -> Fraction:
     """Sum over all families of pairwise-compatible items of the product of
@@ -226,79 +242,136 @@ def compatibility_sum(weights: Sequence[tuple], covers: Sequence[int],
     reaches[i], a symmetric relation, so every item is incompatible with
     itself.
 
-    One sweep visits the sites in ascending order, so callers number near
-    sites closely, and places each item at its lowest site.  A state is the
-    mask of later sites that the items placed so far cover or reach; each
-    state maps to its integer count.  At a site in the state nothing can be
-    placed; otherwise each item placed there whose other sites miss the
-    state may join.  Each weight m_i / 2^e_i is rewritten over the common
-    2^E, E the largest e_i, so after p sites every count is an integer over
-    2^(E p) and one Fraction is built at the end.  Refuses with
-    BudgetExceeded when more than exact.STATE_CAP states are live.
+    One sweep visits the sites in ascending order and places each item at
+    its lowest site.  A state is the set of later sites that the items
+    placed so far reach; each state maps to its integer count.  A site
+    holds a bit of the state only while it can be live: from the first
+    step whose placed items reach it to its own step, when the bit is
+    freed; free bits are taken lowest first, so a state is as wide as the
+    most sites live at once, and callers number near sites closely to keep
+    that small.  Reached sites past the last covered one block nothing and
+    get no bit.  At a site in the state nothing can be placed; otherwise
+    each item placed there whose other sites miss the state may join.
+    Each weight m_i / 2^e_i is rewritten over the common 2^E, E the largest
+    e_i, so after p sites every count is an integer over 2^(E p) and one
+    Fraction is built at the end.  Refuses with BudgetExceeded once more
+    than exact.STATE_CAP states are live; a step whose states, times one
+    plus the items placed there, stay within the cap is not checked.
     """
     E = max((e for _, e in weights), default=0)
     n = max((cover.bit_length() for cover in covers), default=0)
-    # site -> (other sites, later reached sites, weight * 2^E) of each item
-    # placed there
-    placed = [[] for _ in range(n)]
+    placed = [[] for _ in range(n)]  # site -> the items placed there
     for (m, e), cover, reach in zip(weights, covers, reaches):
-        low = cover & -cover
-        placed[low.bit_length() - 1].append(
-            (cover ^ low, reach & -(low << 1), m << (E - e)))
+        placed[(cover & -cover).bit_length() - 1].append(
+            (cover, reach, m << (E - e)))
     cap = exact.STATE_CAP
+    slot = [0] * n  # a live site's bit in the state
+    used = 0  # the bits of the live sites
     states = {0: 1}
     for p, here in enumerate(placed):
-        bit = 1 << p
+        bit = slot[p]
+        used ^= bit
+        # (bits of the other sites, bits of the reached later sites,
+        # weight * 2^E) of each item placed here
+        group = []
+        for cover, reach, num in here:
+            bits = 0
+            for s in _bits(reach >> p + 1):
+                s += p + 1
+                if s >= n:
+                    break
+                if not slot[s]:  # s goes live: it takes the lowest free bit
+                    slot[s] = ~used & (used + 1)
+                    used |= slot[s]
+                bits |= slot[s]
+            rest = 0
+            for s in _bits(cover >> p + 1):
+                rest |= slot[s + p + 1]
+            group.append((rest, bits, num))
         nxt = {}
-        for key, count in states.items():
-            if key & bit:  # covered or reached: nothing is placed here
+        items = states.items()
+        if len(states) * (1 + len(group)) > cap:
+            items = _capped(items, nxt, cap, p, n)
+        for key, count in items:
+            if key & bit:  # reached: nothing is placed here
                 key ^= bit
                 nxt[key] = nxt.get(key, 0) + (count << E)
                 continue
             nxt[key] = nxt.get(key, 0) + (count << E)
-            for rest, reach, num in here:
+            for rest, reach, num in group:
                 if not key & rest:
                     joined = key | reach
                     nxt[joined] = nxt.get(joined, 0) + count * num
-        if len(nxt) > cap:
-            raise BudgetExceeded(
-                f"the compatibility sum swept {p + 1} of {n} sites and "
-                f"held {len(nxt)} live states, over the cap of {cap}; "
-                f"refusing rather than estimating")
         states = nxt
-    # reached sites past the last covered one block nothing
     return Fraction(sum(states.values()), 1 << E * n)
+
+
+def _site_order(adj: Sequence[list]) -> list:
+    """The indices 0..len(adj)-1 in the order that the partition function
+    numbers them as sites, adj[i] listing the neighbours of i (a symmetric
+    relation), by least boundary growth.  The boundary is the set of
+    unnumbered neighbours of the indices numbered so far.  Next comes the
+    boundary index with the fewest neighbours outside the boundary and the
+    numbered indices, ties going to the lowest index; when the boundary is
+    empty, the lowest unnumbered index.  So each connected component is
+    numbered contiguously.  The counts are kept up to date in a heap as the
+    boundary grows, stale entries skipped when they come up, so the order
+    costs O(m log m) in the m adjacencies."""
+    from heapq import heappop, heappush  # only Xi needs it, not every command
+
+    fresh = [len(a) for a in adj]  # neighbours off the boundary, unnumbered
+    state = [0] * len(adj)  # 0 unnumbered, 1 on the boundary, 2 numbered
+    heap = []  # (fresh count, index) of boundary indices, some stale
+    order = []
+    lowest = 0
+    for _ in range(len(adj)):
+        while heap:
+            count, j = heappop(heap)
+            if state[j] == 1 and fresh[j] == count:
+                break
+        else:  # an empty boundary: start the next component
+            while state[lowest]:
+                lowest += 1
+            j = lowest
+            for w in adj[j]:
+                fresh[w] -= 1
+        state[j] = 2
+        order.append(j)
+        for u in adj[j]:
+            if state[u]:
+                continue
+            state[u] = 1
+            for w in adj[u]:
+                fresh[w] -= 1
+                if state[w] == 1:
+                    heappush(heap, (fresh[w], w))
+            heappush(heap, (fresh[u], u))
+    return order
+
+
+def _mask(sites: set) -> int:
+    """The mask of a non-empty set of sites, summed from its lowest site and
+    shifted into place once, so that one wide integer is built."""
+    low = min(sites)
+    return sum(1 << s - low for s in sites) << low
 
 
 def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class.
-    The sites are the class indices, numbered breadth-first over their
-    distance-two neighbours from each lowest index not yet numbered; a
-    polymer covers its own indices and reaches those and their distance-two
-    neighbours."""
+    The sites are the class indices, numbered by `_site_order` over their
+    distance-two neighbours; a polymer covers its own indices and reaches
+    those and their distance-two neighbours."""
     polymers = enumerate_polymers(G, cls, b)
     _, near = G.class_table(cls)
-    site = [-1] * len(near)  # class index -> its site
-    numbered = 0
-    for lowest in range(len(near)):
-        if site[lowest] >= 0:
-            continue
-        site[lowest] = numbered
-        queue = [lowest]
-        for i in queue:
-            for j in _bits(near[i]):
-                if site[j] < 0:
-                    site[j] = numbered + len(queue)
-                    queue.append(j)
-        numbered += len(queue)
-    near_sites = [0] * len(near)
-    for i, mask in enumerate(near):
-        near_sites[site[i]] = sum(1 << site[j] for j in _bits(mask))
+    adj = [list(_bits(mask)) for mask in near]
+    site = [0] * len(adj)  # class index -> its site
+    for s, i in enumerate(_site_order(adj)):
+        site[i] = s
     covers, reaches = [], []
     for p in polymers:
-        sites = [site[i] for i in p.indices]
-        covers.append(sum(1 << s for s in sites))
-        reaches.append(_reach(near_sites, sites))
+        covers.append(_mask({site[i] for i in p.indices}))
+        reaches.append(_mask({site[j] for i in p.indices
+                              for j in (i, *adj[i])}))
     return compatibility_sum([p.dyadic_weight for p in polymers], covers,
                              reaches)
 

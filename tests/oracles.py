@@ -264,6 +264,29 @@ def compatibility_sum_fraction(weights: Sequence[Fraction],
     return total((1 << n) - 1)
 
 
+def site_order_by_rescan(near: Sequence[int]) -> list:
+    """The partition function's site order, by least boundary growth, with
+    the boundary rescanned at every step: O(n^2) in the n indices, where
+    `polymers._site_order` keeps each count in a heap.  near[i] is the mask
+    of i's neighbours.  The boundary holds the unnumbered neighbours of the
+    numbered indices; next comes the boundary index with the fewest
+    neighbours neither numbered nor on the boundary, ties to the lowest
+    index, or the lowest unnumbered index when the boundary is empty."""
+    numbered = boundary = 0
+    order = []
+    for _ in near:
+        seen = numbered | boundary
+        if boundary:
+            j = min((i for i in range(len(near)) if boundary >> i & 1),
+                    key=lambda i: ((near[i] & ~seen).bit_count(), i))
+        else:
+            j = (~numbered & (numbered + 1)).bit_length() - 1
+        order.append(j)
+        numbered |= 1 << j
+        boundary = (boundary | near[j]) & ~numbered
+    return order
+
+
 def kp_bounds_by_intervals(G: Hypergraph, cls: int, b: int,
                            root=None) -> list:
     """(lhs_lower, lhs_upper, holds) at each root of `kp_terms`, in its

@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hypercount
 from hypercount import (digest, formats, gen_linear_regular, loads,
                         serialize_text)
-from hypercount.cli import _COMMANDS, _build_parser, main
+from hypercount.cli import CLOSED_PIPE, _COMMANDS, _build_parser, main
 
 from conftest import (circulant, kp_instances, loose_path, matching,
                       single_edge)
@@ -457,6 +461,32 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "exact-count", "-i", str(path))
         assert code == 2 and "error=input" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("polymers", "--class", "0", "--b", "3"),
+        ("--json", "xi", "--class", "0", "--b", "1"),
+        ("generate", "--k", "3", "--n", "6", "--r", "2", "--seed", "0"),
+    ])
+    def test_closed_pipe(self, tmp_path, argv):
+        # a fresh process whose reader has closed standard output before
+        # the first write exits CLOSED_PIPE without a traceback
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 8, 2, seed=0)))
+        if argv[0] != "generate":
+            argv += ("-i", str(path))
+        src = str(Path(hypercount.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "hypercount.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, timeout=120, env=env)
+        finally:
+            os.close(write)
+        assert CLOSED_PIPE == 141
+        assert (child.returncode, child.stderr) == (CLOSED_PIPE, b"")
+
     @pytest.mark.parametrize("k", ["3.7", "1e999"])  # 1e999 is a float inf
     def test_json_number_that_is_not_an_integer(self, capsys, tmp_path, k):
         path = tmp_path / "bad.json"
@@ -583,13 +613,13 @@ class TestExitCodes:
         path = tmp_path / "inst.hg"
         path.write_text(serialize_text(kp_instances()[1]))
         args = ("xi", "-i", str(path), "--class", "0", "--b", "2")
-        monkeypatch.setattr(exact, "STATE_CAP", 8)
-        code, out, err = run_cli(capsys, *args)
-        assert code == 0 and err == "" and "\nxi=" in out
         monkeypatch.setattr(exact, "STATE_CAP", 7)
         code, out, err = run_cli(capsys, *args)
+        assert code == 0 and err == "" and "\nxi=" in out
+        monkeypatch.setattr(exact, "STATE_CAP", 6)
+        code, out, err = run_cli(capsys, *args)
         assert code == 3 and out == "" and err.startswith("error=budget")
-        assert "swept 2 of 7 sites and held 8 live states" in err
+        assert "held 7 live states at site 2 of 7" in err
 
     def test_long_polymer_growth_refuses_at_the_cap(self, capsys, tmp_path,
                                                     monkeypatch):

@@ -2,6 +2,8 @@
 summability sums, and matching bounds."""
 
 import itertools
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,8 @@ from conftest import (fan, girth5_instances, kp_instances, matching,
 from oracles import (compatibility_sum_fraction, count_by_filter,
                      count_link_graph, distance_two_neighbors, is_two_linked,
                      kp_bounds_by_intervals, make_polymer, max_matching_size,
-                     polymer_count_bound_holds, polymer_vertex_sets)
+                     polymer_count_bound_holds, polymer_vertex_sets,
+                     site_order_by_rescan)
 
 V = Vertex
 
@@ -82,6 +85,38 @@ def site_items(draw):
                 reach |= near[s]
         items.append((weight, cover, reach))
     return items
+
+
+@st.composite
+def neighbour_masks(draw):
+    """A symmetric relation on up to 24 indices, as each index's mask of
+    neighbours: at most two pairs per index, so several components and
+    isolated indices are common."""
+    n = draw(st.integers(0, 24))
+    near = [0] * n
+    for s, t in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                        st.integers(0, max(n - 1, 0))),
+                              max_size=2 * n)):
+        if s != t:
+            near[s] |= 1 << t
+            near[t] |= 1 << s
+    return near
+
+
+def adjacency(near):
+    """Each index's neighbours, listed from its mask."""
+    return [[j for j in range(len(near)) if mask >> j & 1] for mask in near]
+
+
+def renumbered(G, cls, polys, site):
+    """compatibility_sum's covers and reaches for the polymers of the class
+    with class index i numbered as site[i]."""
+    _, near = G.class_table(cls)
+    covers = [sum(1 << site[i] for i in p.indices) for p in polys]
+    reaches = [sum(1 << site[j] for j in range(len(near))
+                   if any(j == i or near[i] >> j & 1 for i in p.indices))
+               for p in polys]
+    return covers, reaches
 
 
 class TestEnumeration:
@@ -499,6 +534,8 @@ class TestPartitionFunction:
 
     @given(site_items())
     @example([])
+    # site 1 is reached past the last covered site, 0, and gets no bit
+    @example([((0, 0), 0b1, 0b11)])
     @example([((1, 0), 0b1, 0b1), ((3, 2), 0b1, 0b1), ((5, 1), 0b100, 0b100)])
     @example([((1, 1), 0b101, 0b111), ((1, 1), 0b10, 0b111),
               ((2, 3), 0b101, 0b111), ((7, 3), 0b1000, 0b1000)])
@@ -540,16 +577,82 @@ class TestPartitionFunction:
                                   *meeting(nb)) == \
                 compatibility_sum_fraction(w, nb)
 
+    @pytest.mark.parametrize("n, r, b", [(20, 2, 3), (20, 3, 3)])
+    def test_a_refusal_stops_within_one_state_of_the_cap(
+            self, monkeypatch, n, r, b):
+        # the cap is checked after each state of any step that could pass
+        # it, so a refusal holds more than the cap but at most one more
+        # state for each item placed at one site, plus one
+        G = gen_linear_regular(3, n, r, seed=0)
+        polys = enumerate_polymers(G, 0, b)
+        covers, reaches = renumbered(G, 0, polys, range(n))
+        placed = Counter((cover & -cover).bit_length() for cover in covers)
+        for cap in (10, 30, 100):
+            monkeypatch.setattr(exact, "STATE_CAP", cap)
+            with pytest.raises(BudgetExceeded) as refusal:
+                compatibility_sum([p.dyadic_weight for p in polys], covers,
+                                  reaches)
+            held = int(re.match(r"the compatibility sum held (\d+) ",
+                                str(refusal.value))[1])
+            assert cap < held <= cap + 1 + max(placed.values())
+
     def test_state_cap_refusal(self, monkeypatch):
         G = kp_instances()[1]
         expected = partition_function(G, 0, 2)
-        monkeypatch.setattr(exact, "STATE_CAP", 8)
-        assert partition_function(G, 0, 2) == expected
         monkeypatch.setattr(exact, "STATE_CAP", 7)
+        assert partition_function(G, 0, 2) == expected
+        monkeypatch.setattr(exact, "STATE_CAP", 6)
         with pytest.raises(BudgetExceeded, match=(
-                r"^the compatibility sum swept 2 of 7 sites and held 8 live "
-                r"states, over the cap of 7; refusing")):
+                r"^the compatibility sum held 7 live states at site 2 of 7, "
+                r"over the cap of 6; refusing")):
             partition_function(G, 0, 2)
+
+
+class TestSiteOrder:
+    @given(neighbour_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_numbers_each_component_contiguously(self, near):
+        order = polymers._site_order(adjacency(near))
+        assert sorted(order) == list(range(len(near)))
+        # an index with no numbered neighbour starts a component only once
+        # the numbered indices have no unnumbered neighbour
+        numbered = reached = 0
+        for i in order:
+            if not near[i] & numbered:
+                assert reached & ~numbered == 0
+            numbered |= 1 << i
+            reached |= near[i]
+
+    @given(neighbour_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_rescan(self, near):
+        assert polymers._site_order(adjacency(near)) == \
+            site_order_by_rescan(near)
+
+    def test_matches_the_rescan_on_instance_classes(self):
+        instances = [*kp_instances(), *(G for *_, G in girth5_instances()),
+                     gen_linear_regular(3, 40, 2, seed=0),
+                     gen_linear_regular(3, 30, 3, seed=0)]
+        for G in instances:
+            for cls in range(G.k):
+                _, near = G.class_table(cls)
+                assert polymers._site_order(adjacency(near)) == \
+                    site_order_by_rescan(near)
+
+    @given(st.one_of(weigher_instances(), st.sampled_from(kp_instances())),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_compatibility_sum_under_any_site_numbering(self, G, data):
+        for cls in range(G.k):
+            site = data.draw(st.permutations(range(G.sizes[cls])))
+            for b in (1, 2):
+                polys = enumerate_polymers(G, cls, b)
+                assert compatibility_sum(
+                    [p.dyadic_weight for p in polys],
+                    *renumbered(G, cls, polys, site)) == \
+                    compatibility_sum_fraction(
+                        [p.weight for p in polys],
+                        [G.neighborhood(p.vertices) for p in polys])
 
 
 class TestKpTerms:
