@@ -300,8 +300,8 @@ def _cmd_generate(args, G):
 
 
 def _cmd_compare(args, G):
+    est = cl.estimate_count(G, args.t)  # its input errors come first
     count = exact.count_independent_sets(G)
-    est = cl.estimate_count(G, args.t)
     log_exact = log_of(count)
     results = {
         "exact": count,

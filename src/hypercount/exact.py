@@ -53,12 +53,15 @@ def _sweep(parts: list, private: list) -> int:
     The shared vertices are visited once each in a greedy order: next
     comes the one that opens the fewest edges minus the edges it closes,
     ties going first to a vertex on an already-started edge, then to the
-    lowest bit.  So the order depends on the set of edges, not on their
+    lowest bit; a heap of (rank, vertex) entries yields it, skipping stale
+    ones.  So the order depends on the set of edges, not on their
     order.  A state is the set of edges that are started, unfinished and
     fully chosen so far, as a bitmask over slots that an edge holds from
     its first shared vertex to its last; each state maps to its integer
     count.  Refuses with BudgetExceeded when more than STATE_CAP states are
     live."""
+    from heapq import heapify, heappop, heappush  # only the sweep needs it
+
     through = {}  # shared vertex (as its bit) -> the edges through it
     # rank: twice (edges a vertex would open - edges it would close), plus
     # one while no started edge passes through it; an edge with a single
@@ -75,22 +78,19 @@ def _sweep(parts: list, private: list) -> int:
             else:
                 through[v] = [j]
                 rank[v] = 1 + opens
-    bucket = {}  # rank -> the unvisited vertices of that rank, as one mask
-    for v, r in rank.items():
-        bucket[r] = bucket.get(r, 0) | v
+    # (rank, vertex) entries; each update lowers a rank and pushes anew, so
+    # only a vertex's latest entry, until it is popped, matches its rank
+    heap = [(r, v) for v, r in rank.items()]
+    heapify(heap)
     total = len(rank)
     rest = list(parts)  # each edge's unvisited shared vertices
     slot = [0] * len(parts)  # a started, unfinished edge's bit in the state
     used = 0
     states = {0: 1}
     for swept in range(1, total + 1):
-        r = min(bucket)
-        group = bucket[r]
-        v = group & -group  # the lowest bit of the lowest rank
-        if group == v:
-            del bucket[r]
-        else:
-            bucket[r] = group ^ v
+        r, v = heappop(heap)  # the lowest bit of the lowest rank
+        while rank[v] != r:
+            r, v = heappop(heap)
         seen = ends = begins = shift = 0
         finishing = []  # (slot bit, or 0 for an edge started here, p)
         for j in through[v]:
@@ -115,13 +115,8 @@ def _sweep(parts: list, private: list) -> int:
                     u = others & -others
                     others ^= u
                     r = rank[u]
-                    group = bucket[r] ^ u
-                    if group:
-                        bucket[r] = group
-                    else:
-                        del bucket[r]
                     r = rank[u] = r - drop - (r & touch)
-                    bucket[r] = bucket.get(r, 0) | u
+                    heappush(heap, (r, u))
                 continue
             p = private[j]
             finishing.append((bit, p))

@@ -13,11 +13,13 @@ the class, the sorted class indices, D = |N(S)| and the reduced (m, e).
 Compatibility reads the same masks: distinct polymers S, T of one class
 have meeting neighbourhoods iff T meets S or S's distance-two neighbours.
 So the partition function sweeps the class indices once, as sites
-numbered by least boundary growth, each polymer placed at its lowest site,
-and a state holds a bit only for each site still live.  The exact sums run
-on these integers and build one Fraction per result; every identity tested
-downstream holds bit-for-bit.  The convergence-condition bounds are exact dyadic sums too:
-mpmath only encloses exp(f_s + g_s) once per polymer order.
+numbered by least boundary growth, each polymer given as lists of the
+sites it covers and reaches and placed at its lowest covered site, and a
+state holds a bit only for each site still live.  The exact sums run on
+these integers and build one Fraction per result; every identity tested
+downstream holds bit-for-bit.  The convergence-condition bounds are exact
+dyadic sums too: mpmath only encloses exp(f_s + g_s) once per polymer
+order.
 """
 
 from __future__ import annotations
@@ -232,26 +234,29 @@ def _capped(items, nxt: dict, cap: int, p: int, n: int):
             f"estimating")
 
 
-def compatibility_sum(weights: Sequence[tuple], covers: Sequence[int],
-                      reaches: Sequence[int]) -> Fraction:
+def compatibility_sum(weights: Sequence[tuple], covers: Sequence,
+                      reaches: Sequence) -> Fraction:
     """Sum over all families of pairwise-compatible items of the product of
     their weights (empty family contributes 1); the weights are (m, e)
-    pairs, w = m / 2^e with e >= 0.  Item j covers the sites (bit positions)
-    of the non-empty mask covers[j] and reaches those of reaches[j], which
-    holds covers[j]: j is incompatible with i iff covers[j] meets
-    reaches[i], a symmetric relation, so every item is incompatible with
-    itself.
+    pairs, w = m / 2^e with e >= 0.  Item j covers the sites (integers
+    >= 0) in covers[j] and reaches those in reaches[j], which holds
+    covers[j]; each lists its sites in any order, repeats allowed.  j is
+    incompatible with i iff covers[j] meets reaches[i], a symmetric
+    relation, so every item is incompatible with itself.  An empty cover
+    is refused with InputError.
 
-    One sweep visits the sites in ascending order and places each item at
-    its lowest site.  A state is the set of later sites that the items
-    placed so far reach; each state maps to its integer count.  A site
-    holds a bit of the state only while it can be live: from the first
-    step whose placed items reach it to its own step, when the bit is
-    freed; free bits are taken lowest first, so a state is as wide as the
-    most sites live at once, and callers number near sites closely to keep
-    that small.  Reached sites past the last covered one block nothing and
-    get no bit.  At a site in the state nothing can be placed; otherwise
-    each item placed there whose other sites miss the state may join.
+    One sweep visits the sites 0..n-1 in ascending order, n - 1 the last
+    covered site, and places each item at its lowest covered site p.  A
+    state is the set of later sites that the items placed so far reach;
+    each state maps to its integer count.  A site holds a bit of the state
+    only while it can be live: from the first step whose placed items
+    reach it to its own step, when the bit is freed; free bits are taken
+    lowest first, so a state is as wide as the most sites live at once,
+    and callers number near sites closely to keep that small.  So a
+    reached site s gets a bit only when p < s < n: sites up to p are
+    swept, and those past n - 1 block nothing.  At a site in the state
+    nothing can be placed; otherwise each item placed there whose covered
+    sites above p miss the state may join.
     Each weight m_i / 2^e_i is rewritten over the common 2^E, E the largest
     e_i, so after p sites every count is an integer over 2^(E p) and one
     Fraction is built at the end.  Refuses with BudgetExceeded once more
@@ -259,11 +264,13 @@ def compatibility_sum(weights: Sequence[tuple], covers: Sequence[int],
     plus the items placed there, stay within the cap is not checked.
     """
     E = max((e for _, e in weights), default=0)
-    n = max((cover.bit_length() for cover in covers), default=0)
+    for j, cover in enumerate(covers):
+        if not cover:
+            raise InputError(f"compatibility sum item {j} covers no site")
+    n = max((max(cover) + 1 for cover in covers), default=0)
     placed = [[] for _ in range(n)]  # site -> the items placed there
     for (m, e), cover, reach in zip(weights, covers, reaches):
-        placed[(cover & -cover).bit_length() - 1].append(
-            (cover, reach, m << (E - e)))
+        placed[min(cover)].append((cover, reach, m << (E - e)))
     cap = exact.STATE_CAP
     slot = [0] * n  # a live site's bit in the state
     used = 0  # the bits of the live sites
@@ -271,22 +278,21 @@ def compatibility_sum(weights: Sequence[tuple], covers: Sequence[int],
     for p, here in enumerate(placed):
         bit = slot[p]
         used ^= bit
-        # (bits of the other sites, bits of the reached later sites,
-        # weight * 2^E) of each item placed here
+        # (bits of the other covered sites, bits of the reached later
+        # sites, weight * 2^E) of each item placed here
         group = []
         for cover, reach, num in here:
             bits = 0
-            for s in _bits(reach >> p + 1):
-                s += p + 1
-                if s >= n:
-                    break
-                if not slot[s]:  # s goes live: it takes the lowest free bit
-                    slot[s] = ~used & (used + 1)
-                    used |= slot[s]
-                bits |= slot[s]
+            for s in reach:
+                if p < s < n:
+                    if not slot[s]:  # s goes live on the lowest free bit
+                        slot[s] = ~used & (used + 1)
+                        used |= slot[s]
+                    bits |= slot[s]
             rest = 0
-            for s in _bits(cover >> p + 1):
-                rest |= slot[s + p + 1]
+            for s in cover:
+                if s > p:
+                    rest |= slot[s]
             group.append((rest, bits, num))
         nxt = {}
         items = states.items()
@@ -349,29 +355,21 @@ def _site_order(adj: Sequence[list]) -> list:
     return order
 
 
-def _mask(sites: set) -> int:
-    """The mask of a non-empty set of sites, summed from its lowest site and
-    shifted into place once, so that one wide integer is built."""
-    low = min(sites)
-    return sum(1 << s - low for s in sites) << low
-
-
 def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class.
     The sites are the class indices, numbered by `_site_order` over their
     distance-two neighbours; a polymer covers its own indices and reaches
-    those and their distance-two neighbours."""
+    those and their distance-two neighbours, each given as a list of sites
+    (a reach lists a neighbour once for each index it neighbours)."""
     polymers = enumerate_polymers(G, cls, b)
     _, near = G.class_table(cls)
     adj = [list(_bits(mask)) for mask in near]
     site = [0] * len(adj)  # class index -> its site
     for s, i in enumerate(_site_order(adj)):
         site[i] = s
-    covers, reaches = [], []
-    for p in polymers:
-        covers.append(_mask({site[i] for i in p.indices}))
-        reaches.append(_mask({site[j] for i in p.indices
-                              for j in (i, *adj[i])}))
+    covers = [[site[i] for i in p.indices] for p in polymers]
+    reaches = [[site[j] for i in p.indices for j in (i, *adj[i])]
+               for p in polymers]
     return compatibility_sum([p.dyadic_weight for p in polymers], covers,
                              reaches)
 

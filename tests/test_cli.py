@@ -461,6 +461,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "exact-count", "-i", str(path))
         assert code == 2 and "error=input" in err
 
+    @pytest.mark.parametrize("t, dropped, message", [
+        ("0", 0, "truncation size t must be at least 1"),
+        ("1", 3, "the estimator requires a regular hypergraph")])
+    def test_compare_checks_the_estimate_before_the_exact_count(
+            self, capsys, tmp_path, t, dropped, message):
+        # the exact count of this instance, or of it less its last three
+        # edges, refuses at the state cap; compare gives estimate's input
+        # error instead
+        G = gen_linear_regular(3, 40, 3, seed=0)
+        lines = serialize_text(G).splitlines()
+        path = tmp_path / "inst.hg"
+        path.write_text("\n".join(lines[:len(lines) - dropped]) + "\n")
+        for command in ("estimate", "compare"):
+            code, out, err = run_cli(capsys, command, "-i", str(path),
+                                     "--t", t)
+            assert (code, out, err) == (2, "", f"error=input {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("polymers", "--class", "0", "--b", "3"),
         ("--json", "xi", "--class", "0", "--b", "1"),

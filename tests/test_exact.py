@@ -176,12 +176,23 @@ class TestLoosePath:
 
 
 class TestStateCap:
-    def test_refusal_names_how_far_the_sweep_got(self, monkeypatch):
-        monkeypatch.setattr(exact, "STATE_CAP", 12)
+    # each instance, the cap, and where the greedy order stops: the shared
+    # vertices swept, of all of them, and the live states held
+    @pytest.mark.parametrize("instance, cap, swept, total, held", [
+        (lambda: circulant(5, 2), 12, 5, 15, 16),
+        (lambda: gen_linear_regular(3, 20, 2, seed=0), 64, 16, 60, 96),
+        (lambda: gen_linear_regular(3, 40, 2, seed=0), 256, 14, 120, 384),
+        (lambda: gen_linear_regular(3, 15, 3, seed=0), 256, 9, 45, 281)],
+        ids=["circulant-5-2", "gen-3-20-2", "gen-3-40-2", "gen-3-15-3"])
+    def test_refusal_names_how_far_the_sweep_got(
+            self, monkeypatch, instance, cap, swept, total, held):
+        G = instance()
+        monkeypatch.setattr(exact, "STATE_CAP", cap)
         with pytest.raises(BudgetExceeded, match=(
-                r"^the exact count swept 5 of 15 shared vertices and held 16 "
-                r"live states, over the cap of 12; refusing")):
-            count_independent_sets(circulant(5, 2))
+                rf"^the exact count swept {swept} of {total} shared vertices "
+                rf"and held {held} live states, over the cap of {cap}; "
+                rf"refusing")):
+            count_independent_sets(G)
 
     def test_count_under_the_cap_is_exact(self, monkeypatch):
         G = circulant(5, 2)
@@ -201,7 +212,6 @@ class TestStateCap:
 
     def test_greedy_order_reaches_a_30_vertex_class(self, monkeypatch):
         # the sweep holds at most 2,048 states on this instance
-        from hypercount import gen_linear_regular
         G = gen_linear_regular(3, 30, 2, seed=0)
         expected = count_independent_sets(G)
         monkeypatch.setattr(exact, "STATE_CAP", 2048)

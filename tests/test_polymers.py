@@ -53,9 +53,9 @@ def meeting(neighborhoods):
     incompatible when their neighbourhoods meet: the i-th index covers
     site i alone and reaches it and the sites of the other indices whose
     neighbourhood meets the i-th."""
-    covers = [1 << i for i in range(len(neighborhoods))]
-    reaches = [sum(1 << j for j, other in enumerate(neighborhoods)
-                   if j == i or nb & other)
+    covers = [[i] for i in range(len(neighborhoods))]
+    reaches = [[j for j, other in enumerate(neighborhoods)
+                if j == i or nb & other]
                for i, nb in enumerate(neighborhoods)]
     return covers, reaches
 
@@ -63,27 +63,25 @@ def meeting(neighborhoods):
 @st.composite
 def site_items(draw):
     """Up to 10 items on at most 8 sites: a weight (m, e), a non-empty
-    cover drawn from a pool of at most 5 site masks, so repeated covers are
+    cover drawn from a pool of at most 5 site lists, so repeated covers are
     common, and the reach of that cover in a random graph on the sites,
-    where isolated sites and sites no item covers are common."""
+    where isolated sites and sites no item covers are common.  Covers and
+    reaches list their sites in a drawn order."""
     n = draw(st.integers(1, 8))
-    near = [0] * n
+    near = [set() for _ in range(n)]
     for s, t in draw(st.lists(st.tuples(st.integers(0, n - 1),
                                         st.integers(0, n - 1)), max_size=8)):
         if s != t:
-            near[s] |= 1 << t
-            near[t] |= 1 << s
-    pool = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1,
-                         max_size=5))
+            near[s].add(t)
+            near[t].add(s)
+    pool = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                  unique=True), min_size=1, max_size=5))
     items = []
     for weight, cover in draw(st.lists(st.tuples(
             st.tuples(st.integers(0, 40), st.integers(0, 6)),
             st.sampled_from(pool)), max_size=10)):
-        reach = cover
-        for s in range(n):
-            if cover >> s & 1:
-                reach |= near[s]
-        items.append((weight, cover, reach))
+        reach = set(cover).union(*(near[s] for s in cover))
+        items.append((weight, cover, draw(st.permutations(sorted(reach)))))
     return items
 
 
@@ -112,9 +110,9 @@ def renumbered(G, cls, polys, site):
     """compatibility_sum's covers and reaches for the polymers of the class
     with class index i numbered as site[i]."""
     _, near = G.class_table(cls)
-    covers = [sum(1 << site[i] for i in p.indices) for p in polys]
-    reaches = [sum(1 << site[j] for j in range(len(near))
-                   if any(j == i or near[i] >> j & 1 for i in p.indices))
+    covers = [[site[i] for i in p.indices] for p in polys]
+    reaches = [[site[j] for j in range(len(near))
+                if any(j == i or near[i] >> j & 1 for i in p.indices)]
                for p in polys]
     return covers, reaches
 
@@ -535,10 +533,14 @@ class TestPartitionFunction:
     @given(site_items())
     @example([])
     # site 1 is reached past the last covered site, 0, and gets no bit
-    @example([((0, 0), 0b1, 0b11)])
-    @example([((1, 0), 0b1, 0b1), ((3, 2), 0b1, 0b1), ((5, 1), 0b100, 0b100)])
-    @example([((1, 1), 0b101, 0b111), ((1, 1), 0b10, 0b111),
-              ((2, 3), 0b101, 0b111), ((7, 3), 0b1000, 0b1000)])
+    @example([((0, 0), [0], [0, 1])])
+    @example([((1, 0), [0], [0]), ((3, 2), [0], [0]), ((5, 1), [2], [2])])
+    @example([((1, 1), [0, 2], [0, 1, 2]), ((1, 1), [1], [0, 1, 2]),
+              ((2, 3), [2, 0], [2, 1, 0]), ((7, 3), [3], [3])])
+    # the items placed at sites 2 and 3 reach site 1, already swept, whose
+    # freed bit site 3 holds by then
+    @example([((1, 0), [2, 0], [1, 2, 0]), ((3, 1), [2], [2, 1]),
+              ((1, 1), [1], [3, 1, 2]), ((5, 2), [3], [3, 1])])
     @settings(max_examples=150, deadline=None)
     def test_compatibility_sum_over_items_of_several_sites(self, items):
         # every family of items whose covers miss each other's reaches,
@@ -547,7 +549,8 @@ class TestPartitionFunction:
         for i, ((m, e), cover, _) in enumerate(items):
             families += [(fam + (i,), prod * Fraction(m, 1 << e))
                          for fam, prod in families
-                         if all(not cover & items[j][2] for j in fam)]
+                         if all(set(cover).isdisjoint(items[j][2])
+                                for j in fam)]
         weights, covers, reaches = zip(*items) if items else ((), (), ())
         assert compatibility_sum(weights, covers, reaches) == \
             sum(prod for _, prod in families)
@@ -586,7 +589,7 @@ class TestPartitionFunction:
         G = gen_linear_regular(3, n, r, seed=0)
         polys = enumerate_polymers(G, 0, b)
         covers, reaches = renumbered(G, 0, polys, range(n))
-        placed = Counter((cover & -cover).bit_length() for cover in covers)
+        placed = Counter(min(cover) for cover in covers)
         for cap in (10, 30, 100):
             monkeypatch.setattr(exact, "STATE_CAP", cap)
             with pytest.raises(BudgetExceeded) as refusal:
@@ -595,6 +598,13 @@ class TestPartitionFunction:
             held = int(re.match(r"the compatibility sum held (\d+) ",
                                 str(refusal.value))[1])
             assert cap < held <= cap + 1 + max(placed.values())
+
+    @pytest.mark.parametrize("covers", [[[], [0]], [[0], []], [[]]])
+    def test_an_empty_cover_is_refused(self, covers):
+        empty = covers.index([])
+        with pytest.raises(InputError, match=(
+                rf"^compatibility sum item {empty} covers no site$")):
+            compatibility_sum([(1, 0)] * len(covers), covers, covers)
 
     def test_state_cap_refusal(self, monkeypatch):
         G = kp_instances()[1]
