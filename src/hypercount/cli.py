@@ -274,8 +274,8 @@ _CHECKS = {
 
 
 def _cmd_check(args, G):
-    results, rows = _report_rows(_CHECKS[args.property](G, args))
-    return G, {"property": args.property}, results, rows
+    report = _CHECKS[args.property](G, args)
+    return G, {"property": args.property} | report.params, *_report_rows(report)
 
 
 def _cmd_generate(args, G):

@@ -24,10 +24,12 @@ serves the `clusters` command and tests the truncation.  Clusters are
 canonical multisets of polymers together with the number of orderings they
 represent, so sums over ordered polymer vectors are computed without
 factorial blowup.  Their incompatibility graphs come from
-`polymers.compatible`, which reads the same distance-two masks.  The
-listing refuses, as the polymer enumeration does, above
-polymers.MAX_POLYMERS clusters.  Cluster weights are exact rationals;
-floats appear only at the log-domain boundary of the estimator.
+`polymers.compatible`, which reads the same distance-two masks, and the
+same flood fill, `linked_piece`, tests on the graphs' neighbour masks
+that they are connected.  The listing refuses, as the polymer
+enumeration does, above polymers.MAX_POLYMERS clusters.  Cluster weights
+are exact rationals; floats appear only at the log-domain boundary of
+the estimator.
 """
 
 from __future__ import annotations
@@ -53,20 +55,15 @@ TRUNCATION_WORK_CAP = 1 << 20
 # ----- Ursell function ---------------------------------------------------------
 
 
-def _graph_components(n: int, edges) -> int:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _connected(n: int, edges) -> bool:
+    """Whether the graph on the vertices 0..n-1, n >= 1, with these edges is
+    connected: linked_piece floods from vertex 0 over the neighbour masks."""
+    nbrs = [0] * n
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n)})
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    full = (1 << n) - 1
+    return linked_piece(nbrs, full, 0) == full
 
 
 def ursell(n: int, edges: Iterable) -> Fraction:
@@ -86,7 +83,7 @@ def ursell(n: int, edges: Iterable) -> Fraction:
     if n > URSELL_VERTEX_CAP:
         raise BudgetExceeded(
             f"Ursell cap is {URSELL_VERTEX_CAP} vertices, got {n}")
-    if _graph_components(n, edges) != 1:
+    if not _connected(n, edges):
         raise InputError("Ursell function is defined for connected graphs")
 
     edge_bits = [(1 << a) | (1 << b) for a, b in edges]
@@ -167,8 +164,7 @@ def incompatibility_graph(entries_expanded: Sequence[Polymer]):
 
 
 def _connected_multiset(entries_expanded: Sequence[Polymer]) -> bool:
-    n, edges = incompatibility_graph(entries_expanded)
-    return _graph_components(n, edges) == 1
+    return _connected(*incompatibility_graph(entries_expanded))
 
 
 def cluster_weight(cluster: Cluster) -> Fraction:
@@ -268,7 +264,7 @@ def truncated_log_xi(G: Hypergraph, cls: int, t: int) -> Fraction:
             f"the truncation at t={t} over {len(polymers)} polymers needs "
             f"about {work} steps, over the cap of {TRUNCATION_WORK_CAP}; "
             f"refusing rather than estimating")
-    _, near = G.class_table(cls)
+    _, near, _ = G.class_table(cls)
     masks = []  # each polymer's class-index mask
     for p in polymers:
         Cm = 0

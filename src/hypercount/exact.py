@@ -274,7 +274,7 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
         raise BudgetExceeded(
             f"the defect count has {n} vertices, over the cap of "
             f"{DEFECT_VERTEX_CAP}; refusing rather than estimating")
-    positions, near = G.class_table(cls)
+    positions, near, _ = G.class_table(cls)
     through = [[G._edge_masks[j] for j in js] for js in positions]
 
     count, covered = 1, 0  # covered: the neighbourhood of the class

@@ -269,12 +269,13 @@ class Hypergraph:
 
     def class_table(self, cls: int) -> tuple:
         """The table of the class, built once per instance and class and
-        kept with it, as two lists over the class indices: the positions in
-        self.ids (and in the instance's edge masks) of the edges through
-        the vertex, and its distance-two neighbours as one mask of class
-        indices, the class indices on an edge through one of its
-        neighbours, less itself.  Both come from the edges' ids; a class
-        out of range raises InputError."""
+        kept with it, as three lists over the class indices: the positions
+        in self.ids (and in the instance's edge masks) of the edges through
+        the vertex, its distance-two neighbours as one mask of class
+        indices, and the same neighbours as an ascending list.  The
+        distance-two neighbours are the class indices on an edge through
+        one of its neighbours, less itself.  All three come from the edges'
+        ids; a class out of range raises InputError."""
         self._check_class(cls)
         tables = self._class_tables
         if cls not in tables:
@@ -286,12 +287,13 @@ class Hypergraph:
                 through[i].append(j)
                 for x in e:
                     owners.setdefault(x, []).append(i)
-            near = []
+            near, adj = [], []
             for i, js in enumerate(through):
                 found = {u for j in js for x in self.ids[j] for u in owners[x]}
                 found.discard(i)
+                adj.append(sorted(found))
                 near.append(sum(1 << u for u in found))
-            tables[cls] = through, near
+            tables[cls] = through, near, adj
         return tables[cls]
 
     # ----- global structure checks ------------------------------------------
@@ -332,7 +334,8 @@ class Hypergraph:
 def linked_piece(near: Sequence[int], T: int, i: int) -> int:
     """The 2-linked piece of the class-index mask T that holds the index i:
     a flood fill within T on the distance-two masks `near` of
-    Hypergraph.class_table."""
+    Hypergraph.class_table.  Over any symmetric neighbour masks it is the
+    component of i in the graph that they induce on T."""
     piece = frontier = 1 << i
     while frontier:
         j = frontier.bit_length() - 1

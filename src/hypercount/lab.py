@@ -73,20 +73,24 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
                        min_girth: Optional[int] = None) -> Hypergraph:
     """Random linear r-regular k-partite k-graph with all class sizes n,
     deterministic per seed; optionally with no loose cycle shorter than
-    min_girth.  Raises GenerationError with diagnostics after MAX_RESTARTS
-    failed attempts, each of at most EDGE_TRIES draws per edge slot; each
-    girth check is one loose-cycle search under hypergraph.GIRTH_NODE_CAP."""
+    min_girth, which must be at least 4 (InputError otherwise, as in
+    check_girth).  Raises GenerationError with diagnostics after
+    MAX_RESTARTS failed attempts, each of at most EDGE_TRIES draws per edge
+    slot; each girth check is one loose-cycle search under
+    hypergraph.GIRTH_NODE_CAP."""
     if k < 2 or n < 1 or r < 1:
         raise InputError("generation requires k >= 2, n >= 1, r >= 1")
     if r > n:
         raise InputError(
             f"r={r} > n={n} is infeasible: a vertex needs {r} distinct "
             f"partners per class to stay linear")
+    if min_girth is not None and min_girth < 4:
+        raise InputError("min_girth below 4 is vacuous")
     check_vertex_cap(k * n)  # before the per-vertex capacity tables
     rng = random.Random(seed)
     total_edges = n * r
     N = k * n  # vertex (c, i) has id c * n + i, so ids sort class-major
-    girth_bounded = min_girth is not None and min_girth > 3
+    girth_bounded = min_girth is not None
     stuck_at = 0
     for _ in range(MAX_RESTARTS):
         capacity = [r] * N

@@ -4,22 +4,23 @@ convergence-condition sums at each root, taken over the same enumeration.
 
 The layer runs on class indices.  The instance's table of the class
 (`Hypergraph.class_table`) holds for each class index the edges through
-it and its distance-two neighbours as one mask of class indices.
-Connected sets grow on those masks, and each is weighed where it is
-built: the residues of the edges through S go straight to the exact
-counter, whose cover is N(S).  Every weight |IS(link graph)| / 2^|N(S)|
-is an integer m over a power of two 2^e.  A `Polymer` is a lean record of
-the class, the sorted class indices, D = |N(S)| and the reduced (m, e).
-Compatibility reads the same masks: distinct polymers S, T of one class
-have meeting neighbourhoods iff T meets S or S's distance-two neighbours.
-So the partition function sweeps the class indices once, as sites
-numbered by least boundary growth, each polymer given as lists of the
-sites it covers and reaches and placed at its lowest covered site, and a
-state holds a bit only for each site still live.  The exact sums run on
-these integers and build one Fraction per result; every identity tested
-downstream holds bit-for-bit.  The convergence-condition bounds are exact
-dyadic sums too: mpmath only encloses exp(f_s + g_s) once per polymer
-order.
+it and its distance-two neighbours, both as one mask of class indices and
+as an ascending list.  Connected sets grow on the masks, and each is
+weighed where it is built: the residues of the edges through S go
+straight to the exact counter, whose cover is N(S).  Every weight
+|IS(link graph)| / 2^|N(S)| is an integer m over a power of two 2^e.  A
+`Polymer` is a lean record of the class, the sorted class indices,
+D = |N(S)| and the reduced (m, e).  Compatibility reads the same masks:
+distinct polymers S, T of one class have meeting neighbourhoods iff T
+meets S or S's distance-two neighbours.  So the partition function sweeps
+the class indices once, as sites numbered by least boundary growth on the
+table's lists, each polymer given as lists of the sites it covers and
+reaches, read off the same lists, and placed at its lowest covered site,
+and a state holds a bit only for each site still live.  The exact sums
+run on these integers and build one Fraction per result; every identity
+tested downstream holds bit-for-bit.  The convergence-condition bounds
+are exact dyadic sums too: mpmath only encloses exp(f_s + g_s) once per
+polymer order.
 """
 
 from __future__ import annotations
@@ -103,26 +104,11 @@ def compatible(S: Polymer, T: Polymer) -> bool:
     if S.cls != T.cls or T.graph is not G and T.graph != G:
         raise InputError(f"polymers {S} and {T} are not of one class of one "
                          f"instance")
-    _, near = G.class_table(S.cls)
-    return not _reach(near, S.indices) & sum(1 << j for j in T.indices)
-
-
-def _reach(near, indices) -> int:
-    """A polymer's class indices and their distance-two neighbours, as one
-    mask: another polymer of the class is incompatible with it iff it
-    holds one of them."""
-    reach = 0
-    for i in indices:
+    _, near, _ = G.class_table(S.cls)
+    reach = 0  # S's class indices and their distance-two neighbours
+    for i in S.indices:
         reach |= near[i] | 1 << i
-    return reach
-
-
-def _bits(mask: int):
-    """The positions of the set bits of `mask`, in increasing order."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+    return not reach & sum(1 << j for j in T.indices)
 
 
 # ----- connected sets in the distance-two structure ----------------------------
@@ -182,7 +168,7 @@ def enumerate_polymers(G: Hypergraph, cls: int, b: int,
         roots = [root.idx]
     if b == 0:
         return []
-    _, near = G.class_table(cls)
+    _, near, _ = G.class_table(cls)
     cap = MAX_POLYMERS
     sets, barred = [], 0
     for start in roots:
@@ -199,7 +185,7 @@ def _weighed(G: Hypergraph, cls: int, sets: Iterable) -> list:
     reduced (m, e), w(S) = m / 2^e: its link graph's edges, the residues
     e - e[cls] of the edges e through S, are counted over the vertices
     they cover, which are N(S)."""
-    through, _ = G.class_table(cls)
+    through, _, _ = G.class_table(cls)
     masks, outside = G._edge_masks, ~exact.class_mask(G, cls)
     out = []
     for idx in sorted(tuple(sorted(s)) for s in sets):
@@ -358,12 +344,12 @@ def _site_order(adj: Sequence[list]) -> list:
 def partition_function(G: Hypergraph, cls: int, b: int) -> Fraction:
     """Exact weighted sum over compatible polymer families of the class.
     The sites are the class indices, numbered by `_site_order` over their
-    distance-two neighbours; a polymer covers its own indices and reaches
-    those and their distance-two neighbours, each given as a list of sites
-    (a reach lists a neighbour once for each index it neighbours)."""
+    distance-two neighbours, the class table's lists; a polymer covers its
+    own indices and reaches those and their distance-two neighbours, each
+    given as a list of sites (a reach lists a neighbour once for each index
+    it neighbours)."""
     polymers = enumerate_polymers(G, cls, b)
-    _, near = G.class_table(cls)
-    adj = [list(_bits(mask)) for mask in near]
+    _, _, adj = G.class_table(cls)
     site = [0] * len(adj)  # class index -> its site
     for s, i in enumerate(_site_order(adj)):
         site[i] = s

@@ -330,6 +330,17 @@ class TestCommands:
                                "--b", "0")
         assert code == 0 and kv(out)["verdict"] == "holds"
 
+    def test_check_prints_the_report_params(self, capsys, tmp_path):
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 6, 2, seed=0)))
+        code, out, _ = run_cli(capsys, "check", "def", "-i", str(path),
+                               "--b", "6")
+        assert code == 0
+        assert {key: val for key, val in kv(out).items()
+                if key.startswith("param.")} == {
+            "param.property": "def", "param.b": "6", "param.vacuous": "true"}
+        assert kv(out)["verdict"] == "holds"
+
     def test_check_reg_ratio_beyond_float_range(self, capsys, tmp_path):
         # at t = 100000 the exact worst ratio has thousands of digits
         from hypercount import gen_linear_regular
@@ -669,6 +680,14 @@ class TestExitCodes:
                                  flag, value)
         assert code == 2 and out == ""
         assert err.startswith("error=input") and repr(value) in err
+
+    @pytest.mark.parametrize("min_girth", ["3", "0", "-5"])
+    def test_vacuous_girth_bound(self, capsys, min_girth):
+        code, out, err = run_cli(capsys, "generate", "--k", "3", "--n", "5",
+                                 "--r", "2", "--seed", "0", "--min-girth",
+                                 min_girth)
+        assert (code, out, err) == (
+            2, "", "error=input min_girth below 4 is vacuous\n")
 
     def test_generation_failure(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--k", "4", "--n", "2",

@@ -163,6 +163,18 @@ class TestUrsell:
         with pytest.raises(InputError):
             ursell(3, [(0, 1)])
 
+    def test_rejects_exactly_the_disconnected_graphs(self):
+        for n in range(1, 6):
+            possible = list(itertools.combinations(range(n), 2))
+            connected = {tuple(edges) for edges in _connected_graphs(n)}
+            for size in range(len(possible) + 1):
+                for edges in itertools.combinations(possible, size):
+                    if edges in connected:
+                        ursell(n, edges)
+                        continue
+                    with pytest.raises(InputError, match="connected graphs"):
+                        ursell(n, edges)
+
     def test_cap_refusal(self):
         with pytest.raises(BudgetExceeded):
             ursell(12, [(i, i + 1) for i in range(11)])

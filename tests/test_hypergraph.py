@@ -203,6 +203,14 @@ class TestDistanceTwo:
         for mask in G.class_table(0)[1]:
             assert mask.bit_count() == (k - 1) * r * (r - 1)
 
+    @given(partite_hypergraphs(max_k=3, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_lists_are_the_masks_in_ascending_order(self, G):
+        for cls in range(G.k):
+            _, near, adj = G.class_table(cls)
+            assert adj == [[j for j in range(G.sizes[cls]) if mask >> j & 1]
+                           for mask in near]
+
     @pytest.mark.parametrize("cls", [-1, 3])
     def test_class_out_of_range(self, edge3, cls):
         with pytest.raises(InputError):

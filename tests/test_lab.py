@@ -205,6 +205,11 @@ class TestGenerator:
             "girth >= 5 after 6 restarts (best attempt stalled at edge "
             "21/36); try another seed or larger n")
 
+    @pytest.mark.parametrize("min_girth", [3, 0, -5])
+    def test_vacuous_girth_bound_rejected(self, min_girth):
+        with pytest.raises(InputError, match="^min_girth below 4 is vacuous$"):
+            gen_linear_regular(3, 5, 2, seed=0, min_girth=min_girth)
+
     def test_infeasible_r_rejected(self):
         with pytest.raises(InputError):
             gen_linear_regular(3, 2, 3, seed=0)

@@ -109,7 +109,7 @@ def adjacency(near):
 def renumbered(G, cls, polys, site):
     """compatibility_sum's covers and reaches for the polymers of the class
     with class index i numbered as site[i]."""
-    _, near = G.class_table(cls)
+    _, near, _ = G.class_table(cls)
     covers = [[site[i] for i in p.indices] for p in polys]
     reaches = [[site[j] for j in range(len(near))
                 if any(j == i or near[i] >> j & 1 for i in p.indices)]
@@ -278,7 +278,7 @@ class TestClassIndexLayer:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_vertex_set_oracle(self, G):
         for cls in range(G.k):
-            _, near = G.class_table(cls)
+            _, near, _ = G.class_table(cls)
             assert near == [sum(1 << u.idx for u in
                                 distance_two_neighbors(G, v))
                             for v in G.class_vertices(cls)]
@@ -645,7 +645,7 @@ class TestSiteOrder:
                      gen_linear_regular(3, 30, 3, seed=0)]
         for G in instances:
             for cls in range(G.k):
-                _, near = G.class_table(cls)
+                _, near, _ = G.class_table(cls)
                 assert polymers._site_order(adjacency(near)) == \
                     site_order_by_rescan(near)
 
