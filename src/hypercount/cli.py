@@ -5,17 +5,23 @@ output).  Exact rationals are printed exactly; log-domain floats with 12
 significant digits.  Exit codes: 0 ok, 2 input error, 3 budget refusal,
 4 generation failure, 141 standard output closed by its reader.  Timings
 are reported but excluded from the determinism contract.
+
+Plain command lines (exact flag names, each value its own token) are
+parsed straight from the `_COMMANDS` table; argparse is imported and
+built from that table only for help and for the lines `_parse` leaves to
+it, such as usage errors, so it prints the same help, messages and exit
+codes.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import os
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from . import clusters as cl
@@ -124,7 +130,7 @@ def _cmd_defect_count(args, G):
 
 
 def _cmd_polymers(args, G):
-    root = _vertex(args.root) if args.root else None
+    root = _vertex(args.root) if args.root is not None else None
     polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root)
     rows = [("polymer", {
         "vertices": [str(v) for v in p.vertices],
@@ -145,7 +151,7 @@ def _cmd_xi(args, G):
 
 
 def _cmd_kp_check(args, G):
-    root = _vertex(args.root) if args.root else None
+    root = _vertex(args.root) if args.root is not None else None
     found = polymers.kp_terms(G, args.cls, args.b, root=root)
     rows = [("root", {
         "vertex": res.root,
@@ -333,8 +339,11 @@ _CLASS = _arg("--class", dest="cls", type=int, required=True)
 _B = _arg("--b", type=int, required=True)
 _T = _arg("--t", type=int, required=True)
 _ROOT = _arg("--root", default=None, help="<class>:<index>")
+_INPUT = _arg("--input", "-i", default="-",
+              help="path to instance file, '-' for stdin")
 
-# command name -> (handler, reads --input, argument specs in parser order)
+# command name -> (handler, reads --input, its other argument specs in
+# parser order)
 _COMMANDS = {
     "exact-count": (_cmd_exact_count, True, ()),
     "defect-count": (_cmd_defect_count, True, (_CLASS, _B)),
@@ -365,41 +374,78 @@ _COMMANDS = {
 }
 
 
-def _command_of(argv: list) -> Optional[str]:
-    """The command that argv names after nothing but top-level flags, or
-    None.  Other leading tokens ('-', '-1', '--', '--js') can change what
-    argparse takes as the command, so they get the full parser."""
-    for arg in argv:
-        if arg not in ("--json", "-h", "--help"):
-            return arg if arg in _COMMANDS else None
-    return None
+def _specs(name: str) -> tuple:
+    """The argument specs of command `name` in parser order."""
+    _, needs_input, specs = _COMMANDS[name]
+    return (_INPUT, *specs) if needs_input else specs
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser, holding only `command`'s subparser when it names one
-    (each add_argument builds a HelpFormatter, so the full tree costs
-    milliseconds per call) and every subparser otherwise."""
+def _parse(argv: list) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives for a plain command line, or None.
+
+    A plain line is an optional leading --json, a command name, then each
+    of the command's flags at most once, by its exact name and with its
+    value as the next token, and check's property.  As in argparse a token
+    that starts with '-' is a flag unless it is a lone '-' (stdin), so it
+    is never a value here; argparse would read '-1' as one, but that line
+    goes to argparse.  Values pass the spec's type and choices, and every
+    required argument must be given."""
+    as_json = argv[:1] == ["--json"]
+    name, *rest = argv[as_json:] or [""]
+    if name not in _COMMANDS:
+        return None
+    specs = _specs(name)
+    options = {flag: spec for spec in specs for flag in spec[0]}
+    positionals = [spec for spec in specs if not spec[0][0].startswith("-")]
+    given = {}  # a spec's first name -> its token
+    tokens = iter(rest)
+    for token in tokens:
+        if token.startswith("-") and token != "-":
+            spec = options.get(token)
+            token = next(tokens, "--")  # "--" is never a value
+        elif positionals:
+            spec = positionals.pop(0)
+        else:
+            return None
+        if (spec is None or spec[0][0] in given
+                or token.startswith("-") and token != "-"):
+            return None
+        given[spec[0][0]] = token
+    args = {"json": as_json, "command": name}
+    for flags, kwargs in specs:
+        dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+        if flags[0] not in given:
+            if kwargs.get("required") or not flags[0].startswith("-"):
+                return None
+            args[dest] = kwargs.get("default")
+            continue
+        try:
+            value = kwargs.get("type", str)(given[flags[0]])
+        except (TypeError, ValueError):
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser of every command, built from the same specs.
+    `main` builds it only for a line that `_parse` does not take: help,
+    usage errors, and lines argparse reads more loosely (abbreviated
+    flags, '--t=2', '-iPATH', repeated flags, negative numbers)."""
+    import argparse  # plain command lines never load it
+
     parser = argparse.ArgumentParser(
         prog="hypercount",
         description="Exact and truncated-expansion counting of independent "
                     "sets in partite uniform hypergraphs.")
     parser.add_argument("--json", action="store_true",
                         help="structured JSON output")
-    names = list(_COMMANDS)
-    if command in _COMMANDS:
-        # the metavar keeps top-level usage lines listing every command
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(names) + "}")
-        names = [command]
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        _, needs_input, specs = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--input", "-i", default="-",
-                           help="path to instance file, '-' for stdin")
-        for flags, kwargs in specs:
+        for flags, kwargs in _specs(name):
             p.add_argument(*flags, **kwargs)
     return parser
 
@@ -423,7 +469,7 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def _run(argv: list) -> int:
-    args = _build_parser(_command_of(argv)).parse_args(argv)
+    args = _parse(argv) or _build_parser().parse_args(argv)
     handler, needs_input, _ = _COMMANDS[args.command]
     start = time.perf_counter()
     try:

@@ -9,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hypercount
 from hypercount import (digest, formats, gen_linear_regular, loads,
                         serialize_text)
-from hypercount.cli import CLOSED_PIPE, _COMMANDS, _build_parser, main
+from hypercount.cli import (CLOSED_PIPE, _COMMANDS, _build_parser, _parse,
+                            _specs, main)
 
 from conftest import (circulant, kp_instances, loose_path, matching,
                       single_edge)
@@ -109,6 +112,44 @@ PARSER_CASES = (
     + [["check", "nope"], ["closed-form", "--t", "3"], ["estimate", "--t", "x"],
        [], ["foo"], ["--json"], ["--json", "-h", "estimate"],
        ["-1", "estimate"]])
+
+# tokens of random command lines: every flag, lines argparse alone reads
+# (help, "--", "=" values, abbreviated and attached flags), and values that
+# int() reads loosely (an Arabic-Indic 3) or that look like flags
+FLAGS = sorted({flag for name in _COMMANDS for flags, _ in _specs(name)
+                for flag in flags if flag.startswith("-")})
+VALUES = ["", "-", "-1", "+3", " 3", "3_0", "\u0663", "1/4", "1:0", "0", "1",
+          "2", *(str(choice) for name in _COMMANDS
+                 for _, kwargs in _specs(name)
+                 for choice in kwargs.get("choices", ()))]
+TOKENS = [*_COMMANDS, *FLAGS, "--json", "-h", "--", "--t=2", "--cl", "-ia",
+          *VALUES]
+
+
+@st.composite
+def command_lines(draw):
+    """Mostly near-plain argv: a command and most of its arguments in any
+    order, some under another flag or with an odd value, and a few stray
+    tokens."""
+    token = st.sampled_from(TOKENS) | st.text(max_size=3)
+    name = draw(token if draw(st.integers(0, 7)) == 7
+                else st.sampled_from(list(_COMMANDS)))
+    parts = []
+    for flags, kwargs in _specs(name) if name in _COMMANDS else ():
+        # 0-2: plain, 3: an odd value, 4: another flag, 5: left out
+        kind = draw(st.integers(0, 5))
+        if kind == 5:
+            continue
+        flag = draw(st.sampled_from(FLAGS if kind == 4 else flags))
+        value = draw(st.sampled_from(VALUES) | token if kind == 3 else
+                     st.sampled_from([str(c) for c in
+                                      kwargs.get("choices", (1, 2))]))
+        parts.append([flag, value] if flags[0].startswith("-") else [value])
+    parts = draw(st.permutations(parts))
+    for extra in draw(st.lists(token, max_size=1)):
+        parts.insert(draw(st.integers(0, len(parts))), [extra])
+    return (["--json"] * draw(st.booleans()) + [name]
+            + [t for part in parts for t in part])
 
 
 def kv(out):
@@ -671,6 +712,15 @@ class TestExitCodes:
                                "--class", "0", "--b", b, "--root", "0:99")
         assert code == 2 and "error=input" in err
 
+    @pytest.mark.parametrize("command", ["polymers", "kp-check"])
+    def test_empty_root(self, capsys, tmp_path, command):
+        # an empty --root names no vertex; it does not mean every root
+        path = tmp_path / "inst.hg"
+        path.write_text(serialize_text(gen_linear_regular(3, 6, 2, seed=0)))
+        assert run_cli(capsys, command, "-i", str(path), "--class", "0",
+                       "--b", "1", "--root", "") == (
+            2, "", "error=input bad vertex '', expected <class>:<index>\n")
+
     @pytest.mark.parametrize("prop, flag", [("exp1", "--alpha"),
                                             ("exp2", "--beta")])
     @pytest.mark.parametrize("value", ["foo", "x", "1/0", "1e400"])
@@ -717,12 +767,60 @@ class TestExitCodes:
         assert str(path) in err and "Traceback" not in err
 
 
+FULL_PARSER = _build_parser()
+
+
+def full_parse(argv):
+    """What argparse reads from argv, or 'refused' for its usage errors."""
+    try:
+        return vars(FULL_PARSER.parse_args(argv))
+    except SystemExit:
+        return "refused"
+
+
 class TestParser:
     @pytest.mark.parametrize("argv", PARSER_CASES,
                              ids=lambda argv: " ".join(argv) or "(none)")
     def test_selective_parse_matches_full_parser(self, capsys, argv):
         assert (parse_outcome(capsys, main, argv)
                 == parse_outcome(capsys, _build_parser().parse_args, argv))
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=command_lines())
+    @example(["estimate", "--t", "2", "-i", "-"])
+    @example(["estimate", "--t", "-1"])
+    @example(["estimate", "--json", "--t", "1"])
+    @example(["kp-check", "--class", "0", "--b", "1", "--root", "-i"])
+    @example(["polymers", "--class", "0", "--b", "1", "--root", ""])
+    @example(["closed-form", "--t", "+3"])
+    @example(["generate", "--k", "3", "--n", "3_0", "--r", "\u0663",
+              "--seed", " 3"])
+    @example(["xi", "--class", "0", "--b", "1", "--b", "2"])
+    @example(["check", "reg", "def"])
+    @example(["check", "--t", "1"])
+    @example(["--json", "check", "--t", "2", "reg", "-i", ""])
+    def test_plain_lines_parse_as_argparse_parses_them(self, argv):
+        args = _parse(argv)
+        if args is not None:
+            assert vars(args) == full_parse(argv)
+
+    def test_specs_use_only_what_the_plain_parser_reads(self):
+        used = {key for name in _COMMANDS for _, kwargs in _specs(name)
+                for key in kwargs}
+        assert used <= {"dest", "type", "required", "choices", "default",
+                        "help"}
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_full_line_takes_the_plain_path(self, name):
+        # every argument once, each flag by its last name (-i for --input):
+        # a spec _parse cannot read fails here, not in argparse's hands
+        argv = ["--json", name]
+        for flags, kwargs in _specs(name):
+            value = str(kwargs.get("choices", (1,))[0])
+            argv += [flags[-1], value] if flags[0].startswith("-") else [value]
+        args = _parse(argv)
+        assert args is not None
+        assert vars(args) == full_parse(argv)
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_every_command_dispatches_to_its_handler(self, monkeypatch, name):

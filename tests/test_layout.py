@@ -1,6 +1,7 @@
 """Package layout: modules talk to each other through public names only,
-read nothing from the environment, run without numpy, and load mpmath and
-json only with the commands that use them."""
+read nothing from the environment, run without numpy, load mpmath and json
+only with the commands that use them, and argparse only for help and usage
+errors."""
 
 import ast
 import importlib
@@ -21,18 +22,20 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypercount"
 TRACING = PACKAGE.parents[1] / "bench" / "tracing.py"
 
 # modules a command loads only when it uses them
-LAZY = ("numpy", "mpmath", "json")
+LAZY = ("numpy", "mpmath", "json", "argparse")
 # ... and the modules no part of the package needs at run time (the
 # records are NamedTuples, not dataclasses)
 NOT_AT_IMPORT = LAZY + ("dataclasses", "inspect")
 
 # blocks numpy from import, runs the CLI on argv, then prints the lazily
-# loaded modules it loaded
+# loaded modules it loaded, also when argparse exits on a usage error
 CHILD = ("import sys\n"
          "sys.modules['numpy'] = None\n"
          "from hypercount.cli import main\n"
-         "code = main(sys.argv[1:])\n"
-         f"print('loaded=' + ','.join(m for m in {LAZY!r} "
+         "try:\n"
+         "    code = main(sys.argv[1:])\n"
+         "finally:\n"
+         f"    print('loaded=' + ','.join(m for m in {LAZY!r} "
          "if sys.modules.get(m) is not None))\n"
          "sys.exit(code)\n")
 
@@ -143,3 +146,12 @@ def test_commands_load_what_they_use_from_a_cold_start(capsys, tmp_path,
     cold, _, modules = child.stdout.rstrip("\n").rpartition("\n")
     assert modules == f"loaded={loaded}"
     assert untimed(cold) == untimed(warm)
+
+
+def test_usage_error_loads_argparse_from_a_cold_start(tmp_path):
+    path = tmp_path / "inst.hg"
+    path.write_text(serialize_text(gen_linear_regular(3, 4, 2, seed=1)))
+    child = fresh_python("-c", CHILD, "estimate", "--t", "x", "-i", str(path))
+    assert child.returncode == 2
+    assert child.stdout == "loaded=argparse\n"
+    assert child.stderr.startswith("usage: hypercount estimate")
