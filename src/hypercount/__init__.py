@@ -7,9 +7,8 @@ from .clusters import (Cluster, CountEstimate, cluster_weight,
                        ursell)
 from .errors import (BudgetExceeded, GenerationError, HypercountError,
                      InputError)
-from .exact import (class_mask, count_independent_sets,
-                    count_subsets_avoiding, count_with_defect_class,
-                    edge_masks)
+from .exact import (count_independent_sets, count_subsets_avoiding,
+                    count_with_defect_class)
 from .formats import (digest, load, loads, parse_json, parse_text,
                       serialize_text)
 from .formulas import (ClosedFormEstimate, closed_form_t1, closed_form_t2,

@@ -129,8 +129,15 @@ def _cmd_defect_count(args, G):
     return G, {"class": args.cls, "b": args.b}, {"count": count}, []
 
 
-def _cmd_polymers(args, G):
+def _rooted(args):
+    """The --root vertex or None, and the params, which echo a given root."""
     root = _vertex(args.root) if args.root is not None else None
+    params = {"class": args.cls, "b": args.b}
+    return root, params if root is None else params | {"root": root}
+
+
+def _cmd_polymers(args, G):
+    root, params = _rooted(args)
     polys = polymers.enumerate_polymers(G, args.cls, args.b, root=root)
     rows = [("polymer", {
         "vertices": [str(v) for v in p.vertices],
@@ -138,9 +145,6 @@ def _cmd_polymers(args, G):
         "weight": p.weight,
         "neighborhood_size": p.neighborhood_size,
     }) for p in polys]
-    params = {"class": args.cls, "b": args.b}
-    if root is not None:
-        params["root"] = root
     return G, params, {"count": len(polys)}, rows
 
 
@@ -151,7 +155,7 @@ def _cmd_xi(args, G):
 
 
 def _cmd_kp_check(args, G):
-    root = _vertex(args.root) if args.root is not None else None
+    root, params = _rooted(args)
     found = polymers.kp_terms(G, args.cls, args.b, root=root)
     rows = [("root", {
         "vertex": res.root,
@@ -160,7 +164,7 @@ def _cmd_kp_check(args, G):
         "holds": res.holds,
         "polymers": len(res.polymers),
     }) for res in found]
-    return (G, {"class": args.cls, "b": args.b},
+    return (G, params,
             {"all_hold": all(res.holds for res in found),
              "roots": len(found)}, rows)
 

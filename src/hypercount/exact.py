@@ -17,9 +17,10 @@ hypergraph.COUNT_VERTEX_CAP vertices refuses at construction, and
 vertex count.  `count_with_defect_class` counts the independent sets whose
 trace on one class has only small 2-linked pieces, as a product over the
 class's 2-linked components, and refuses above DEFECT_VERTEX_CAP
-vertices.  All three caps are module constants.  `edge_masks(G)` gives the
-edges as bitmasks (bit x is the vertex of class-major id x) and
-`class_mask(G, cls)` the bits of one class."""
+vertices.  All three caps are module constants.  The counts of a
+Hypergraph read its edge masks (`G.edge_masks`, bit x the vertex of
+class-major id x) and class masks (`G.class_mask(cls)`), which the
+instance builds and keeps."""
 
 from __future__ import annotations
 
@@ -224,22 +225,9 @@ def count_subsets_avoiding(num_vertices: int, edge_masks: Sequence[int]) -> int:
     return count << num_vertices - (forced | covered).bit_count()
 
 
-def edge_masks(G: Hypergraph) -> list:
-    """The edges of G as bitmasks over its vertices: bit x stands for the
-    vertex of id x.  That order is class-major, so each class is a
-    contiguous range of bits (see class_mask)."""
-    return [sum(map((1).__lshift__, e)) for e in G.ids]
-
-
-def class_mask(G: Hypergraph, cls: int) -> int:
-    """The bits of the given class in edge_masks' vertex order."""
-    G._check_class(cls)
-    return ((1 << G.sizes[cls]) - 1) << G.offsets[cls]
-
-
 def count_independent_sets(G: Hypergraph) -> int:
     """Exact number of vertex subsets of G containing no edge as a subset."""
-    return count_subsets_avoiding(G.num_vertices, G._edge_masks)
+    return count_subsets_avoiding(G.num_vertices, G.edge_masks)
 
 
 # ----- defect-restricted counts -----------------------------------------------
@@ -268,14 +256,14 @@ def count_with_defect_class(G: Hypergraph, cls: int, b: int) -> int:
     DEFECT_VERTEX_CAP vertices."""
     if b < 0:
         raise InputError("defect bound b must be non-negative")
-    outside = ~class_mask(G, cls)
+    outside = ~G.class_mask(cls)
     n = G.num_vertices
     if n > DEFECT_VERTEX_CAP:
         raise BudgetExceeded(
             f"the defect count has {n} vertices, over the cap of "
             f"{DEFECT_VERTEX_CAP}; refusing rather than estimating")
     positions, near, _ = G.class_table(cls)
-    through = [[G._edge_masks[j] for j in js] for js in positions]
+    through = [[G.edge_masks[j] for j in js] for js in positions]
 
     count, covered = 1, 0  # covered: the neighbourhood of the class
     left = (1 << len(near)) - 1

@@ -21,12 +21,14 @@ import sys
 from typing import Optional
 
 from .errors import InputError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, edge_ids
 
 
 def parse_text(text: str) -> Hypergraph:
-    """Parse the text format, handing the edges to Hypergraph.from_ids as
-    ids; an error names the first faulty line."""
+    """Parse the text format, handing the edges to the Hypergraph
+    constructor as ids; an error names the first faulty line.  An edge in
+    the canonical form needs only its range check, and any other goes by
+    its tokens to hypergraph.edge_ids."""
     k = None
     sizes = None
     edges = []
@@ -53,12 +55,18 @@ def parse_text(text: str) -> Hypergraph:
         elif line.startswith("e "):
             if k is None:
                 raise InputError(f"line {lineno}: edge before header")
-            # an edge in the canonical form needs only its range check
             match = canonical.fullmatch(line)
-            idx = match and tuple(map(int, match.groups()))
-            if not (idx and all(map(operator.lt, idx, sizes))):
-                idx = _edge_indices(line, lineno, k, sizes)
-            ids = tuple(map(operator.add, idx, offsets))
+            try:
+                idx = match and tuple(map(int, match.groups()))
+            except ValueError:  # over int()'s digit limit: refused below
+                idx = None
+            if idx and all(map(operator.lt, idx, sizes)):
+                ids = tuple(map(operator.add, idx, offsets))
+            else:
+                try:
+                    ids = edge_ids(k, sizes, offsets, _edge_pairs(line, k))
+                except InputError as exc:
+                    raise InputError(f"line {lineno}: {exc}")
             if ids in seen:
                 raise InputError(f"line {lineno}: duplicate edge")
             seen.add(ids)
@@ -68,32 +76,24 @@ def parse_text(text: str) -> Hypergraph:
     if k is None:
         raise InputError("missing header line 'k=<int> sizes=...'")
     try:
-        return Hypergraph.from_ids(k, sizes, edges)
+        return Hypergraph(k, sizes, edges)
     except InputError as exc:
         raise InputError(f"invalid hypergraph: {exc}")
 
 
-def _edge_indices(line, lineno, k, sizes) -> list:
-    """The vertex indices of an edge record in any form, in class order."""
+def _edge_pairs(line, k) -> list:
+    """The (class, index) pairs of an edge record's k tokens."""
     toks = line.split()[1:]
     if len(toks) != k:
-        raise InputError(
-            f"line {lineno}: edge has {len(toks)} vertices, expected {k}")
+        raise InputError(f"edge has {len(toks)} vertices, expected {k}")
     edge = []
     for tok in toks:
         try:
             c, i = tok.split(":")
             edge.append((int(c), int(i)))
         except ValueError:
-            raise InputError(f"line {lineno}: bad vertex token {tok!r}")
-    for c, i in edge:
-        if not (0 <= c < k and 0 <= i < sizes[c]):
-            raise InputError(f"line {lineno}: vertex {c}:{i} out of range")
-    edge.sort()
-    if [c for c, _ in edge] != list(range(k)):
-        raise InputError(
-            f"line {lineno}: edge must meet every class exactly once")
-    return [i for _, i in edge]
+            raise InputError(f"bad vertex token {tok!r}")
+    return edge
 
 
 def _json_int(value) -> int:
@@ -107,7 +107,8 @@ def parse_json(text: str) -> Hypergraph:
     import json  # only JSON input needs it
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a decode error or too long an integer, or too deep a nesting
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}")
     for key in ("k", "sizes", "edges"):
         if key not in obj:

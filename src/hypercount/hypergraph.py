@@ -1,9 +1,10 @@
 """k-partite k-uniform hypergraphs and the structural primitives built on them.
 
 Vertices are (class, index) pairs to callers and class-major integer ids
-inside: (c, i) is offsets[c] + i, the bit order of exact.edge_masks.  Every
-edge meets every class once, so it is stored as its ids in class order.
-Ids sort as the pairs do; the checks and the loose-cycle search run on ids
+inside: (c, i) is offsets[c] + i, and id x is bit x of G.edge_masks.  Only
+this module turns pairs into ids (edge_ids) and checks ids.  Every edge
+meets every class once, so it is stored as its ids in class order.  Ids
+sort as the pairs do; the checks and the loose-cycle search run on ids
 and build Vertex pairs only for a witness they return.  A Hypergraph is
 immutable after construction; all operations are pure functions over it.
 """
@@ -74,6 +75,34 @@ class LinkGraph(_LinkGraphFields):
         return cls(*iterable)
 
 
+def _check_shape(k: int, sizes: Sequence[int]) -> tuple:
+    """The first id of each class, then the vertex count, once the shape and
+    the vertex cap are checked."""
+    if k < 2:
+        raise InputError(f"uniformity k={k} must be at least 2")
+    if len(sizes) != k:
+        raise InputError(f"expected {k} class sizes, got {len(sizes)}")
+    if any(s < 1 for s in sizes):
+        raise InputError("class sizes must be positive")
+    check_vertex_cap(sum(sizes))
+    return tuple(itertools.accumulate(sizes, initial=0))
+
+
+def edge_ids(k: int, sizes: Sequence[int], offsets: Sequence[int],
+             edge: Iterable) -> tuple:
+    """The ids, in class order, of an edge given as (class, index) pairs in
+    any order: the one check that it meets each class once, in range."""
+    ce = sorted(Vertex(*v) for v in edge)
+    if [v.cls for v in ce] != list(range(k)):
+        raise InputError(f"edge {[str(v) for v in ce]} must contain exactly "
+                         f"one vertex per class")
+    for v in ce:
+        if not 0 <= v.idx < sizes[v.cls]:
+            raise InputError(
+                f"vertex {v} out of range for class size {sizes[v.cls]}")
+    return tuple(o + i for o, (_, i) in zip(offsets, ce))
+
+
 class Hypergraph:
     """k-partite k-uniform hypergraph with fixed class sizes.
 
@@ -93,61 +122,42 @@ class Hypergraph:
 
     k: int
     sizes: tuple
+    offsets: tuple
     ids: tuple
 
-    def __init__(self, k: int, sizes: Sequence[int], edges: Iterable[Iterable]):
-        """From edges given as (class, index) pairs, in any order."""
-        def pair_ids(offsets):
-            for e in edges:
-                ce = sorted(Vertex(*v) for v in e)
-                if [v.cls for v in ce] != list(range(k)):
-                    raise InputError(
-                        f"edge {[str(v) for v in ce]} must contain exactly "
-                        f"one vertex per class")
-                for v in ce:
-                    if not 0 <= v.idx < sizes[v.cls]:
-                        raise InputError(f"vertex {v} out of range for class "
-                                         f"size {sizes[v.cls]}")
-                yield tuple(o + i for o, (_, i) in zip(offsets, ce))
-        self._validate(k, sizes, pair_ids)
-
-    @classmethod
-    def from_ids(cls, k: int, sizes: Sequence[int],
-                 ids: Iterable[Sequence[int]]) -> "Hypergraph":
-        """From edges given as their k class-major ids in class order."""
-        G = cls.__new__(cls)
-        G._validate(k, sizes, lambda offsets: ids)
-        return G
-
-    def _validate(self, k, sizes, edges_of) -> None:
-        """The validation both constructors share: checks the shape and the
-        vertex cap, then the edges `edges_of(offsets)` yields, and stores
-        them."""
+    def __init__(self, k: int, sizes: Sequence[int],
+                 ids: Iterable[Sequence[int]]):
+        """From edges, in any order, given as their k integer ids in class
+        order, each in its class's range."""
         sizes = tuple(sizes)
-        if k < 2:
-            raise InputError(f"uniformity k={k} must be at least 2")
-        if len(sizes) != k:
-            raise InputError(f"expected {k} class sizes, got {len(sizes)}")
-        if any(s < 1 for s in sizes):
-            raise InputError("class sizes must be positive")
-        check_vertex_cap(sum(sizes))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sizes", sizes)
-        offsets = self.offsets
-        canon = sorted(map(tuple, edges_of(offsets)))
-        # one id per class in class order: column c lies in class c's range
-        flat = list(itertools.chain.from_iterable(canon))
-        if set(map(len, canon)) - {k} or not all(
-                lo <= min(flat[c::k], default=lo)
-                and max(flat[c::k], default=lo) < hi
-                for c, (lo, hi) in enumerate(zip(offsets, offsets[1:]))):
+        offsets = _check_shape(k, sizes)
+        edges = list(map(tuple, ids))
+        # column c of the edges lies in class c's range
+        flat = list(itertools.chain.from_iterable(edges))
+        bounds = enumerate(zip(offsets, offsets[1:]))
+        if (set(map(type, flat)) - {int} or set(map(len, edges)) - {k}
+                or not all(lo <= min(flat[c::k], default=lo)
+                           and max(flat[c::k], default=lo) < hi
+                           for c, (lo, hi) in bounds)):
             raise InputError("every edge must give one id per class, in "
                              "class order")
-        for a, b in zip(canon, canon[1:]):
+        edges.sort()
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "offsets", offsets)
+        for a, b in zip(edges, edges[1:]):
             if a == b:
                 raise InputError(
                     f"duplicate edge {[str(self.vertex(x)) for x in a]}")
-        object.__setattr__(self, "ids", tuple(canon))
+        object.__setattr__(self, "ids", tuple(edges))
+
+    @classmethod
+    def build(cls, k: int, sizes: Sequence[int],
+              edges: Iterable[Iterable]) -> "Hypergraph":
+        """From edges given as (class, index) pairs, in any order."""
+        sizes = tuple(sizes)
+        offsets = _check_shape(k, sizes)
+        return cls(k, sizes, [edge_ids(k, sizes, offsets, e) for e in edges])
 
     def _key(self) -> tuple:
         return self.k, self.sizes, self.ids
@@ -170,11 +180,6 @@ class Hypergraph:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    @classmethod
-    def build(cls, k: int, sizes: Sequence[int], edges: Iterable[Iterable]) -> "Hypergraph":
-        """Construct from any iterable of edges given as (class, index) pairs."""
-        return cls(k, sizes, edges)
-
     # ----- basic accessors -------------------------------------------------
 
     @property
@@ -184,11 +189,6 @@ class Hypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.ids)
-
-    @cached_property
-    def offsets(self) -> tuple:
-        """The first id of each class, then the vertex count."""
-        return tuple(itertools.accumulate(self.sizes, initial=0))
 
     def vertex(self, x: int) -> Vertex:
         """The vertex of id x."""
@@ -223,10 +223,16 @@ class Hypergraph:
         return len(self._ids_through([v])[1])
 
     @cached_property
-    def _edge_masks(self) -> list:
-        """exact.edge_masks(self), for every count and class table of it."""
-        from . import exact  # exact imports this module
-        return exact.edge_masks(self)
+    def edge_masks(self) -> list:
+        """The edges as bitmasks over the vertices, in the order of `ids`:
+        bit x stands for the vertex of id x, so each class is a contiguous
+        range of bits (see class_mask).  Built once per instance."""
+        return [sum(map((1).__lshift__, e)) for e in self.ids]
+
+    def class_mask(self, cls: int) -> int:
+        """The bits of the given class in edge_masks' vertex order."""
+        self._check_class(cls)
+        return ((1 << self.sizes[cls]) - 1) << self.offsets[cls]
 
     @cached_property
     def _text(self) -> str:

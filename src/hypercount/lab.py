@@ -26,7 +26,6 @@ from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, GenerationError, InputError
 from . import exact
-from .exact import class_mask, edge_masks
 from .formulas import gamma_k
 from .hypergraph import (Hypergraph, check_vertex_cap, find_loose_cycle,
                          find_loose_cycle_through, girth_at_most)
@@ -134,7 +133,7 @@ def gen_linear_regular(k: int, n: int, r: int, seed: int,
                 ok = False
                 break
         if ok:
-            G = Hypergraph.from_ids(k, [n] * k, edges)
+            G = Hypergraph(k, [n] * k, edges)
             assert G.regular_degree() == r
             assert G.is_linear()
             if girth_bounded:
@@ -185,9 +184,9 @@ def _expansion_check(G, name, factor, max_size, seed):
     rng = random.Random(seed)
     top = min(max_size, n)  # sizes beyond n are vacuous
     exhaustive = top <= EXPANSION_EXHAUSTIVE_SIZE
-    masks, left = edge_masks(G), EXPANSION_WORK
+    masks, left = G.edge_masks, EXPANSION_WORK
     for cls in range(G.k):
-        nbs, first, outside = [0] * n, G.offsets[cls], ~class_mask(G, cls)
+        nbs, first, outside = [0] * n, G.offsets[cls], ~G.class_mask(cls)
         for e, m in zip(G.ids, masks):
             nbs[e[cls] - first] |= m & outside
         for s in range(1, top + 1):
@@ -263,7 +262,7 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
         return PropertyReport(name=f"Def({b})", verdict="holds",
                               params=params | {"vacuous": True})
     num = G.num_vertices
-    class_masks = [class_mask(G, cls) for cls in range(G.k)]
+    class_masks = [G.class_mask(cls) for cls in range(G.k)]
 
     def report(verdict, found=None):
         witness = None if found is None else [
@@ -274,7 +273,7 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
     if num <= exact.DEFECT_VERTEX_CAP:
         F = max(range(G.k), key=G.sizes.__getitem__)
         joins = [(m & class_masks[F], m & ~class_masks[F])
-                 for m in edge_masks(G)]  # (the vertex in F, the rest)
+                 for m in G.edge_masks]  # (the vertex in F, the rest)
         choices = [[sum(1 << G.offsets[c] + i for i in pick) for pick in
                     itertools.combinations(range(G.sizes[c]), b + 1)]
                    for c in range(G.k) if c != F]
@@ -290,7 +289,7 @@ def check_def(G: Hypergraph, b: int, seed: int = 0) -> PropertyReport:
     # best-effort local search beyond the cap; `chosen` stays
     # independent, so only an edge through the tried vertex can fill up
     through = [[] for _ in range(num)]
-    for e, m in zip(G.ids, edge_masks(G)):
+    for e, m in zip(G.ids, G.edge_masks):
         for x in e:
             through[x].append(m)
     per_round = num + sum(map(len, through))

@@ -186,7 +186,7 @@ def _weighed(G: Hypergraph, cls: int, sets: Iterable) -> list:
     e - e[cls] of the edges e through S, are counted over the vertices
     they cover, which are N(S)."""
     through, _, _ = G.class_table(cls)
-    masks, outside = G._edge_masks, ~exact.class_mask(G, cls)
+    masks, outside = G.edge_masks, ~G.class_mask(cls)
     out = []
     for idx in sorted(tuple(sorted(s)) for s in sets):
         count, cover = exact._count_covered(

@@ -34,9 +34,8 @@ import numpy as np
 from mpmath import iv, mp, mpf
 
 from hypercount import (BudgetExceeded, Hypergraph, InputError, LinkGraph,
-                        Polymer, Vertex, class_mask, count_subsets_avoiding,
-                        edge_masks, enumerate_polymers, gamma_k,
-                        polymer_weight, ursell)
+                        Polymer, Vertex, count_subsets_avoiding,
+                        enumerate_polymers, gamma_k, polymer_weight, ursell)
 
 
 def graph_components(n: int, edges) -> int:
@@ -111,17 +110,17 @@ def count_by_filter(num_vertices: int, edge_masks: Sequence[int]) -> int:
 
 def independent_masks(G: Hypergraph):
     """All independent sets of G as an ascending uint64 array of masks in
-    edge_masks' vertex order; refuses beyond FILTER_VERTEX_CAP vertices
+    G.edge_masks' vertex order; refuses beyond FILTER_VERTEX_CAP vertices
     before building any mask."""
     _check_filter_cap(G.num_vertices)
-    return np.concatenate(list(_filter_chunks(G.num_vertices, edge_masks(G))))
+    return np.concatenate(list(_filter_chunks(G.num_vertices, G.edge_masks)))
 
 
 def defect_count_by_filter(G: Hypergraph, cls: int, b: int) -> int:
     """`exact.count_with_defect_class` over the independent sets themselves:
     group them by their trace on the class, and keep the traces whose
     2-linked pieces all have order at most b."""
-    traces = independent_masks(G) & np.uint64(class_mask(G, cls))
+    traces = independent_masks(G) & np.uint64(G.class_mask(cls))
     values, counts = np.unique(traces, return_counts=True)
     order = list(G.vertices())
     total = 0
@@ -140,7 +139,7 @@ def most_in_every_class_by_filter(G: Hypergraph) -> int:
     least = np.full(ind.shape, G.num_vertices)
     for cls in range(G.k):
         least = np.minimum(least, np.bitwise_count(
-            ind & np.uint64(class_mask(G, cls))))
+            ind & np.uint64(G.class_mask(cls))))
     return int(least.max())
 
 
@@ -405,7 +404,7 @@ def canonical_edges(k: int, edges: Iterable[Iterable]) -> tuple:
 
 
 def vertex_edge_masks(G: Hypergraph) -> list:
-    """exact.edge_masks from the Vertex edges: bit i is list(G.vertices())[i]."""
+    """G.edge_masks from the Vertex edges: bit i is list(G.vertices())[i]."""
     offsets = [sum(G.sizes[:c]) for c in range(G.k)]
     return [sum(1 << (offsets[v.cls] + v.idx) for v in e) for e in G.edges]
 

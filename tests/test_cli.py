@@ -445,6 +445,18 @@ class TestCommands:
         assert code == 0
         assert kv(out)["roots"] == "1"
 
+    @pytest.mark.parametrize("command", ["kp-check", "polymers"])
+    def test_root_is_echoed(self, capsys, single_path, command):
+        # a given --root is a param of the run, in text and JSON output
+        args = (command, "-i", single_path, "--class", "0", "--b", "1",
+                "--root", "0:0")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and kv(out)["param.root"] == "0:0"
+        code, out, _ = run_cli(capsys, "--json", *args)
+        assert code == 0
+        assert json.loads(out)["params"] == {"class": 0, "b": 1,
+                                             "root": [0, 0]}
+
     def test_kp_check_rows_match_single_root_runs(self, capsys, tmp_path):
         for i, G in enumerate(kp_instances()):
             path = tmp_path / f"inst{i}.hg"
@@ -563,6 +575,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "exact-count", "-i", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error=input") and "not an integer" in err
+
+    @pytest.mark.parametrize("name, text", [
+        ("deep.json", '{"k": ' + "[" * 1000 + "]" * 1000 + "}"),
+        ("digits.json", '{"k": 3, "sizes": [1, 1, 1], "edges": '
+                        '[[[0, 0], [1, 0], [2, 1' + "0" * 4300 + ']]]}'),
+        ("digits.hg", "k=3 sizes=1,1,1\ne 0:" + "0" * 4301 + " 1:0 2:0\n")],
+        ids=["deep.json", "digits.json", "digits.hg"])
+    def test_malformed_file(self, capsys, tmp_path, name, text):
+        # json.loads and int() refuse these, over the nesting and the digit
+        # limits, with errors that are input errors too
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "exact-count", "-i", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error=input ")
+        assert ("bad vertex token" if name.endswith(".hg")
+                else "bad JSON") in err
 
     def test_budget_refusal(self, capsys, single_path, monkeypatch):
         from hypercount import exact

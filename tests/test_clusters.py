@@ -4,6 +4,7 @@ the estimator."""
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypercount import (BudgetExceeded, Hypergraph, InputError, Vertex,
                         gen_linear_regular, partition_function,
                         polymer_weight, serialize_text, singleton_sum,
                         truncated_log_xi, ursell)
-from hypercount import clusters as cl, exact, polymers
+from hypercount import clusters as cl, polymers
 from hypercount.cli import main
 
 from conftest import (girth5_instances, loose_path, partite_hypergraphs,
@@ -325,15 +326,17 @@ class TestTruncatedSums:
     def test_one_set_of_edge_masks_per_instance(self, monkeypatch, tmp_path,
                                                 capsys):
         # estimate's k classes, and compare's exact count too, read one
-        # exact.edge_masks(G) per instance
+        # G.edge_masks per instance
         calls = []
-        real = exact.edge_masks
+        real = Hypergraph.edge_masks.func
 
         def spy(G):
             calls.append(G)
             return real(G)
 
-        monkeypatch.setattr(exact, "edge_masks", spy)
+        spied = cached_property(spy)
+        spied.__set_name__(Hypergraph, "edge_masks")
+        monkeypatch.setattr(Hypergraph, "edge_masks", spied)
         G = gen_linear_regular(4, 5, 2, seed=2)
         estimate_count(G, 2)
         assert calls == [G]

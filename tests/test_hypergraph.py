@@ -43,6 +43,11 @@ class TestConstruction:
         with pytest.raises(InputError):
             Hypergraph.build(3, [2, 2, 2], [[(0, 0), (0, 1), (1, 0)]])
 
+    def test_constructor_refuses_pairs(self):
+        # the constructor takes ids; pairs go through Hypergraph.build
+        with pytest.raises(InputError):
+            Hypergraph(3, [1, 1, 1], [((0, 0), (1, 0), (2, 0))])
+
     def test_edges_are_canonical(self):
         G = Hypergraph.build(3, [2, 2, 2],
                              [[(2, 1), (0, 1), (1, 0)],
@@ -69,9 +74,9 @@ class TestRecordSemantics:
     REPR = "Hypergraph(k=3, sizes=(2, 2, 1), ids=((0, 3, 4), (1, 2, 4)))"
 
     def built(self):
-        G = Hypergraph(3, [2, 2, 1], self.EDGES)
+        G = Hypergraph.build(3, [2, 2, 1], self.EDGES)
         return [G, Hypergraph.build(3, (2, 2, 1), reversed(self.EDGES)),
-                Hypergraph.from_ids(3, [2, 2, 1], [[1, 2, 4], (0, 3, 4)]),
+                Hypergraph(3, [2, 2, 1], [[1, 2, 4], (0, 3, 4)]),
                 parse_text(serialize_text(G)), parse_json(serialize_json(G)),
                 loads(serialize_json(G))]
 
@@ -83,8 +88,8 @@ class TestRecordSemantics:
 
     def test_other_records_differ(self):
         G = self.built()[0]
-        assert G != Hypergraph(3, [2, 2, 1], self.EDGES[:1])
-        assert G != Hypergraph(3, [2, 2, 2], self.EDGES)
+        assert G != Hypergraph.build(3, [2, 2, 1], self.EDGES[:1])
+        assert G != Hypergraph.build(3, [2, 2, 2], self.EDGES)
         assert G != (G.k, G.sizes, G.ids)
         assert G.__eq__(object()) is NotImplemented
 
@@ -102,10 +107,11 @@ class TestRecordSemantics:
         assert repr(G) == self.REPR and "spare" not in vars(G)
 
     def test_cached_views_fill(self):
-        G = Hypergraph(3, [2, 2, 1], self.EDGES)
-        views = ("edges", "_edge_masks", "_text", "_class_tables")
+        G = Hypergraph.build(3, [2, 2, 1], self.EDGES)
+        views = ("edges", "edge_masks", "_text", "_class_tables")
         assert not set(views) & set(vars(G))
-        assert G._edge_masks == [0b11001, 0b10110]
+        assert G.edge_masks == [0b11001, 0b10110]
+        assert [G.class_mask(c) for c in range(3)] == [0b11, 0b1100, 0b10000]
         assert G._text == serialize_text(G)
         assert G.edges[0] == (V(0, 0), V(1, 1), V(2, 0))
         G.class_table(0)
@@ -364,7 +370,7 @@ class TestGirthThroughEdge:
             G = loose_cycle_gadget(k, seed=k)
             for drop in range(G.num_edges):
                 rest = Hypergraph(k, G.sizes,
-                                  G.edges[:drop] + G.edges[drop + 1:])
+                                  G.ids[:drop] + G.ids[drop + 1:])
                 cand = G.edges[drop]
                 assert _through_search(rest, cand, 3) is None
                 w = _through_search(rest, cand, 4)
@@ -373,7 +379,7 @@ class TestGirthThroughEdge:
 
     def test_budget_refusal(self, monkeypatch):
         G = loose_cycle_gadget(3)
-        rest = Hypergraph(3, G.sizes, G.edges[1:])
+        rest = Hypergraph(3, G.sizes, G.ids[1:])
         monkeypatch.setattr(hypergraph, "GIRTH_NODE_CAP", 1)
         with pytest.raises(BudgetExceeded):
             _through_search(rest, G.edges[0], 4)
@@ -414,7 +420,7 @@ def test_through_edge_search_matches_global_search():
                     cand = tuple(V(c, rng.randrange(n)) for c in range(k))
                     if any(len(set(cand) & set(e)) >= 2 for e in G.edges):
                         continue
-                    trial = Hypergraph(k, G.sizes, G.edges + (cand,))
+                    trial = Hypergraph.build(k, G.sizes, G.edges + (cand,))
                     expect = girth_at_most(trial, g - 1)
                     w = _through_search(G, cand, g - 1)
                     assert (w is not None) == expect

@@ -64,6 +64,20 @@ def test_no_private_imports_across_modules():
     assert offenders == []
 
 
+def test_hypergraph_reads_no_counting_layer():
+    # hypergraph owns the vertex numbering and the edge masks; the layers
+    # that count on them import it, never the other way round
+    path = PACKAGE / "hypergraph.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module or "")
+            if not node.module:
+                imported.update(alias.name for alias in node.names)
+    assert imported & {"exact", "polymers", "clusters", "lab"} == set()
+
+
 def test_no_module_reads_the_environment():
     # every budget is a module constant: no variable changes what a
     # command computes
